@@ -8,7 +8,6 @@ rounding alone.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -262,7 +261,12 @@ def beta_expand(x, beta: BetaValue, digit_count: int) -> tuple[int, tuple[int, .
     if digit_count < 1:
         raise InvalidInputError("digit_count must be >= 1")
     with workdps(beta.precision):
-        xv = mpf(x)
+        try:
+            xv = mpf(x)
+        except ValueError as exc:
+            raise InvalidInputError(f"x is not a number: {x!r}") from exc
+        if not mp.isfinite(xv):
+            raise InvalidInputError(f"x must be finite, got {x!r}")
         if xv < 0:
             raise InvalidInputError("x must be nonnegative")
         if xv == 0:

@@ -10,7 +10,7 @@ import json
 import sys
 
 import click
-from mpmath import mp, nstr, workdps
+from mpmath import nstr, workdps
 
 from .beta_numeration import (
     DEFAULT_PRECISION,
@@ -20,13 +20,11 @@ from .beta_numeration import (
     beta_integers,
     beta_of,
     beta_of_renyi,
-    gap_distances,
     parry_check,
     renyi_of_quadratic,
 )
 from .complexity import factor_complexity, uv_tower
 from .errors import (
-    BetawordsError,
     InvalidInputError,
     PrecisionError,
     UnsupportedVariantError,
@@ -88,10 +86,6 @@ def _emit(fmt, payload, text_lines, csv_text=None):
             click.echo(line)
 
 
-class _Fail(SystemExit):
-    pass
-
-
 @click.group()
 def main():
     """Infinite words of beta-integers: complexity and palindromes."""
@@ -100,7 +94,7 @@ def main():
 @main.command()
 @click.option("--a", type=int)
 @click.option("--b", type=int)
-@click.option("--n-max", type=int, default=20, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=1), default=20, show_default=True)
 @_FORMAT
 def analyze(a, b, n_max, fmt):
     """Combined C(n), Delta C(n), P(n) table with oracle/closed-form agreement."""
@@ -137,23 +131,19 @@ def analyze(a, b, n_max, fmt):
         "schema": 1, "a": params.a, "b": params.b,
         "sturmian": sturmian, "rows": rows,
     }
-    lines = []
-    if sturmian:
-        lines.append(f"# Sturmian boundary b = a-1: oracle-only table, C(n) = n+1")
-    lines.append("n,C,deltaC,P,agree")
-    for row in rows:
-        lines.append(f"{row['n']},{row['C']},{row['deltaC']},{row['P']},{row['agree']}")
-    csv_text = "\n".join(["n,C,deltaC,P,agree"] +
-                         [f"{r['n']},{r['C']},{r['deltaC']},{r['P']},{r['agree']}"
-                          for r in rows]) + "\n"
-    _emit(fmt, payload, lines, csv_text)
+    table = ["n,C,deltaC,P,agree"] + [
+        f"{r['n']},{r['C']},{r['deltaC']},{r['P']},{r['agree']}" for r in rows
+    ]
+    notice = ["# Sturmian boundary b = a-1: oracle-only table, C(n) = n+1"] \
+        if sturmian else []
+    _emit(fmt, payload, notice + table, "\n".join(table) + "\n")
     if disagreement:
         sys.exit(EXIT_VERIFICATION)
 
 
 @main.command()
-@click.option("--a-max", type=int, default=6, show_default=True)
-@click.option("--n-max", type=int, default=120, show_default=True)
+@click.option("--a-max", type=click.IntRange(min=3), default=6, show_default=True)
+@click.option("--n-max", type=click.IntRange(min=1), default=120, show_default=True)
 @click.option("--digits", type=str, default=None,
               help='Renyi digits "t1 .. tm (tm+1 .. tm+p)" instead of a grid')
 @_FORMAT
@@ -252,8 +242,8 @@ def word(a, b, digits, length, fmt):
 @main.command()
 @click.option("--a", type=int)
 @click.option("--b", type=int)
-@click.option("--n", type=int, required=True)
-@click.option("--tower-depth", type=int, default=8, show_default=True)
+@click.option("--n", type=click.IntRange(min=0), required=True)
+@click.option("--tower-depth", type=click.IntRange(min=0), default=8, show_default=True)
 @_FORMAT
 def specials(a, b, n, tower_depth, fmt):
     """Left special factors of length n, plus the U/V towers."""
@@ -381,7 +371,7 @@ def run():
     try:
         main(standalone_mode=False)
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc}", err=True)
+        click.echo(f"usage error: {exc.format_message()}", err=True)
         sys.exit(2)
     except click.exceptions.Abort:
         sys.exit(2)

@@ -3,17 +3,21 @@
 The closed form integrates the first difference, which equals 2 exactly on
 the intervals (|V^(k)|, |U^(k)|] spanned by the towers of total bispecial
 factors V^(k) and maximal left special factors U^(k), and 1 elsewhere.
+
+The letter counts of both towers come from one recurrence, `_tower_counts`.
+The towers read it directly; both closed forms, this one and P(n) in
+`palindromes`, read it through `tower_intervals`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
+from itertools import islice, takewhile
 
 from .beta_numeration import QuadraticParams
-from .errors import UnsupportedVariantError
+from .errors import InvalidInputError, UnsupportedVariantError
 from .language import FactorLanguage
 from .substitution import Substitution, quadratic_substitution
 
@@ -31,6 +35,29 @@ def _t_counts(zeros: int, ones: int, params: QuadraticParams) -> tuple[int, int]
     """Letter counts of T(w) from the counts of w (exact, any size)."""
     a, b = params.a, params.b
     return 2 * b + a * zeros + b * ones, 1 + zeros + ones
+
+
+def _tower_counts(params: QuadraticParams):
+    """Letter counts of (V^(k), U^(k)) for k = 1, 2, ..., without end.
+
+    |U^(k)| > |V^(k)| for every k: U^(1) = 0^(a-1) outcounts V^(1) = 0^b
+    letter by letter, and T keeps that order.
+    """
+    v, u = (params.b, 0), (params.a - 1, 0)
+    while True:
+        yield v, u
+        v, u = _t_counts(*v, params), _t_counts(*u, params)
+
+
+def _tower_words(first: str, counts: list[tuple[int, int]], cap: int,
+                 params: QuadraticParams) -> list[str]:
+    """The first word, then its T-images while the counts keep them within cap."""
+    words = [first] if counts else []
+    for zeros, ones in counts[1:]:
+        if zeros + ones > cap:
+            break
+        words.append(t_map(words[-1], params))
+    return words
 
 
 @dataclass
@@ -57,19 +84,14 @@ class UVTower:
             raise UnsupportedVariantError(
                 "the U/V towers degenerate on the Sturmian boundary b = a-1"
             )
-        self.u_counts = [(params.a - 1, 0)]
-        self.v_counts = [(params.b, 0)]
-        self.u_words = ["0" * (params.a - 1)]
-        self.v_words = ["0" * params.b]
-        for _ in range(1, self.depth):
-            self.u_counts.append(_t_counts(*self.u_counts[-1], params))
-            self.v_counts.append(_t_counts(*self.v_counts[-1], params))
-            if len(self.u_words) == len(self.u_counts) - 1 \
-                    and sum(self.u_counts[-1]) <= self.materialize_cap:
-                self.u_words.append(t_map(self.u_words[-1], params))
-            if len(self.v_words) == len(self.v_counts) - 1 \
-                    and sum(self.v_counts[-1]) <= self.materialize_cap:
-                self.v_words.append(t_map(self.v_words[-1], params))
+        if self.depth < 0:
+            raise InvalidInputError("tower depth must be nonnegative")
+        counts = list(islice(_tower_counts(params), self.depth))
+        self.v_counts = [v for v, _ in counts]
+        self.u_counts = [u for _, u in counts]
+        cap = self.materialize_cap
+        self.u_words = _tower_words("0" * (params.a - 1), self.u_counts, cap, params)
+        self.v_words = _tower_words("0" * params.b, self.v_counts, cap, params)
 
     def u_length(self, n: int) -> int:
         """|U^(n)|, 1-based, exact."""
@@ -109,14 +131,8 @@ def uv_tower(params: QuadraticParams, depth: int,
 
 def tower_intervals(params: QuadraticParams, n_max: int):
     """Pairs (|V^(k)|, |U^(k)|) for every k with |V^(k)| < n_max."""
-    pairs = []
-    u = (params.a - 1, 0)
-    v = (params.b, 0)
-    while sum(v) < n_max:
-        pairs.append((sum(v), sum(u)))
-        u = _t_counts(*u, params)
-        v = _t_counts(*v, params)
-    return pairs
+    counts = takewhile(lambda vu: sum(vu[0]) < n_max, _tower_counts(params))
+    return [(sum(v), sum(u)) for v, u in counts]
 
 
 def closed_form_delta_c(params: QuadraticParams, n_max: int) -> list[int]:

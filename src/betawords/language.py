@@ -79,10 +79,6 @@ class FactorLanguage:
         n = len(word)
         return {f[0] for f in self.factors(n + 1) if f.endswith(word)}
 
-    def right_extensions(self, word: str) -> set[str]:
-        n = len(word)
-        return {f[-1] for f in self.factors(n + 1) if f.startswith(word)}
-
     def left_special_factors(self, n: int) -> set[str]:
         """Factors of length n with at least two left extensions."""
         longer = self.factors(n + 1)
@@ -91,15 +87,5 @@ class FactorLanguage:
             seen.setdefault(f[1:], set()).add(f[0])
         return {w for w, ext in seen.items() if len(ext) >= 2}
 
-    def right_special_factors(self, n: int) -> set[str]:
-        longer = self.factors(n + 1)
-        seen: dict[str, set[str]] = {}
-        for f in longer:
-            seen.setdefault(f[:-1], set()).add(f[-1])
-        return {w for w, ext in seen.items() if len(ext) >= 2}
-
     def is_left_special(self, word: str) -> bool:
         return len(self.left_extensions(word)) >= 2
-
-    def is_right_special(self, word: str) -> bool:
-        return len(self.right_extensions(word)) >= 2

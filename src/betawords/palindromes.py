@@ -5,6 +5,11 @@ maximal and two-extension palindromes, infinite palindromic branches, and
 the closed-form palindromic complexity, which splits into four cases by the
 parities of (a, b).  The four cases live in a data table so they can be
 audited side by side.
+
+Like Delta C in `complexity`, P(n) is read off the one tower recurrence
+there: `tower_intervals` lists the pairs (|V^(k)|, |U^(k)|) once per table,
+each clause turns them into the (lo, hi] ranges of n where it holds, and
+the clauses are painted over the per-parity default.
 """
 
 from __future__ import annotations
@@ -13,15 +18,8 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .beta_numeration import QuadraticParams, RenyiExpansion
-from .complexity import (
-    UVTower,
-    _t_counts,
-    closed_form_delta_c,
-    t_map,
-    tower_intervals,
-    uv_tower,
-)
+from .beta_numeration import QuadraticParams
+from .complexity import t_map, tower_intervals, uv_tower
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
 from .language import FactorLanguage
 from .substitution import Substitution, quadratic_substitution
@@ -255,30 +253,16 @@ def infinite_branches(params: QuadraticParams,
 
 def _generator_words(params: QuadraticParams, generator: tuple,
                      length_budget: int) -> list[str]:
+    # materialize the W or V tower up to the budget; for V, take the subsequence
+    words = []
+    w = "0" if generator[0] == "W" else "0" * params.b
+    while len(w) <= length_budget:
+        words.append(w)
+        w = t_map(w, params)
     if generator[0] == "W":
-        words = []
-        w = "0"
-        while len(w) <= length_budget:
-            words.append(w)
-            w = t_map(w, params)
         return words
     _, coef, off = generator
-    # materialize the V tower up to the budget, then take the subsequence
-    words = ["0" * params.b]
-    while len(words[-1]) <= length_budget:
-        words.append(t_map(words[-1], params))
-    picked = []
-    k = 1
-    while True:
-        idx = coef * k + off
-        if idx < 1:
-            k += 1
-            continue
-        if idx > len(words) or len(words[idx - 1]) > length_budget:
-            break
-        picked.append(words[idx - 1])
-        k += 1
-    return picked
+    return [words[i - 1] for i in range(coef + off, len(words) + 1, coef) if i >= 1]
 
 
 # ---------------------------------------------------------------------------
@@ -370,49 +354,24 @@ PARITY_CASES: dict[tuple[int, int], ParityRules] = {
 }
 
 
-class _TowerLengths:
-    """Exact |U^(n)|, |V^(n)| grown on demand."""
+def _clause_ranges(clause, params: QuadraticParams, pairs: list[tuple[int, int]],
+                   n_max: int) -> list[tuple[int, int]]:
+    """The ranges (lo, hi] of n on which a clause holds, given the tower pairs
+    (|V^(k)|, |U^(k)|) of every k with |V^(k)| <= n_max.
 
-    def __init__(self, params: QuadraticParams):
-        self.params = params
-        self.u = [(params.a - 1, 0)]
-        self.v = [(params.b, 0)]
-
-    def _grow(self, index: int):
-        while len(self.u) < index:
-            self.u.append(_t_counts(*self.u[-1], self.params))
-            self.v.append(_t_counts(*self.v[-1], self.params))
-
-    def u_len(self, index: int) -> int:
-        self._grow(index)
-        return sum(self.u[index - 1])
-
-    def v_len(self, index: int) -> int:
-        self._grow(index)
-        return sum(self.v[index - 1])
-
-
-def _clause_matches(clause, n: int, params: QuadraticParams,
-                    lengths: _TowerLengths) -> bool:
+    A U index past the pairs has |U^(j)| > |V^(j)| > n_max, so it reads as
+    n_max.
+    """
     if isinstance(clause, UptoClause):
-        bound = params.a - 1 if clause.bound == "a-1" else params.b
-        return n <= bound
-    k = clause.k_min
-    while True:
-        if clause.forbid and k % clause.forbid[0] == clause.forbid[1]:
-            k += 1
+        return [(-1, params.a - 1 if clause.bound == "a-1" else params.b)]
+    ranges = []
+    for k in range(clause.k_min, (len(pairs) - clause.vo) // clause.vc + 1):
+        v_idx, u_idx = clause.vc * k + clause.vo, clause.uc * k + clause.uo
+        if v_idx < 1 or (clause.forbid and k % clause.forbid[0] == clause.forbid[1]):
             continue
-        v_idx = clause.vc * k + clause.vo
-        u_idx = clause.uc * k + clause.uo
-        if v_idx < 1:
-            k += 1
-            continue
-        v_len = lengths.v_len(v_idx)
-        if v_len >= n:
-            return False
-        if n <= lengths.u_len(u_idx):
-            return True
-        k += 1
+        hi = pairs[u_idx - 1][1] if u_idx <= len(pairs) else n_max
+        ranges.append((pairs[v_idx - 1][0], hi))
+    return ranges
 
 
 def closed_form_p(params: QuadraticParams, n_max: int) -> list[int]:
@@ -420,20 +379,23 @@ def closed_form_p(params: QuadraticParams, n_max: int) -> list[int]:
     if params.is_sturmian:
         raise UnsupportedVariantError("closed form applies only for a-1 > b")
     rules = PARITY_CASES[_parity_key(params)]
-    lengths = _TowerLengths(params)
-    values = []
-    for n in range(n_max + 1):
-        clauses, default = (
-            (rules.even, rules.even_default) if n % 2 == 0
-            else (rules.odd, rules.odd_default)
-        )
-        value = default
-        for clause in clauses:
-            if _clause_matches(clause, n, params, lengths):
-                value = clause.value
-                break
-        values.append(value)
+    pairs = tower_intervals(params, n_max + 1)
+    values = [rules.even_default, rules.odd_default] * (n_max // 2 + 1)
+    del values[n_max + 1:]
+    for parity, clauses in ((0, rules.even), (1, rules.odd)):
+        # the last clause first, so the first clause that holds wins
+        for clause in reversed(clauses):
+            for lo, hi in _clause_ranges(clause, params, pairs, n_max):
+                first = lo + 1 + (lo + 1 - parity) % 2
+                for n in range(first, min(hi, n_max) + 1, 2):
+                    values[n] = clause.value
     return values
+
+
+def _tower_length_sets(params: QuadraticParams, n_max: int) -> tuple[set, set]:
+    """{|V^(k)|} and {|U^(k)|} over the k with |V^(k)| <= n_max."""
+    pairs = tower_intervals(params, n_max + 1)
+    return {v for v, _ in pairs}, {u for _, u in pairs}
 
 
 @dataclass
@@ -486,10 +448,7 @@ def palindromic_complexity(
             "closed-form palindromic complexity needs quadratic parameters"
         )
     values = closed_form_p(subject, n_max)
-    u_lengths, v_lengths = set(), set()
-    for v_len, u_len in tower_intervals(subject, n_max + 1):
-        v_lengths.add(v_len)
-        u_lengths.add(u_len)
+    v_lengths, u_lengths = _tower_length_sets(subject, n_max)
     rows = []
     for n in range(n_max + 1):
         rows.append({
@@ -521,10 +480,7 @@ def verify_identities(params: QuadraticParams, n_max: int) -> dict:
     c = [lang.complexity(n) for n in range(0, n_max + 4)]
     p = [len(palindromes_of_length(lang, n)) for n in range(0, n_max + 3)]
     delta = [c[n + 1] - c[n] for n in range(0, n_max + 3)]
-    v_lengths, u_lengths = set(), set()
-    for v_len, u_len in tower_intervals(params, n_max + 1):
-        v_lengths.add(v_len)
-        u_lengths.add(u_len)
+    v_lengths, u_lengths = _tower_length_sets(params, n_max)
 
     def fail(name, n, expected, actual):
         raise VerificationError(

@@ -7,11 +7,10 @@ for the alphabet sizes that occur here.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .beta_numeration import QuadraticParams, RenyiExpansion, parry_check
-from .errors import InvalidInputError, InvalidParamsError, UnsupportedVariantError
+from .errors import InvalidInputError, UnsupportedVariantError
 
 
 def letter(index: int) -> str:
@@ -25,13 +24,6 @@ def letter_index(ch: str) -> int:
 def word_counts(word: str, alphabet_size: int) -> tuple[int, ...]:
     """Letter-count vector of a word."""
     return tuple(word.count(letter(j)) for j in range(alphabet_size))
-
-
-def render_word(word: str, alphabet_size: int) -> str:
-    """Digit string for alphabets up to 10 letters, comma indices above."""
-    if alphabet_size <= 10:
-        return word
-    return ",".join(str(letter_index(c)) for c in word)
 
 
 @dataclass(frozen=True)

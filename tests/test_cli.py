@@ -118,6 +118,12 @@ class TestSpecials:
         assert lines[2] == "V lengths: 1 7 27"
         assert "V(2) = 0100010" in lines
 
+    def test_tower_depth_zero_prints_no_tower_words(self):
+        result = cli("specials", "--a", "3", "--b", "1", "--n", "2",
+                     "--tower-depth", "0")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[1:] == ["U lengths: ", "V lengths: "]
+
     def test_json_words_capped_at_64(self):
         result = cli("specials", "--a", "3", "--b", "1", "--n", "1",
                      "--tower-depth", "6", "--format", "json")
@@ -209,3 +215,19 @@ class TestTopLevel:
     def test_unknown_command(self):
         result = cli("frobnicate")
         assert result.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["specials", "--a", "3", "--b", "1", "--n", "-1"],
+    ["specials", "--a", "3", "--b", "1", "--n", "2", "--tower-depth", "-1"],
+    ["beta-expand", "--a", "3", "--b", "1", "--x", "abc"],
+    ["beta-expand", "--a", "3", "--b", "1", "--x", "nan"],
+    ["beta-expand", "--a", "3", "--b", "1", "--x", "inf"],
+    ["analyze", "--a", "3", "--b", "1", "--n-max", "-5"],
+    ["analyze", "--a", "3", "--b", "1", "--n-max", "0"],
+    ["verify", "--a-max", "2"],
+])
+def test_outside_input_exits_2_without_traceback(argv):
+    result = cli(*argv)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr

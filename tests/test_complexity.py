@@ -5,6 +5,7 @@ import pytest
 
 from betawords import (
     FactorLanguage,
+    InvalidInputError,
     QuadraticParams,
     UnsupportedVariantError,
     closed_form_delta_c,
@@ -100,6 +101,16 @@ class TestUVTower:
         for n in range(1, tower.materialized_depth + 1):
             assert lang31.contains(tower.u_word(n))
             assert lang31.contains(tower.v_word(n))
+
+    def test_depth_zero_is_empty(self):
+        tower = uv_tower(P31, 0)
+        assert tower.u_words == tower.v_words == []
+        assert tower.u_counts == tower.v_counts == []
+        assert tower.lengths_json()["u_lengths"] == []
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(InvalidInputError):
+            uv_tower(P31, -1)
 
     def test_lengths_json_uses_decimal_strings(self):
         payload = uv_tower(P31, 10).lengths_json()

@@ -12,6 +12,7 @@ from betawords import (
     center_evolution,
     center_of,
     classify_tower_centers,
+    closed_form_delta_c,
     closed_form_p,
     infinite_branches,
     palindromes_of_length,
@@ -22,6 +23,7 @@ from betawords import (
     reversal_closure_probe,
     t_map,
     t_map_palindrome_check,
+    tower_intervals,
     uv_tower,
     verify_identities,
 )
@@ -288,3 +290,19 @@ class TestIdentities:
     def test_sturmian_rejected(self):
         with pytest.raises(UnsupportedVariantError):
             verify_identities(QuadraticParams(2, 1), 10)
+
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(3, 7)
+                                     for b in range(1, a - 1)])
+    def test_closed_forms_satisfy_identities_at_large_n(self, a, b):
+        # the identities of verify_identities, with both sides read off the
+        # closed forms, far past the lengths the oracle reaches
+        params, n_max = QuadraticParams(a, b), 20000
+        p = closed_form_p(params, n_max + 2)
+        delta = [None] + closed_form_delta_c(params, n_max + 1)
+        pairs = tower_intervals(params, n_max + 1)
+        v_lengths, u_lengths = {v for v, _ in pairs}, {u for _, u in pairs}
+        for n in range(1, n_max + 1):
+            jump = p[n + 2] - p[n]
+            assert p[n + 1] + p[n] == delta[n] + 2, n
+            assert jump == (1 if n in v_lengths else -1 if n in u_lengths else 0), n
+            assert delta[n + 1] - delta[n] == jump, n
