@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 verification summary failure (verify), 2 usage,
 from __future__ import annotations
 
 import json
+import math
 import sys
+from itertools import count
 
 import click
 from mpmath import nstr, workdps
@@ -23,7 +25,7 @@ from .beta_numeration import (
     parry_check,
     renyi_of_quadratic,
 )
-from .complexity import factor_complexity, uv_tower
+from .complexity import factor_complexity, tower_intervals, uv_tower
 from .errors import (
     InvalidInputError,
     PrecisionError,
@@ -52,7 +54,7 @@ _FORMAT = click.option(
     default="text", show_default=True,
 )
 _PRECISION = click.option(
-    "--precision", type=int, envvar="BETAWORDS_PRECISION",
+    "--precision", type=click.IntRange(min=2), envvar="BETAWORDS_PRECISION",
     default=DEFAULT_PRECISION, show_default=True,
 )
 
@@ -99,34 +101,20 @@ def main():
 def analyze(a, b, n_max, fmt):
     """Combined C(n), Delta C(n), P(n) table with oracle/closed-form agreement."""
     params = _params(a, b)
-    sub = quadratic_substitution(params)
+    lang = FactorLanguage(quadratic_substitution(params))
     sturmian = params.is_sturmian
-    oracle_c = factor_complexity(sub, n_max, "oracle")
-    oracle_p = palindromic_complexity(sub, n_max, "oracle")
-    rows = []
-    disagreement = False
-    if sturmian:
-        closed_c = closed_p = None
-    else:
-        closed_c = factor_complexity(params, n_max, "closed_form")
-        closed_p = palindromic_complexity(params, n_max, "closed_form")
-    for n in range(1, n_max + 1):
-        row = {
-            "n": n,
-            "C": oracle_c.rows[n - 1]["C"],
-            "deltaC": oracle_c.rows[n - 1]["deltaC"],
-            "P": oracle_p.rows[n]["P"],
-        }
-        if sturmian:
-            row["agree"] = ""
-        else:
-            agree = (
-                row["C"] == closed_c.rows[n - 1]["C"]
-                and row["P"] == closed_p.rows[n]["P"]
-            )
-            row["agree"] = "yes" if agree else "NO"
-            disagreement = disagreement or not agree
-        rows.append(row)
+    oracle_c = factor_complexity(lang, n_max, "oracle")
+    oracle_p = palindromic_complexity(lang, n_max, "oracle").p_values()[1:]
+    rows = [{"n": r["n"], "C": r["C"], "deltaC": r["deltaC"], "P": p, "agree": ""}
+            for r, p in zip(oracle_c.rows, oracle_p)]
+    failure = None
+    if not sturmian:
+        closed_c = factor_complexity(params, n_max, "closed_form").c_values()
+        closed_p = palindromic_complexity(params, n_max, "closed_form").p_values()[1:]
+        for row, c, p in zip(rows, closed_c, closed_p):
+            row["agree"] = "yes" if (row["C"], row["P"]) == (c, p) else "NO"
+        failure = _disagreement(("C", 1, oracle_c.c_values(), closed_c),
+                                ("P", 1, oracle_p, closed_p))
     payload = {
         "schema": 1, "a": params.a, "b": params.b,
         "sturmian": sturmian, "rows": rows,
@@ -137,8 +125,21 @@ def analyze(a, b, n_max, fmt):
     notice = ["# Sturmian boundary b = a-1: oracle-only table, C(n) = n+1"] \
         if sturmian else []
     _emit(fmt, payload, notice + table, "\n".join(table) + "\n")
-    if disagreement:
-        sys.exit(EXIT_VERIFICATION)
+    if failure:
+        raise failure
+
+
+def _disagreement(*columns):
+    """A VerificationError at the first n where a column (table, first n,
+    oracle values, closed-form values) disagrees, C before P; else None."""
+    found = [(n, table, got, want) for table, start, oracle, closed in columns
+             for n, got, want in zip(count(start), oracle, closed) if got != want]
+    if not found:
+        return None
+    n, table, got, want = min(found)
+    return VerificationError(
+        f"{table}({n}): oracle {got} != closed form {want}",
+        context={"table": table, "n": n, "oracle": got, "closed_form": want})
 
 
 @main.command()
@@ -151,11 +152,9 @@ def verify(a_max, n_max, digits, fmt):
     """Run the invariant suite over the (a, b) grid, or probe one expansion."""
     if digits is not None:
         renyi = RenyiExpansion.parse(digits)
-        sub = parry_substitution(renyi)
-        probe = reversal_closure_probe(sub, min(n_max, 60))
-        lang = FactorLanguage(sub)
-        pal = [sum(1 for w in lang.factors(n) if w == w[::-1])
-               for n in range(min(n_max, 60) + 1)]
+        lang = FactorLanguage(parry_substitution(renyi))
+        probe = reversal_closure_probe(lang, min(n_max, 60))
+        pal = palindromic_complexity(lang, min(n_max, 60)).p_values()
         last_pal = max((n for n, c in enumerate(pal) if c > 0), default=0)
         payload = {
             "schema": 1, "digits": str(renyi),
@@ -178,20 +177,22 @@ def verify(a_max, n_max, digits, fmt):
     results = []
     for a, b in points:
         params = QuadraticParams(a, b)
-        sub = quadratic_substitution(params)
-        point = {"a": a, "b": b, "checks": {}}
+        lang = FactorLanguage(quadratic_substitution(params))
+        oc = factor_complexity(lang, n_max, "oracle").c_values()
+        cc = factor_complexity(params, n_max, "closed_form").c_values()
+        op = palindromic_complexity(lang, n_max, "oracle").p_values()
+        cp = palindromic_complexity(params, n_max, "closed_form").p_values()
+        point = {"a": a, "b": b, "checks": {"factor_complexity": oc == cc,
+                                            "palindromic_complexity": op == cp}}
+        failure = _disagreement(("C", 1, oc, cc), ("P", 0, op, cp))
         try:
-            oc = factor_complexity(sub, n_max, "oracle").c_values()
-            cc = factor_complexity(params, n_max, "closed_form").c_values()
-            point["checks"]["factor_complexity"] = oc == cc
-            op = palindromic_complexity(sub, n_max, "oracle").p_values()
-            cp = palindromic_complexity(params, n_max, "closed_form").p_values()
-            point["checks"]["palindromic_complexity"] = op == cp
-            verify_identities(params, n_max)
+            verify_identities(params, n_max, lang)
             point["checks"]["identities"] = True
         except VerificationError as exc:
             point["checks"]["identities"] = False
-            point["error"] = {"message": str(exc), "context": _plain(exc.context)}
+            failure = failure or exc
+        if failure:
+            point["error"] = {"message": str(failure), "context": failure.context}
         if not all(point["checks"].values()):
             failures.append(point)
         results.append(point)
@@ -213,16 +214,6 @@ def verify(a_max, n_max, digits, fmt):
         click.echo(json.dumps({"schema": 1, "failures": failures}, sort_keys=True),
                    err=True)
         sys.exit(1)
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    return obj
 
 
 @main.command()
@@ -248,18 +239,23 @@ def word(a, b, digits, length, fmt):
 def specials(a, b, n, tower_depth, fmt):
     """Left special factors of length n, plus the U/V towers."""
     params = _params(a, b)
-    sub = quadratic_substitution(params)
-    lang = FactorLanguage(sub)
+    lang = FactorLanguage(quadratic_substitution(params))
     left = sorted(lang.left_special_factors(n))
     payload = {"schema": 1, "a": params.a, "b": params.b, "n": n,
                "left_special": left}
     lines = [f"left special ({len(left)}): " + " ".join(left)]
     if not params.is_sturmian:
+        # |U^(k)| < (a+2)^k, so only a depth past that estimate needs the
+        # exact check that its lengths fit Python's limit on decimal digits
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits and tower_depth * math.log10(params.a + 2) >= digits:
+            bound = 10 ** digits
+            if tower_depth > sum(u < bound for _, u in tower_intervals(params, bound)):
+                raise click.BadParameter(
+                    f"U/V lengths at this depth exceed {digits} decimal digits",
+                    param_hint="'--tower-depth'")
         tower = uv_tower(params, tower_depth)
-        payload["u_lengths"] = [str(tower.u_length(i))
-                                for i in range(1, tower_depth + 1)]
-        payload["v_lengths"] = [str(tower.v_length(i))
-                                for i in range(1, tower_depth + 1)]
+        payload.update(tower.lengths_json())
         payload["u_words"] = [w for w in tower.u_words if len(w) <= 64]
         payload["v_words"] = [w for w in tower.v_words if len(w) <= 64]
         lines.append("U lengths: " + " ".join(payload["u_lengths"]))
@@ -380,7 +376,7 @@ def run():
         sys.exit(EXIT_PRECISION)
     except VerificationError as exc:
         click.echo(json.dumps({"schema": 1, "error": str(exc),
-                               "context": _plain(exc.context)}), err=True)
+                               "context": exc.context}), err=True)
         sys.exit(EXIT_VERIFICATION)
     except (InvalidInputError, UnsupportedVariantError) as exc:
         click.echo(f"error: {exc}", err=True)

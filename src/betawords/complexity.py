@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from itertools import islice, takewhile
+from itertools import accumulate, islice, takewhile
 
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError, UnsupportedVariantError
-from .language import FactorLanguage
+from .language import FactorLanguage, language_of
 from .substitution import Substitution, quadratic_substitution
 
 DEFAULT_MATERIALIZE_CAP = 10 ** 6
@@ -147,14 +147,15 @@ def closed_form_delta_c(params: QuadraticParams, n_max: int) -> list[int]:
 
 
 @dataclass
-class ComplexityTable:
-    """Per-length C(n) and Delta C(n) with the provenance of each value."""
+class Table:
+    """Per-length rows of a complexity function, written out as `fields`."""
 
     rows: list[dict]
+    fields = ()
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=["n", "C", "deltaC", "source"])
+        writer = csv.DictWriter(out, fieldnames=self.fields)
         writer.writeheader()
         writer.writerows(self.rows)
         return out.getvalue()
@@ -162,44 +163,40 @@ class ComplexityTable:
     def to_json(self) -> dict:
         return {"schema": 1, "rows": self.rows}
 
+
+class ComplexityTable(Table):
+    """Per-length C(n) and Delta C(n) with the provenance of each value."""
+
+    fields = ("n", "C", "deltaC", "source")
+
     def c_values(self) -> list[int]:
         return [row["C"] for row in self.rows]
 
 
 def factor_complexity(
-    subject: Substitution | QuadraticParams,
+    subject: FactorLanguage | Substitution | QuadraticParams,
     n_max: int,
     mode: str = "oracle",
 ) -> ComplexityTable:
     """C(n) for 1 <= n <= n_max by brute force or by the closed form.
 
+    The oracle reads a given FactorLanguage, or builds one for the subject.
     The closed form needs quadratic non-Sturmian parameters and integrates
     Delta C from C(1) = 2.
     """
     if mode == "oracle":
-        sub = subject if isinstance(subject, Substitution) else \
-            quadratic_substitution(subject)
-        lang = FactorLanguage(sub)
-        rows = []
+        lang = language_of(subject)
         counts = [lang.complexity(n) for n in range(1, n_max + 2)]
-        for n in range(1, n_max + 1):
-            rows.append({
-                "n": n,
-                "C": counts[n - 1],
-                "deltaC": counts[n] - counts[n - 1],
-                "source": "oracle",
-            })
-        return ComplexityTable(rows=rows)
-    if mode != "closed_form":
+        delta = [after - before for before, after in zip(counts, counts[1:])]
+    elif mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
-    if not isinstance(subject, QuadraticParams):
+    elif not isinstance(subject, QuadraticParams):
         raise UnsupportedVariantError(
             "closed-form complexity is defined only for quadratic parameters"
         )
-    delta = closed_form_delta_c(subject, n_max)
-    rows = []
-    c = 2
-    for n in range(1, n_max + 1):
-        rows.append({"n": n, "C": c, "deltaC": delta[n - 1], "source": "closed_form"})
-        c += delta[n - 1]
-    return ComplexityTable(rows=rows)
+    else:
+        delta = closed_form_delta_c(subject, n_max)
+        counts = list(accumulate(delta, initial=2))
+    return ComplexityTable(rows=[
+        {"n": n, "C": counts[n - 1], "deltaC": delta[n - 1], "source": mode}
+        for n in range(1, n_max + 1)])

@@ -14,15 +14,13 @@ the clauses are painted over the per-parity default.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 from .beta_numeration import QuadraticParams
-from .complexity import t_map, tower_intervals, uv_tower
+from .complexity import Table, t_map, tower_intervals, uv_tower
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
-from .language import FactorLanguage
-from .substitution import Substitution, quadratic_substitution
+from .language import FactorLanguage, language_of
+from .substitution import Substitution
 
 EPSILON = "e"  # center marker for even-length palindromes
 
@@ -233,7 +231,7 @@ def infinite_branches(params: QuadraticParams,
     """
     if params.is_sturmian:
         raise UnsupportedVariantError("branch analysis requires a-1 > b")
-    lang = FactorLanguage(quadratic_substitution(params))
+    lang = language_of(params)
     specs = []
     for center, generator in _branch_plan(params):
         factors = _generator_words(params, generator, length_budget)
@@ -269,13 +267,14 @@ def _generator_words(params: QuadraticParams, generator: tuple,
 # Reversal closure
 # ---------------------------------------------------------------------------
 
-def reversal_closure_probe(substitution: Substitution, n_max: int) -> dict:
+def reversal_closure_probe(subject: FactorLanguage | Substitution,
+                           n_max: int) -> dict:
     """Check reversal-invariance of the factor sets up to n_max.
 
     Returns {"closed_up_to": n, "witness": w or None}; the witness is a factor
     whose reversal is not a factor, at the first length where one exists.
     """
-    lang = FactorLanguage(substitution)
+    lang = language_of(subject)
     for n in range(1, n_max + 1):
         factors = lang.factors(n)
         for w in sorted(factors):
@@ -398,75 +397,56 @@ def _tower_length_sets(params: QuadraticParams, n_max: int) -> tuple[set, set]:
     return {v for v, _ in pairs}, {u for _, u in pairs}
 
 
-@dataclass
-class PalindromeTable:
+class PalindromeTable(Table):
     """P(n) per length with classification counts and provenance."""
 
-    rows: list[dict]
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.DictWriter(
-            out, fieldnames=["n", "P", "maximal_count", "two_ext_count", "source"]
-        )
-        writer.writeheader()
-        writer.writerows(self.rows)
-        return out.getvalue()
-
-    def to_json(self) -> dict:
-        return {"schema": 1, "rows": self.rows}
+    fields = ("n", "P", "maximal_count", "two_ext_count", "source")
 
     def p_values(self) -> list[int]:
         return [row["P"] for row in self.rows]
 
 
 def palindromic_complexity(
-    subject: Substitution | QuadraticParams,
+    subject: FactorLanguage | Substitution | QuadraticParams,
     n_max: int,
     mode: str = "oracle",
 ) -> PalindromeTable:
-    """P(n) for 0 <= n <= n_max by enumeration or by the closed form."""
+    """P(n) for 0 <= n <= n_max by enumeration or by the closed form.
+
+    The oracle reads a given FactorLanguage, or builds one for the subject.
+    """
     if mode == "oracle":
-        sub = subject if isinstance(subject, Substitution) else \
-            quadratic_substitution(subject)
-        lang = FactorLanguage(sub)
-        rows = []
+        lang = language_of(subject)
+        counts = []
         for n in range(n_max + 1):
             records = palindromes_of_length(lang, n)
-            rows.append({
-                "n": n,
-                "P": len(records),
-                "maximal_count": sum(1 for r in records if r.is_maximal),
-                "two_ext_count": sum(1 for r in records if len(r.extensions) == 2),
-                "source": "oracle",
-            })
-        return PalindromeTable(rows=rows)
-    if mode != "closed_form":
+            counts.append((len(records), sum(r.is_maximal for r in records),
+                           sum(len(r.extensions) == 2 for r in records)))
+    elif mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
-    if not isinstance(subject, QuadraticParams):
+    elif not isinstance(subject, QuadraticParams):
         raise UnsupportedVariantError(
             "closed-form palindromic complexity needs quadratic parameters"
         )
-    values = closed_form_p(subject, n_max)
-    v_lengths, u_lengths = _tower_length_sets(subject, n_max)
-    rows = []
-    for n in range(n_max + 1):
-        rows.append({
-            "n": n,
-            "P": values[n],
-            "maximal_count": 1 if n in u_lengths else 0,
-            "two_ext_count": 1 if n in v_lengths else 0,
-            "source": "closed_form",
-        })
-    return PalindromeTable(rows=rows)
+    else:
+        values = closed_form_p(subject, n_max)
+        v_lengths, u_lengths = _tower_length_sets(subject, n_max)
+        counts = [(p, int(n in u_lengths), int(n in v_lengths))
+                  for n, p in enumerate(values)]
+    return PalindromeTable(rows=[
+        {"n": n, "P": p, "maximal_count": maximal, "two_ext_count": two_ext,
+         "source": mode}
+        for n, (p, maximal, two_ext) in enumerate(counts)])
 
 
 # ---------------------------------------------------------------------------
 # Identity suite
 # ---------------------------------------------------------------------------
 
-def verify_identities(params: QuadraticParams, n_max: int) -> dict:
-    """Check the palindromic/factor-complexity identities with oracle values.
+def verify_identities(params: QuadraticParams, n_max: int,
+                      lang: FactorLanguage | None = None) -> dict:
+    """Check the palindromic/factor-complexity identities with oracle values
+    from `lang`, the language of the parameters' substitution, or a new one.
 
     Verifies, for 1 <= n <= n_max:
       * P(n+1) + P(n) = Delta C(n) + 2
@@ -476,7 +456,7 @@ def verify_identities(params: QuadraticParams, n_max: int) -> dict:
     """
     if params.is_sturmian:
         raise UnsupportedVariantError("identity suite requires a-1 > b")
-    lang = FactorLanguage(quadratic_substitution(params))
+    lang = language_of(params) if lang is None else lang
     c = [lang.complexity(n) for n in range(0, n_max + 4)]
     p = [len(palindromes_of_length(lang, n)) for n in range(0, n_max + 3)]
     delta = [c[n + 1] - c[n] for n in range(0, n_max + 3)]

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from betawords import cli as cli_module
+
 
 def cli(*args):
     return subprocess.run(
@@ -226,8 +228,60 @@ class TestTopLevel:
     ["analyze", "--a", "3", "--b", "1", "--n-max", "-5"],
     ["analyze", "--a", "3", "--b", "1", "--n-max", "0"],
     ["verify", "--a-max", "2"],
+    # a digit above floor(beta) = 3 used to come out at precision 0
+    ["beta-expand", "--a", "3", "--b", "1", "--x", "3", "--precision", "0"],
+    ["beta-integers", "--a", "3", "--b", "1", "--precision", "1"],
+    # lengths past Python's 4300-digit limit on int-to-str conversion
+    ["specials", "--a", "3", "--b", "1", "--n", "1", "--tower-depth", "100000"],
 ])
 def test_outside_input_exits_2_without_traceback(argv):
     result = cli(*argv)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
+
+
+def _run_in_process(monkeypatch, capsys, *argv):
+    monkeypatch.setattr(sys, "argv", ["betawords", *argv])
+    with pytest.raises(SystemExit) as stop:
+        cli_module.run()
+    return stop.value.code, capsys.readouterr()
+
+
+def _corrupt(monkeypatch, name, column, index):
+    """Make the closed-form table of cli.<name> one too high at a row."""
+    real = getattr(cli_module, name)
+
+    def corrupted(subject, n_max, mode="oracle"):
+        table = real(subject, n_max, mode)
+        if mode == "closed_form":
+            table.rows[index][column] += 1
+        return table
+
+    monkeypatch.setattr(cli_module, name, corrupted)
+
+
+def test_verify_failure_names_first_disagreement(monkeypatch, capsys):
+    _corrupt(monkeypatch, "palindromic_complexity", "P", 9)
+    code, out = _run_in_process(monkeypatch, capsys, "verify", "--a-max", "3",
+                                "--n-max", "20", "--format", "json")
+    assert code == 1
+    point = json.loads(out.out)["points"][0]
+    assert point["checks"] == {"factor_complexity": True,
+                               "palindromic_complexity": False,
+                               "identities": True}
+    assert point["error"]["context"] == {"table": "P", "n": 9, "oracle": 4,
+                                         "closed_form": 5}
+    assert "P(9)" in point["error"]["message"]
+    assert json.loads(out.err)["failures"] == [point]
+
+
+def test_analyze_failure_names_first_disagreement(monkeypatch, capsys):
+    _corrupt(monkeypatch, "factor_complexity", "C", 6)
+    _corrupt(monkeypatch, "palindromic_complexity", "P", 9)
+    code, out = _run_in_process(monkeypatch, capsys, "analyze", "--a", "3",
+                                "--b", "1", "--n-max", "12")
+    assert code == 4
+    assert out.out.splitlines()[7] == "7,9,1,3,NO"
+    dump = json.loads(out.err)
+    assert dump["context"] == {"table": "C", "n": 7, "oracle": 9,
+                               "closed_form": 10}

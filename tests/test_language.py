@@ -1,0 +1,123 @@
+"""The factor oracle against independent scans of long fixed-point prefixes."""
+
+import time
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from betawords import (
+    FactorLanguage,
+    InvalidInputError,
+    QuadraticParams,
+    RenyiExpansion,
+    Substitution,
+    fixed_point_prefix,
+    parry_check,
+    parry_substitution,
+    quadratic_substitution,
+)
+
+# Every length-60 factor of these subjects occurs in their first 889 letters.
+PREFIX = 10_000
+N_MAX = 60
+BENCHMARK_DIGITS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "2 1 (1)"]
+SUBJECTS = [f"{a},{b}" for a in range(3, 9) for b in range(1, a - 1)] \
+    + BENCHMARK_DIGITS
+
+
+def substitution_of(subject: str) -> Substitution:
+    if "(" in subject:
+        return parry_substitution(RenyiExpansion.parse(subject))
+    a, b = map(int, subject.split(","))
+    return quadratic_substitution(QuadraticParams(a, b))
+
+
+def scan(word: str, n: int) -> set[str]:
+    return {word[i : i + n] for i in range(len(word) - n + 1)}
+
+
+@pytest.mark.parametrize("subject", SUBJECTS)
+def test_factors_equal_prefix_scan(subject):
+    sub = substitution_of(subject)
+    prefix = fixed_point_prefix(sub, PREFIX)
+    lang = FactorLanguage(sub)
+    for n in range(N_MAX + 1):
+        assert lang.factors(n) == scan(prefix, n), n
+
+
+def test_slowly_growing_expansion():
+    # Letters 1 and 2 map to single letters: a prefix of 128 n letters misses
+    # factors (C(2) = 10 instead of 11), and the two-letter factors first all
+    # appear after 1100 letters.
+    sub = substitution_of("3 0 0 (0 1)")
+    prefix = fixed_point_prefix(sub, 50_000)
+    lang = FactorLanguage(sub)
+    assert lang.complexity(2) == 11
+    for n in range(13):
+        assert lang.factors(n) == scan(prefix, n), n
+
+
+@pytest.mark.parametrize("subject", ["3,1", "6,1", "8,6", "3 (2 1)"])
+def test_one_top_scan_equals_scans_in_increasing_order(subject):
+    sub = substitution_of(subject)
+    top_first = FactorLanguage(sub)
+    top_first.factors(N_MAX)  # every shorter set is now a truncation
+    ascending = FactorLanguage(sub)
+    for n in range(1, N_MAX + 1):
+        assert top_first.factors(n) == ascending.factors(n), n
+
+
+@pytest.mark.parametrize("subject", ["3,1", "5,2", "7,5"])
+def test_contains_matches_factor_sets(subject):
+    lang = FactorLanguage(substitution_of(subject))
+    assert lang.contains("")
+    assert not lang.contains("11")
+    assert "11" not in lang
+    for n in (1, 5, 17, 40):
+        factors = lang.factors(n)
+        assert all(lang.contains(w) for w in factors)
+        for w in factors:
+            for z in "01":
+                assert lang.contains(w + z) == (w + z in lang.factors(n + 1))
+
+
+def test_two_letter_factors():
+    assert FactorLanguage(substitution_of("3,1")).two_factors == {"00", "01", "10"}
+    assert "11" not in FactorLanguage(substitution_of("3 (2 1)")).two_factors
+
+
+@pytest.mark.parametrize("images", [
+    ("01", "1"),          # 1 -> 1
+    ("012", "2", "1"),    # 1 -> 2 -> 1
+])
+def test_non_growing_substitution_raises_promptly(images):
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match="never grows"):
+        FactorLanguage(Substitution(len(images), images))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_negative_length_rejected():
+    with pytest.raises(InvalidInputError):
+        FactorLanguage(substitution_of("3,1")).factors(-1)
+
+
+@st.composite
+def parry_expansions(draw):
+    preperiod = draw(st.lists(st.integers(0, 3), max_size=1))
+    period = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    renyi = RenyiExpansion((draw(st.integers(2, 3)), *preperiod), tuple(period))
+    assume(not renyi.is_simple and parry_check(renyi)[0])
+    return renyi
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(parry_expansions())
+def test_random_parry_expansions_equal_prefix_scan(renyi):
+    sub = parry_substitution(renyi)
+    # every length-8 factor of these expansions occurs in their first 3549
+    # letters
+    prefix = fixed_point_prefix(sub, 20_000)
+    lang = FactorLanguage(sub)
+    for n in range(9):
+        assert lang.factors(n) == scan(prefix, n), (str(renyi), n)
