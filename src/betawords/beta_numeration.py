@@ -1,9 +1,8 @@
 """Arithmetic of Parry numbers: Renyi expansions, beta-expansions, beta-integers.
 
 All floating computations run under mpmath with a caller-selected decimal
-precision (default 64 digits).  Quadratic bases additionally carry an exact
-(u + v*sqrt(D))/w representation so that gap classification never depends on
-rounding alone.
+precision (default 64 digits).  Beta-integers are produced in Parry order,
+(length, lexicographic) order on admissible digit strings, with no sort.
 """
 
 from __future__ import annotations
@@ -342,36 +341,33 @@ def gap_distances(renyi: RenyiExpansion, beta: BetaValue) -> GapDistances:
     return GapDistances(values=tuple(values), precision=beta.precision)
 
 
-def _admissible_strings(renyi: RenyiExpansion, length: int):
-    """All Parry-admissible digit strings of exactly `length` digits, leading
-    digit nonzero.
+def _admissible_strings(renyi: RenyiExpansion, beta, level, limit: int):
+    """The first `limit` admissible strings one digit longer than `level`.
 
     A string x_{k-1}..x_0 is admissible iff every suffix, read from its most
-    significant digit and padded with zeros, is strictly below d_beta(1).
-    The DFS carries the set of suffix start positions still digit-for-digit
-    equal to the expansion prefix; a digit above any of their next reference
-    digits kills the branch.
+    significant digit and padded with zeros, is strictly below d_beta(1).  A
+    string is carried as (value, matched): its Horner value at `beta` and the
+    lengths j of its suffixes equal to t_1..t_j, so a digit above t_{j+1}, or
+    above t_1, kills an extension; undecided suffixes end in zeros, below the
+    infinite tail of d_beta(1).  Extending the strings of one length, in
+    lexicographic order, by their digits in increasing order keeps that
+    order.  The empty string's level [(0, [])] extends by nonzero digits only.
     """
-    results = []
     t = renyi.digit
-
-    def step(prefix, active):
-        depth = len(prefix)
-        if depth == length:
-            # every undecided suffix continues with zeros, which fall below
-            # the (infinite, not eventually zero) tail of d_beta(1)
-            results.append(tuple(prefix))
-            return
-        top = min([t(depth - s + 1) for s in active] + [t(1)])
-        lo = 1 if depth == 0 else 0
+    t1 = t(1)
+    lo = 0 if level[0][0] else 1
+    children = []
+    for value, matched in level:
+        refs = [(j + 1, t(j + 1)) for j in matched]
+        top = min([r for _, r in refs] + [t1])
         for c in range(lo, top + 1):
-            nxt = [s for s in active if c == t(depth - s + 1)]
-            if c == t(1):
-                nxt.append(depth)
-            step(prefix + [c], nxt)
-
-    step([], [])
-    return results
+            nxt = [k for k, r in refs if r == c]
+            if c == t1:
+                nxt.append(1)
+            children.append((value * beta + c, nxt))
+            if len(children) == limit:
+                return children
+    return children
 
 
 def beta_integers(
@@ -380,9 +376,11 @@ def beta_integers(
 ) -> tuple[list[mpf], str]:
     """First `count` nonnegative beta-integers and their gap letter sequence.
 
-    Enumerates Parry-admissible integer digit strings in length order,
-    evaluates them at working precision, sorts, and codes each gap by the
-    index of the matching Delta_k.
+    The beta-integers are the values of the Parry-admissible digit strings
+    without a leading zero.  By Parry's theorem numeric order on these
+    strings is (length, lexicographic) order, so they are produced in that
+    order, level by level, with no sort, and generation stops at `count`.
+    Each gap is coded by the index of the matching Delta_k.
     """
     if count < 2:
         raise InvalidInputError("count must be >= 2")
@@ -393,18 +391,12 @@ def beta_integers(
         raise InvalidInputError("simple (finite) expansions are not supported here")
     deltas = gap_distances(renyi, beta)
     with workdps(beta.precision):
-        bv = beta.value
         values = [mpf(0)]
-        length = 1
+        level = [(values[0], [])]
         while len(values) < count:
-            for digits in _admissible_strings(renyi, length):
-                acc = mpf(0)
-                for d in digits:
-                    acc = acc * bv + d
-                values.append(acc)
-            length += 1
-        values.sort()
-        values = values[:count]
+            level = _admissible_strings(renyi, beta.value, level,
+                                        count - len(values))
+            values += [value for value, _ in level]
         letters = "".join(
             _letter(deltas.classify(values[i + 1] - values[i], tolerance))
             for i in range(count - 1)

@@ -271,7 +271,7 @@ def specials(a, b, n, tower_depth, fmt):
 @click.option("--a", type=int)
 @click.option("--b", type=int)
 @click.option("--n", type=int, required=True)
-@click.option("--branch-budget", type=int, default=2000, show_default=True)
+@click.option("--branch-budget", type=click.IntRange(min=0), default=2000, show_default=True)
 @_FORMAT
 def palindromes(a, b, n, branch_budget, fmt):
     """Palindromic factors of length n and the infinite branch structure."""

@@ -227,15 +227,18 @@ def infinite_branches(params: QuadraticParams,
 
     Central factors are materialized until their length exceeds the budget
     and each is checked to be a palindromic factor with the declared center
-    and a central factor of its successor.
+    and a central factor of its successor.  A branch with no central factor
+    within the budget is not verified.
     """
     if params.is_sturmian:
         raise UnsupportedVariantError("branch analysis requires a-1 > b")
+    if length_budget < 0:
+        raise InvalidInputError("length budget must be >= 0")
     lang = language_of(params)
     specs = []
     for center, generator in _branch_plan(params):
         factors = _generator_words(params, generator, length_budget)
-        ok = True
+        ok = bool(factors)
         for i, w in enumerate(factors):
             if not (is_palindrome(w) and center_of(w) == center
                     and lang.contains(w)):

@@ -51,11 +51,15 @@ class Substitution:
             raise InvalidInputError(
                 "axiom image must start with the axiom and have length >= 2"
             )
+        object.__setattr__(self, "_table", {
+            ord(letter(j)): img for j, img in enumerate(self.images)})
 
     def apply(self, word: str) -> str:
         """phi(word), images applied letterwise."""
-        images = self.images
-        return "".join(images[letter_index(c)] for c in word)
+        # translate passes unknown characters through, so count them first
+        if sum(word.count(letter(j)) for j in range(self.alphabet_size)) != len(word):
+            raise InvalidInputError("word uses a letter outside the alphabet")
+        return word.translate(self._table)
 
     def incidence_matrix(self) -> list[list[int]]:
         """M[i][j] = number of occurrences of letter i in phi(j)."""

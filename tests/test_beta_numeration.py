@@ -1,4 +1,7 @@
+from itertools import accumulate, product
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpf, workdps
 
 from betawords import (
@@ -15,6 +18,7 @@ from betawords import (
     fixed_point_prefix,
     gap_distances,
     parry_check,
+    parry_substitution,
     quadratic_substitution,
     renyi_of_quadratic,
     unity_defect,
@@ -231,3 +235,83 @@ class TestBetaIntegers:
         params = QuadraticParams(3, 1)
         with pytest.raises(InvalidInputError):
             beta_integers(renyi_of_quadratic(params), beta_of(params, 64), 1)
+
+
+def brute_force_integers(renyi, beta, max_length):
+    """0 and the values of every admissible string of at most `max_length`
+    digits, sorted, with the number of strings of each length.
+
+    Each digit string is kept iff its leading digit is nonzero and every
+    suffix is at most t_1..t_s: the zeros padding an equal suffix fall below
+    the tail of a non-simple d_beta(1).
+    """
+    ref = renyi.digits(max_length)
+    strings = [
+        s for length in range(1, max_length + 1)
+        for s in product(range(renyi.digit(1) + 1), repeat=length)
+        if s[0] and all(s[i:] <= ref[: length - i] for i in range(length))
+    ]
+    with workdps(beta.precision):
+        values = [mpf(0)]
+        for s in strings:
+            acc = mpf(0)
+            for d in s:
+                acc = acc * beta.value + d
+            values.append(acc)
+        values.sort()
+    return values, [sum(len(s) == n for s in strings)
+                    for n in range(1, max_length + 1)]
+
+
+def assert_stream_matches_brute_force(renyi, max_length, counts):
+    beta = beta_of_renyi(renyi, 64)
+    expected, per_length = brute_force_integers(renyi, beta, max_length)
+    # the gaps spell the fixed point (Fabre); a non-minimal expansion repeats
+    # a Delta_k, and the classifier names the first of equal distances
+    deltas = gap_distances(renyi, beta).values
+    first = [next(j for j, d in enumerate(deltas) if abs(d - dk) < mpf("1e-30"))
+             for dk in deltas]
+    letters = "".join(str(first[int(c)]) for c in fixed_point_prefix(
+        parry_substitution(renyi), len(expected) - 1))
+    for count in counts(per_length):
+        values, gaps = beta_integers(renyi, beta, count)
+        assert values == expected[:count], count
+        assert gaps == letters[: count - 1], count
+
+
+STREAM_DIGITS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "2 1 (1)"] + [
+    f"{a} ({b})" for a in range(3, 7) for b in range(1, a - 1)]
+
+
+class TestBetaIntegerStream:
+    @pytest.mark.parametrize("digits", STREAM_DIGITS)
+    def test_equals_sorted_brute_force(self, digits):
+        renyi = RenyiExpansion.parse(digits)
+        max_length = {2: 7, 3: 6, 4: 5}.get(renyi.digit(1), 4)
+        assert_stream_matches_brute_force(
+            renyi, max_length, lambda per_length: [1 + sum(per_length)])
+
+    @pytest.mark.parametrize("digits", STREAM_DIGITS)
+    def test_counts_on_and_past_level_boundaries(self, digits):
+        # 1 + t_1 ends the one-digit level exactly; one more starts the next
+        def counts(per_length):
+            ends = list(accumulate(per_length, initial=1))[1:]
+            return [2] + [c for end in ends for c in (end, end + 1)][:-1]
+
+        assert_stream_matches_brute_force(RenyiExpansion.parse(digits), 4, counts)
+
+
+@st.composite
+def parry_expansions(draw):
+    preperiod = draw(st.lists(st.integers(0, 3), max_size=1))
+    period = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    renyi = RenyiExpansion((draw(st.integers(2, 3)), *preperiod), tuple(period))
+    assume(not renyi.is_simple and parry_check(renyi)[0])
+    return renyi
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(parry_expansions())
+def test_random_parry_expansions_stream_in_order(renyi):
+    assert_stream_matches_brute_force(
+        renyi, 6, lambda per_length: [1 + sum(per_length), 2 + per_length[0]])

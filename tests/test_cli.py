@@ -148,6 +148,13 @@ class TestPalindromes:
         result = cli("palindromes", "--a", "3", "--b", "1", "--n", "4")
         assert result.stdout.splitlines()[0] == "P(4) = 0"
 
+    def test_zero_budget_verifies_no_branch(self):
+        result = cli("palindromes", "--a", "3", "--b", "1", "--n", "2",
+                     "--branch-budget", "0", "--format", "json")
+        assert result.returncode == 0
+        assert [(s["verified"], s["materialized"])
+                for s in json.loads(result.stdout)["branches"]] == [(False, 0)]
+
 
 class TestParryCheck:
     def test_valid(self):
@@ -233,6 +240,8 @@ class TestTopLevel:
     ["beta-integers", "--a", "3", "--b", "1", "--precision", "1"],
     # lengths past Python's 4300-digit limit on int-to-str conversion
     ["specials", "--a", "3", "--b", "1", "--n", "1", "--tower-depth", "100000"],
+    ["palindromes", "--a", "3", "--b", "1", "--n", "2", "--branch-budget", "-1"],
+    ["palindromes", "--a", "5", "--b", "2", "--n", "2", "--branch-budget", "-7"],
 ])
 def test_outside_input_exits_2_without_traceback(argv):
     result = cli(*argv)

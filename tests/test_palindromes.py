@@ -198,6 +198,20 @@ class TestBranches:
         assert [s.center for s in specs] == ["0", EPSILON, "1"]
         assert all(s.verified for s in specs)
 
+    @pytest.mark.parametrize("a,b", [(3, 1), (4, 2), (5, 2), (4, 1)])
+    def test_branch_without_central_factors_is_not_verified(self, a, b):
+        # budget 0 fits no central factor; budget 3 fits V^(1) = 00 of (4,2)
+        # but not V^(2), so one of its two branches is empty
+        for budget in (0, 3):
+            for spec in infinite_branches(QuadraticParams(a, b), budget):
+                assert spec.verified == bool(spec.central_factors)
+        assert not any(s.central_factors for s in
+                       infinite_branches(QuadraticParams(a, b), 0))
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(InvalidInputError):
+            infinite_branches(P31, -1)
+
 
 class TestReversalClosure:
     def test_quadratic_closed(self):

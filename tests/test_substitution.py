@@ -91,6 +91,21 @@ class TestParrySubstitution:
             parry_substitution(RenyiExpansion((2, 1), (0,)))
 
 
+@pytest.mark.parametrize("digits", ["3 1 (2)", "3 (2 1)", "2 1 (1)",
+                                    "3 0 0 (0 1)", "4 2 (1 0 3)"])
+def test_apply_equals_letterwise_join(digits):
+    sub = parry_substitution(RenyiExpansion.parse(digits))
+    letters = [chr(48 + j) for j in range(sub.alphabet_size)]
+    rng = random.Random(digits)
+    for size in (0, 1, 2, 7, 40, 500):
+        word = "".join(rng.choice(letters) for _ in range(size))
+        assert sub.apply(word) == "".join(sub.images[ord(c) - 48] for c in word)
+    # one past the alphabet, "/" (letter index -1) and non-digits
+    for bad in (chr(48 + sub.alphabet_size), "/", "a", " ", "\u0660"):
+        with pytest.raises(InvalidInputError):
+            sub.apply("0" + bad + "1")
+
+
 class TestFixedPoint:
     def test_running_example_prefix(self):
         sub = quadratic_substitution(QuadraticParams(3, 1))
