@@ -17,11 +17,12 @@ from .beta_numeration import (
     unity_defect,
 )
 from .complexity import (
-    ComplexityTable,
+    Table,
     UVTower,
     closed_form_delta_c,
     factor_complexity,
     t_map,
+    t_orbit,
     tower_intervals,
     uv_tower,
 )
@@ -33,12 +34,11 @@ from .errors import (
     UnsupportedVariantError,
     VerificationError,
 )
-from .language import FactorLanguage
+from .language import FactorLanguage, language_of
 from .palindromes import (
     EPSILON,
     BranchSpec,
     PalindromeRecord,
-    PalindromeTable,
     center_evolution,
     center_of,
     classify_tower_centers,

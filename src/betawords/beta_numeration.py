@@ -8,7 +8,7 @@ precision (default 64 digits).  Beta-integers are produced in Parry order,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mp, mpf, sqrt as mpsqrt, workdps
 
@@ -160,11 +160,10 @@ class QuadraticParams:
 
 @dataclass(frozen=True)
 class BetaValue:
-    """Numeric beta at a given working precision, with exact quadratic data."""
+    """Numeric beta at a given working precision."""
 
     value: mpf
     precision: int
-    exact: tuple[int, int, int, int] | None = field(default=None)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -175,7 +174,7 @@ def beta_of(params: QuadraticParams, precision: int = DEFAULT_PRECISION) -> Beta
     u, v, d, w = params.exact_beta()
     with workdps(precision):
         value = (mpf(u) + v * mpsqrt(d)) / w
-    return BetaValue(value=value, precision=precision, exact=(u, v, d, w))
+    return BetaValue(value=value, precision=precision)
 
 
 def renyi_of_quadratic(params: QuadraticParams) -> RenyiExpansion:
@@ -186,8 +185,8 @@ def renyi_of_quadratic(params: QuadraticParams) -> RenyiExpansion:
 def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> BetaValue:
     """Numeric beta solving sum t_i beta^(-i) = 1 for a valid expansion.
 
-    For m = p = 1 the exact quadratic representation is attached; otherwise
-    the root is located by bisection in (t_1, t_1 + 1].
+    For m = p = 1 the root comes from the quadratic formula of `beta_of`;
+    otherwise it is located by bisection in (t_1, t_1 + 1].
     """
     ok, shift = parry_check(renyi)
     if not ok:
@@ -197,7 +196,7 @@ def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> 
     t1 = renyi.digit(1)
     with workdps(precision + 10):
         def defect(x):
-            return _unity_sum(renyi, x) - 1
+            return _shifted_tail_sum(renyi, 0, x) - 1
 
         lo, hi = mpf(t1), mpf(t1 + 1)
         # defect is decreasing in beta; bisect to full precision
@@ -210,12 +209,7 @@ def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> 
         value = (lo + hi) / 2
     with workdps(precision):
         value = +value
-    return BetaValue(value=value, precision=precision, exact=None)
-
-
-def _unity_sum(renyi: RenyiExpansion, beta) -> mpf:
-    """sum_{i>=1} t_i beta^(-i) via geometric summation of the periodic tail."""
-    return _shifted_tail_sum(renyi, 0, beta)
+    return BetaValue(value=value, precision=precision)
 
 
 def _shifted_tail_sum(renyi: RenyiExpansion, k: int, beta) -> mpf:
@@ -244,7 +238,7 @@ def _shifted_tail_sum(renyi: RenyiExpansion, k: int, beta) -> mpf:
 def unity_defect(renyi: RenyiExpansion, beta: BetaValue) -> mpf:
     """|1 - sum t_i beta^(-i)| at the beta value's working precision."""
     with workdps(beta.precision):
-        return abs(1 - _unity_sum(renyi, beta.value))
+        return abs(1 - _shifted_tail_sum(renyi, 0, beta.value))
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +364,8 @@ def _admissible_strings(renyi: RenyiExpansion, beta, level, limit: int):
     return children
 
 
-def beta_integers(
-    renyi: RenyiExpansion, beta: BetaValue, count: int,
-    tolerance=mpf("1e-9"),
-) -> tuple[list[mpf], str]:
+def beta_integers(renyi: RenyiExpansion, beta: BetaValue,
+                  count: int) -> tuple[list[mpf], str]:
     """First `count` nonnegative beta-integers and their gap letter sequence.
 
     The beta-integers are the values of the Parry-admissible digit strings
@@ -398,7 +390,7 @@ def beta_integers(
                                         count - len(values))
             values += [value for value, _ in level]
         letters = "".join(
-            _letter(deltas.classify(values[i + 1] - values[i], tolerance))
+            _letter(deltas.classify(values[i + 1] - values[i]))
             for i in range(count - 1)
         )
     return values, letters

@@ -25,14 +25,14 @@ from .beta_numeration import (
     parry_check,
     renyi_of_quadratic,
 )
-from .complexity import factor_complexity, tower_intervals, uv_tower
+from .complexity import Table, factor_complexity, tower_intervals, uv_tower
 from .errors import (
     InvalidInputError,
     PrecisionError,
     UnsupportedVariantError,
     VerificationError,
 )
-from .language import FactorLanguage
+from .language import language_of
 from .palindromes import (
     infinite_branches,
     palindromes_of_length,
@@ -101,30 +101,27 @@ def main():
 def analyze(a, b, n_max, fmt):
     """Combined C(n), Delta C(n), P(n) table with oracle/closed-form agreement."""
     params = _params(a, b)
-    lang = FactorLanguage(quadratic_substitution(params))
+    lang = language_of(params)
     sturmian = params.is_sturmian
     oracle_c = factor_complexity(lang, n_max, "oracle")
-    oracle_p = palindromic_complexity(lang, n_max, "oracle").p_values()[1:]
-    rows = [{"n": r["n"], "C": r["C"], "deltaC": r["deltaC"], "P": p, "agree": ""}
-            for r, p in zip(oracle_c.rows, oracle_p)]
+    oracle_p = palindromic_complexity(lang, n_max, "oracle").column("P")[1:]
+    table = Table(("n", "C", "deltaC", "P", "agree"), [
+        {"n": r["n"], "C": r["C"], "deltaC": r["deltaC"], "P": p, "agree": ""}
+        for r, p in zip(oracle_c.rows, oracle_p)])
     failure = None
     if not sturmian:
-        closed_c = factor_complexity(params, n_max, "closed_form").c_values()
-        closed_p = palindromic_complexity(params, n_max, "closed_form").p_values()[1:]
-        for row, c, p in zip(rows, closed_c, closed_p):
+        closed_c = factor_complexity(params, n_max, "closed_form").column("C")
+        closed_p = palindromic_complexity(params, n_max, "closed_form").column("P")[1:]
+        for row, c, p in zip(table.rows, closed_c, closed_p):
             row["agree"] = "yes" if (row["C"], row["P"]) == (c, p) else "NO"
-        failure = _disagreement(("C", 1, oracle_c.c_values(), closed_c),
+        failure = _disagreement(("C", 1, oracle_c.column("C"), closed_c),
                                 ("P", 1, oracle_p, closed_p))
-    payload = {
-        "schema": 1, "a": params.a, "b": params.b,
-        "sturmian": sturmian, "rows": rows,
-    }
-    table = ["n,C,deltaC,P,agree"] + [
-        f"{r['n']},{r['C']},{r['deltaC']},{r['P']},{r['agree']}" for r in rows
-    ]
+    payload = {**table.to_json(), "a": params.a, "b": params.b,
+               "sturmian": sturmian}
+    csv_text = table.to_csv()
     notice = ["# Sturmian boundary b = a-1: oracle-only table, C(n) = n+1"] \
         if sturmian else []
-    _emit(fmt, payload, notice + table, "\n".join(table) + "\n")
+    _emit(fmt, payload, notice + csv_text.splitlines(), csv_text)
     if failure:
         raise failure
 
@@ -152,9 +149,9 @@ def verify(a_max, n_max, digits, fmt):
     """Run the invariant suite over the (a, b) grid, or probe one expansion."""
     if digits is not None:
         renyi = RenyiExpansion.parse(digits)
-        lang = FactorLanguage(parry_substitution(renyi))
+        lang = language_of(parry_substitution(renyi))
         probe = reversal_closure_probe(lang, min(n_max, 60))
-        pal = palindromic_complexity(lang, min(n_max, 60)).p_values()
+        pal = palindromic_complexity(lang, min(n_max, 60)).column("P")
         last_pal = max((n for n, c in enumerate(pal) if c > 0), default=0)
         payload = {
             "schema": 1, "digits": str(renyi),
@@ -177,11 +174,11 @@ def verify(a_max, n_max, digits, fmt):
     results = []
     for a, b in points:
         params = QuadraticParams(a, b)
-        lang = FactorLanguage(quadratic_substitution(params))
-        oc = factor_complexity(lang, n_max, "oracle").c_values()
-        cc = factor_complexity(params, n_max, "closed_form").c_values()
-        op = palindromic_complexity(lang, n_max, "oracle").p_values()
-        cp = palindromic_complexity(params, n_max, "closed_form").p_values()
+        lang = language_of(params)
+        oc = factor_complexity(lang, n_max, "oracle").column("C")
+        cc = factor_complexity(params, n_max, "closed_form").column("C")
+        op = palindromic_complexity(lang, n_max, "oracle").column("P")
+        cp = palindromic_complexity(params, n_max, "closed_form").column("P")
         point = {"a": a, "b": b, "checks": {"factor_complexity": oc == cc,
                                             "palindromic_complexity": op == cp}}
         failure = _disagreement(("C", 1, oc, cc), ("P", 0, op, cp))
@@ -239,7 +236,7 @@ def word(a, b, digits, length, fmt):
 def specials(a, b, n, tower_depth, fmt):
     """Left special factors of length n, plus the U/V towers."""
     params = _params(a, b)
-    lang = FactorLanguage(quadratic_substitution(params))
+    lang = language_of(params)
     left = sorted(lang.left_special_factors(n))
     payload = {"schema": 1, "a": params.a, "b": params.b, "n": n,
                "left_special": left}
@@ -276,8 +273,7 @@ def specials(a, b, n, tower_depth, fmt):
 def palindromes(a, b, n, branch_budget, fmt):
     """Palindromic factors of length n and the infinite branch structure."""
     params = _params(a, b)
-    sub = quadratic_substitution(params)
-    lang = FactorLanguage(sub)
+    lang = language_of(params)
     records = sorted(palindromes_of_length(lang, n), key=lambda r: r.word)
     payload = {
         "schema": 1, "a": params.a, "b": params.b, "n": n,

@@ -6,7 +6,10 @@ factors V^(k) and maximal left special factors U^(k), and 1 elsewhere.
 
 The letter counts of both towers come from one recurrence, `_tower_counts`.
 The towers read it directly; both closed forms, this one and P(n) in
-`palindromes`, read it through `tower_intervals`.
+`palindromes`, read it through `tower_intervals`.  Every tower word, here
+and in the palindromic branches, comes from one T-orbit builder, `t_orbit`,
+and every per-length table, here, in `palindromes` and in the CLI, is one
+`Table`.
 """
 
 from __future__ import annotations
@@ -49,15 +52,18 @@ def _tower_counts(params: QuadraticParams):
         v, u = _t_counts(*v, params), _t_counts(*u, params)
 
 
-def _tower_words(first: str, counts: list[tuple[int, int]], cap: int,
-                 params: QuadraticParams) -> list[str]:
-    """The first word, then its T-images while the counts keep them within cap."""
-    words = [first] if counts else []
-    for zeros, ones in counts[1:]:
-        if zeros + ones > cap:
-            break
-        words.append(t_map(words[-1], params))
-    return words
+def t_orbit(word: str, params: QuadraticParams, cap: int):
+    """w, T(w), T^2(w), ... while the words have at most `cap` letters.
+
+    The letter counts of each image are checked before it is built, so no
+    word over the cap is materialized.
+    """
+    counts = (word.count("0"), word.count("1"))
+    while sum(counts) <= cap:
+        yield word
+        counts = _t_counts(*counts, params)
+        if sum(counts) <= cap:
+            word = t_map(word, params)
 
 
 @dataclass
@@ -65,18 +71,18 @@ class UVTower:
     """Towers U^(n), V^(n) with exact lengths far past materialization.
 
     U^(1) = 0^(a-1), V^(1) = 0^b, and both towers grow by the map T.
-    Words are materialized while their length stays below `materialize_cap`;
-    lengths continue exactly as arbitrary-size integers via the letter-count
-    recurrence of T.
+    Words are materialized while their length stays within `materialize_cap`,
+    U^(1) and V^(1) always; lengths continue exactly as arbitrary-size
+    integers via the letter-count recurrence of T.
     """
 
     params: QuadraticParams
     depth: int
     materialize_cap: int = DEFAULT_MATERIALIZE_CAP
-    u_words: list[str] = field(default_factory=list)
-    v_words: list[str] = field(default_factory=list)
-    u_counts: list[tuple[int, int]] = field(default_factory=list)
-    v_counts: list[tuple[int, int]] = field(default_factory=list)
+    u_words: list[str] = field(init=False)
+    v_words: list[str] = field(init=False)
+    u_counts: list[tuple[int, int]] = field(init=False)
+    v_counts: list[tuple[int, int]] = field(init=False)
 
     def __post_init__(self):
         params = self.params
@@ -89,9 +95,13 @@ class UVTower:
         counts = list(islice(_tower_counts(params), self.depth))
         self.v_counts = [v for v, _ in counts]
         self.u_counts = [u for _, u in counts]
-        cap = self.materialize_cap
-        self.u_words = _tower_words("0" * (params.a - 1), self.u_counts, cap, params)
-        self.v_words = _tower_words("0" * params.b, self.v_counts, cap, params)
+        self.u_words = self._words("0" * (params.a - 1))
+        self.v_words = self._words("0" * params.b)
+
+    def _words(self, first: str) -> list[str]:
+        # the first word is kept even when it is over the cap
+        cap = max(self.materialize_cap, len(first))
+        return list(islice(t_orbit(first, self.params, cap), self.depth))
 
     def u_length(self, n: int) -> int:
         """|U^(n)|, 1-based, exact."""
@@ -148,14 +158,17 @@ def closed_form_delta_c(params: QuadraticParams, n_max: int) -> list[int]:
 
 @dataclass
 class Table:
-    """Per-length rows of a complexity function, written out as `fields`."""
+    """Per-length rows, written out as the columns `fields`."""
 
+    fields: tuple[str, ...]
     rows: list[dict]
-    fields = ()
+
+    def column(self, name: str) -> list:
+        return [row[name] for row in self.rows]
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=self.fields)
+        writer = csv.DictWriter(out, fieldnames=self.fields, lineterminator="\n")
         writer.writeheader()
         writer.writerows(self.rows)
         return out.getvalue()
@@ -164,21 +177,13 @@ class Table:
         return {"schema": 1, "rows": self.rows}
 
 
-class ComplexityTable(Table):
-    """Per-length C(n) and Delta C(n) with the provenance of each value."""
-
-    fields = ("n", "C", "deltaC", "source")
-
-    def c_values(self) -> list[int]:
-        return [row["C"] for row in self.rows]
-
-
 def factor_complexity(
     subject: FactorLanguage | Substitution | QuadraticParams,
     n_max: int,
     mode: str = "oracle",
-) -> ComplexityTable:
-    """C(n) for 1 <= n <= n_max by brute force or by the closed form.
+) -> Table:
+    """C(n) for 1 <= n <= n_max by brute force or by the closed form, as a
+    Table of n, C, deltaC and source.
 
     The oracle reads a given FactorLanguage, or builds one for the subject.
     The closed form needs quadratic non-Sturmian parameters and integrates
@@ -197,6 +202,6 @@ def factor_complexity(
     else:
         delta = closed_form_delta_c(subject, n_max)
         counts = list(accumulate(delta, initial=2))
-    return ComplexityTable(rows=[
+    return Table(("n", "C", "deltaC", "source"), [
         {"n": n, "C": counts[n - 1], "deltaC": delta[n - 1], "source": mode}
         for n in range(1, n_max + 1)])

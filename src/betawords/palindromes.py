@@ -9,7 +9,9 @@ audited side by side.
 Like Delta C in `complexity`, P(n) is read off the one tower recurrence
 there: `tower_intervals` lists the pairs (|V^(k)|, |U^(k)|) once per table,
 each clause turns them into the (lo, hi] ranges of n where it holds, and
-the clauses are painted over the per-parity default.
+the clauses are painted over the per-parity default.  The branches take
+their words from the T-orbit builder of `complexity`, `t_orbit`, and the
+P(n) rows are a `complexity.Table`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .beta_numeration import QuadraticParams
-from .complexity import Table, t_map, tower_intervals, uv_tower
+from .complexity import Table, t_map, t_orbit, tower_intervals, uv_tower
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
 from .language import FactorLanguage, language_of
 from .substitution import Substitution
@@ -167,13 +169,11 @@ def is_central_factor(inner: str, outer: str) -> bool:
     return outer[half : half + len(inner)] == inner
 
 
-def classify_tower_centers(params: QuadraticParams, depth: int,
-                           materialize_cap: int | None = None) -> dict:
+def classify_tower_centers(params: QuadraticParams, depth: int) -> dict:
     """Observed vs expected centers of the materialized tower words."""
     if params.is_sturmian:
         raise UnsupportedVariantError("towers are undefined for b = a-1")
-    kwargs = {} if materialize_cap is None else {"materialize_cap": materialize_cap}
-    tower = uv_tower(params, depth, **kwargs)
+    tower = uv_tower(params, depth)
     rows = []
     step = v_containment_step(params)
     for n in range(1, tower.materialized_depth + 1):
@@ -225,45 +225,32 @@ def infinite_branches(params: QuadraticParams,
                       length_budget: int = 10 ** 4) -> list[BranchSpec]:
     """Branch specs for the applicable parity case, membership-verified.
 
-    Central factors are materialized until their length exceeds the budget
-    and each is checked to be a palindromic factor with the declared center
-    and a central factor of its successor.  A branch with no central factor
-    within the budget is not verified.
+    Central factors are materialized while their length is within the
+    budget, each tower once per call, and each is checked to be a
+    palindromic factor with the declared center and a central factor of its
+    successor.  A branch with no central factor within the budget is not
+    verified.
     """
     if params.is_sturmian:
         raise UnsupportedVariantError("branch analysis requires a-1 > b")
     if length_budget < 0:
         raise InvalidInputError("length budget must be >= 0")
     lang = language_of(params)
+    v_tower = list(t_orbit("0" * params.b, params, length_budget))
     specs = []
     for center, generator in _branch_plan(params):
-        factors = _generator_words(params, generator, length_budget)
-        ok = bool(factors)
-        for i, w in enumerate(factors):
-            if not (is_palindrome(w) and center_of(w) == center
-                    and lang.contains(w)):
-                ok = False
-                break
-            if i > 0 and not is_central_factor(factors[i - 1], w):
-                ok = False
-                break
+        if generator == ("W",):
+            factors = list(t_orbit("0", params, length_budget))
+        else:  # V^(c*k+o) for k >= 1
+            _, coef, off = generator
+            factors = v_tower[coef + off - 1 :: coef]
+        ok = bool(factors) and all(
+            is_palindrome(w) and center_of(w) == center and lang.contains(w)
+            and (i == 0 or is_central_factor(factors[i - 1], w))
+            for i, w in enumerate(factors))
         specs.append(BranchSpec(center=center, generator=generator,
                                 central_factors=factors, verified=ok))
     return specs
-
-
-def _generator_words(params: QuadraticParams, generator: tuple,
-                     length_budget: int) -> list[str]:
-    # materialize the W or V tower up to the budget; for V, take the subsequence
-    words = []
-    w = "0" if generator[0] == "W" else "0" * params.b
-    while len(w) <= length_budget:
-        words.append(w)
-        w = t_map(w, params)
-    if generator[0] == "W":
-        return words
-    _, coef, off = generator
-    return [words[i - 1] for i in range(coef + off, len(words) + 1, coef) if i >= 1]
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +387,13 @@ def _tower_length_sets(params: QuadraticParams, n_max: int) -> tuple[set, set]:
     return {v for v, _ in pairs}, {u for _, u in pairs}
 
 
-class PalindromeTable(Table):
-    """P(n) per length with classification counts and provenance."""
-
-    fields = ("n", "P", "maximal_count", "two_ext_count", "source")
-
-    def p_values(self) -> list[int]:
-        return [row["P"] for row in self.rows]
-
-
 def palindromic_complexity(
     subject: FactorLanguage | Substitution | QuadraticParams,
     n_max: int,
     mode: str = "oracle",
-) -> PalindromeTable:
-    """P(n) for 0 <= n <= n_max by enumeration or by the closed form.
+) -> Table:
+    """P(n) for 0 <= n <= n_max by enumeration or by the closed form, as a
+    Table of n, P, maximal_count, two_ext_count and source.
 
     The oracle reads a given FactorLanguage, or builds one for the subject.
     """
@@ -436,7 +415,7 @@ def palindromic_complexity(
         v_lengths, u_lengths = _tower_length_sets(subject, n_max)
         counts = [(p, int(n in u_lengths), int(n in v_lengths))
                   for n, p in enumerate(values)]
-    return PalindromeTable(rows=[
+    return Table(("n", "P", "maximal_count", "two_ext_count", "source"), [
         {"n": n, "P": p, "maximal_count": maximal, "two_ext_count": two_ext,
          "source": mode}
         for n, (p, maximal, two_ext) in enumerate(counts)])

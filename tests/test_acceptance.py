@@ -67,7 +67,7 @@ def test_criterion_2_factor_complexity_grid():
                 quadratic_substitution(params), 120, "oracle"
             )
             closed = factor_complexity(params, 120, "closed_form")
-            assert oracle.c_values() == closed.c_values(), (a, b)
+            assert oracle.column("C") == closed.column("C"), (a, b)
         assert time.monotonic() - start < 60.0
 
     report(2, "C(n) oracle equals closed form on the grid, n <= 120", body)
@@ -81,9 +81,9 @@ def test_criterion_3_palindromic_complexity_grid():
                 quadratic_substitution(params), 120, "oracle"
             )
             closed = palindromic_complexity(params, 120, "closed_form")
-            assert oracle.p_values() == closed.p_values(), (a, b)
+            assert oracle.column("P") == closed.column("P"), (a, b)
         spot = palindromic_complexity(QuadraticParams(3, 1), 12, "closed_form")
-        p = spot.p_values()
+        p = spot.column("P")
         assert p[0] == 1 and p[1] == 2 and p[2] == 1 and p[3] == 3
         assert p[9] == p[11] == 4
         assert all(p[n] == 0 for n in range(4, 13, 2))
@@ -133,9 +133,9 @@ def test_criterion_6_sturmian_boundary():
         params = QuadraticParams(2, 1)
         assert params.is_sturmian
         sub = quadratic_substitution(params)
-        c = factor_complexity(sub, 60, "oracle").c_values()
+        c = factor_complexity(sub, 60, "oracle").column("C")
         assert c == [n + 1 for n in range(1, 61)]
-        p = palindromic_complexity(sub, 60, "oracle").p_values()
+        p = palindromic_complexity(sub, 60, "oracle").column("P")
         assert all(p[n] == 1 for n in range(0, 61, 2))
         assert all(p[n] == 2 for n in range(1, 61, 2))
 

@@ -150,18 +150,18 @@ class TestSpecialFactors:
 class TestFactorComplexity:
     def test_running_example_table_31(self):
         table = factor_complexity(P31, 12, "oracle")
-        assert table.c_values() == [2, 3, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18]
+        assert table.column("C") == [2, 3, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18]
         assert [r["deltaC"] for r in table.rows] == [1, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1]
 
     def test_closed_form_agrees(self):
         oracle = factor_complexity(quadratic_substitution(P31), 60, "oracle")
         closed = factor_complexity(P31, 60, "closed_form")
-        assert oracle.c_values() == closed.c_values()
+        assert oracle.column("C") == closed.column("C")
 
     def test_sturmian_oracle(self):
         table = factor_complexity(quadratic_substitution(QuadraticParams(2, 1)),
                                   60, "oracle")
-        assert table.c_values() == [n + 1 for n in range(1, 61)]
+        assert table.column("C") == [n + 1 for n in range(1, 61)]
 
     def test_sturmian_closed_form_rejected(self):
         with pytest.raises(UnsupportedVariantError):

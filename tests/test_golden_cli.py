@@ -1,0 +1,180 @@
+"""Golden CLI outputs: the sha256 of stdout and stderr, and the exit code,
+of one command line per subcommand and format, plus the usage, precision
+and verification error exits.
+
+Refactors must leave every byte of CLI output as it was; a change that
+means to alter an output updates its digests here, in the same commit.
+Runs each command in-process through `cli.run`, so the set costs about a
+second.  To print the current digests, run
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import hashlib
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from betawords import cli
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr)
+GOLDEN = [
+    (["analyze", "--a", "3", "--b", "1", "--n-max", "12"], 0,
+     "4afda817ce1c7c5ffef6dd9420db00566f42e80fa87b0e6bc718d22678d71931",
+     EMPTY),
+    (["analyze", "--a", "4", "--b", "2", "--n-max", "10", "--format", "json"], 0,
+     "59ad31bebe0369a0f783bf49f4e32f7fe1629bc7b4c1b252b1a2c6eda58c365a",
+     EMPTY),
+    (["analyze", "--a", "5", "--b", "2", "--n-max", "10", "--format", "csv"], 0,
+     "92547c90f8fb4cf9b85ac8932597623d3274eb6e05a6d384e2b584c07760e0b1",
+     EMPTY),
+    (["analyze", "--a", "3", "--b", "2", "--n-max", "6"], 0,
+     "dbcb5d645b171562bf3d9c98bd9ce5615dbc67d4c87aa7b1789af9272bfd608a",
+     EMPTY),
+    (["analyze", "--a", "4", "--b", "3", "--n-max", "6", "--format", "csv"], 0,
+     "b9b55a620fab87505d0e037c9e2400f9a98a33bf7e8110201251b4a51053c101",
+     EMPTY),
+    (["analyze", "--a", "2", "--b", "1", "--n-max", "5", "--format", "json"], 0,
+     "a92d5c8067312714b24bacf12d09d0edb39f2a0a34da30157cac8e3f3cf40e6a",
+     EMPTY),
+    (["analyze", "--a", "3", "--b", "3"], 2,
+     EMPTY,
+     "2a9f919faf3a2a59d816006ba3e3183f65eed2613f0bbc62d118f7ccc1334280"),
+    (["verify", "--a-max", "4", "--n-max", "30"], 0,
+     "b43774af86de8874d73df9c2cd83b0d95c9c1e2ed12e844dba5f11c57cbaca32",
+     EMPTY),
+    (["verify", "--a-max", "3", "--n-max", "20", "--format", "json"], 0,
+     "2d18ab35d42ce12d04d229c886ac0bd5acd76c234b6755fc47c7e37a8691a85e",
+     EMPTY),
+    (["verify", "--a-max", "3", "--n-max", "20", "--format", "csv"], 2,
+     EMPTY,
+     "12809a63994dcb133d758288ce63a5b4c9f47047b4a35ff36c4f41981b796135"),
+    (["verify", "--digits", "3 (2 1)", "--n-max", "30"], 0,
+     "77f8399eb6873925557325a4a38a90267288129bf584772e355b28892871ef6c",
+     EMPTY),
+    (["verify", "--digits", "2 1 (1)", "--n-max", "20", "--format", "json"], 0,
+     "ef2f7964a609f62c52a4d736f702550a29b442b6f169f89face81ee7f6750446",
+     EMPTY),
+    (["verify", "--a-max", "6", "--n-max", "60", "--format", "json"], 0,
+     "c7342cb4e378b90046f3de80b695fdfb95b3ccc61a0cd9df5452ac9ad01ce6c1",
+     EMPTY),
+    (["word", "--a", "3", "--b", "1", "--length", "50"], 0,
+     "b91664a56f926a5145ed9afefd4185e2091332bf19c0aba2589243ce9bc8c3d3",
+     EMPTY),
+    (["word", "--digits", "3 1 (2)", "--length", "40", "--format", "json"], 0,
+     "789b1a705d65a6190e6005741fb89b62b2a7450257a5c1ab71c1885661c6291a",
+     EMPTY),
+    (["specials", "--a", "3", "--b", "1", "--n", "4"], 0,
+     "69784816148d849bb88e08f0574163af5ec86160e9dfed99fc5fe33f30ac47d6",
+     EMPTY),
+    (["specials", "--a", "5", "--b", "2", "--n", "3", "--tower-depth", "12", "--format", "json"], 0,
+     "f3c7a2b8384bfcbd307507a7fb8ff4e8d75eb6c0cf0ca7f597966b8b1461325c",
+     EMPTY),
+    (["specials", "--a", "6", "--b", "4", "--n", "5", "--tower-depth", "40"], 0,
+     "643c614ac73ef27c6442e075e858c7670a98cfbcbfe52033a2f977e6b9b3d9dc",
+     EMPTY),
+    (["specials", "--a", "4", "--b", "3", "--n", "3"], 0,
+     "fe3ac6cac72b9a4d292780290478c00bda78370ab0be82377d76a47fe7a4a3db",
+     EMPTY),
+    (["palindromes", "--a", "3", "--b", "1", "--n", "5"], 0,
+     "514e9031328095136229863ff2191e40f6f7cc27a1af86a2e4cb76deb94687e1",
+     EMPTY),
+    (["palindromes", "--a", "5", "--b", "2", "--n", "4", "--format", "json"], 0,
+     "3717e4d94ea18efcb9f7dd0b179142fdf2d46aa1022a6d6f12001167d576f392",
+     EMPTY),
+    (["palindromes", "--a", "4", "--b", "1", "--n", "3", "--branch-budget", "1"], 0,
+     "73382dacfcb0efd80cb5e4426b47c096ecfe8fdeea54cc0a30bdf8f84ed16460",
+     EMPTY),
+    (["palindromes", "--a", "6", "--b", "2", "--n", "6", "--branch-budget", "500", "--format", "json"], 0,
+     "b43388a66bc2bb39ee69fa76cdacd742705394b2ed7a5d3b97074ce22fb59b9f",
+     EMPTY),
+    (["palindromes", "--a", "5", "--b", "2", "--n", "9", "--format", "json"], 0,
+     "c3993d6657d16c5b70f7ce703475c62540212ca06f7ed4d17228dc2dc6215510",
+     EMPTY),
+    (["palindromes", "--a", "8", "--b", "3", "--n", "4", "--branch-budget", "100000", "--format", "json"], 0,
+     "148260a4fd01ec364b8b8b7f2949cc9898fa52fe33f52297c0c7a0ecec1ff5d5",
+     EMPTY),
+    (["palindromes", "--a", "7", "--b", "3", "--n", "7"], 0,
+     "88da11e8db6c894296f81bd6642f4ac3280988b8490d41c7d5693cee45d466be",
+     EMPTY),
+    (["palindromes", "--a", "4", "--b", "2", "--n", "2", "--branch-budget", "0"], 0,
+     "7d723338ae728735691073aeb4f319451323925e53c10ccad6b0aa0ea38b89d5",
+     EMPTY),
+    (["parry-check", "--digits", "3 1 (2)"], 0,
+     "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268",
+     EMPTY),
+    (["parry-check", "--digits", "1 (2)", "--format", "json"], 4,
+     "c6dfe9298a6388d4da184a5d3e4d780a11da25b0d1c7042b312ab7dc50383acf",
+     EMPTY),
+    (["beta-expand", "--a", "3", "--b", "1", "--x", "7.25"], 0,
+     "3707215ce6b42c4235fc40e7db8198b9169218e90e9b74666fd084866f2ded63",
+     EMPTY),
+    (["beta-expand", "--a", "4", "--b", "2", "--x", "100", "--digit-count", "8", "--precision", "30", "--format", "json"], 0,
+     "6361954725b677cebdd3689420cbb00e2f39e6eddd91a1bc0b87c2551f6bb302",
+     EMPTY),
+    (["beta-integers", "--a", "3", "--b", "1", "--count", "20"], 0,
+     "ca96cd301579f98e750d1bb3624d7ab97186a7f6f916ab3b6de0b7fc488bc87f",
+     EMPTY),
+    (["beta-integers", "--digits", "3 (2 1)", "--count", "30", "--format", "json"], 0,
+     "4666144492250611910397f33205d3be0b1a0381c1917926e280130cdfd70490",
+     EMPTY),
+    (["beta-integers", "--digits", "3 1 (2)", "--count", "15", "--precision", "16", "--format", "json"], 0,
+     "5c7bc00d23f959648277f2ad0eff9ce1187801e15db2d1a71adc4bcda098ecd4",
+     EMPTY),
+    (["beta-integers", "--digits", "4 (2)", "--count", "2000", "--format", "json"], 0,
+     "9e33f669e3565882e3e001fb856aa3962f923bcb01f9ee4e9ff7251e1b6531c9",
+     EMPTY),
+    (["beta-integers", "--a", "3", "--b", "1", "--count", "20", "--precision", "5"], 3,
+     EMPTY,
+     "34f6f487bc7f048695a32b56d5635c7b1d4e9baa0992099f534f8efc5f906bfa"),
+]
+
+
+def outcome(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code and the sha256 of stdout and of stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.argv
+    sys.argv = ["betawords", *argv]
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            cli.run()
+        code = 0
+    except SystemExit as stop:
+        code = stop.code
+    finally:
+        sys.argv = saved
+
+    def sha(stream):
+        return hashlib.sha256(stream.getvalue().encode()).hexdigest()
+
+    return code, sha(out), sha(err)
+
+
+@pytest.mark.parametrize("argv, code, out_sha, err_sha", GOLDEN,
+                         ids=[" ".join(g[0]) for g in GOLDEN])
+def test_output_is_unchanged(monkeypatch, argv, code, out_sha, err_sha):
+    monkeypatch.delenv("BETAWORDS_PRECISION", raising=False)
+    assert outcome(argv) == (code, out_sha, err_sha)
+
+
+def test_golden_set_covers_every_subcommand_and_format():
+    commands = {g[0][0] for g in GOLDEN}
+    assert commands == set(cli.main.commands)
+    formats = {g[0][g[0].index("--format") + 1] if "--format" in g[0] else "text"
+               for g in GOLDEN}
+    assert formats == {"text", "json", "csv"}
+    assert {g[1] for g in GOLDEN} == {0, 2, 3, 4}
+
+
+if __name__ == "__main__":
+    os.environ.pop("BETAWORDS_PRECISION", None)
+    for argv, *_ in GOLDEN:
+        code, out_sha, err_sha = outcome(argv)
+        shas = ["EMPTY" if s == EMPTY else f'"{s}"' for s in (out_sha, err_sha)]
+        print(f"    ({json.dumps(argv)}, {code},\n     {shas[0]},\n     {shas[1]}),")

@@ -1,0 +1,128 @@
+"""The one T-orbit builder (`t_orbit`) and the one table type (`Table`).
+
+Every tower word, of the U/V towers and of the palindromic branches, comes
+from `t_orbit`; every per-length table, of the library and of `analyze`,
+is a `Table`.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from betawords import (
+    QuadraticParams,
+    Table,
+    UVTower,
+    complexity,
+    factor_complexity,
+    infinite_branches,
+    t_map,
+    t_orbit,
+    uv_tower,
+)
+
+P31 = QuadraticParams(3, 1)
+
+
+@pytest.fixture
+def built(monkeypatch) -> list[int]:
+    """The lengths of the T-images the package builds, in order."""
+    lengths = []
+    real = complexity.t_map
+
+    def counted(word, params):
+        image = real(word, params)
+        lengths.append(len(image))
+        return image
+
+    monkeypatch.setattr(complexity, "t_map", counted)
+    return lengths
+
+
+class TestTOrbit:
+    @pytest.mark.parametrize("a,b", [(3, 1), (4, 2), (5, 2), (7, 4)])
+    def test_equals_iterated_t_map_up_to_the_cap(self, a, b):
+        params = QuadraticParams(a, b)
+        for first in ("", "0", "0" * b, "0" * (a - 1), "010"):
+            for cap in [*range(0, 80), 1000, 5000]:
+                expected, w = [], first
+                while len(w) <= cap:
+                    expected.append(w)
+                    w = t_map(w, params)
+                assert list(t_orbit(first, params, cap)) == expected
+
+    @pytest.mark.parametrize("cap", [0, 1, 6, 7, 8, 30, 31, 1000, 10 ** 5])
+    def test_no_word_over_the_cap_is_built(self, built, cap):
+        words = list(t_orbit("0", P31, cap))
+        assert all(n <= cap for n in built)
+        assert built == [len(w) for w in words[1:]]
+
+    def test_builds_each_image_when_asked_for(self, built):
+        orbit = t_orbit("0", P31, 10 ** 6)
+        assert next(orbit) == "0" and built == []
+        assert next(orbit) == "0100010" and built == [7]
+
+
+class TestUVTowerWords:
+    def test_first_words_kept_under_a_small_cap(self):
+        params = QuadraticParams(7, 3)
+        for cap in range(0, 7):
+            tower = uv_tower(params, 5, materialize_cap=cap)
+            assert tower.u_words == ["000000"]
+            assert tower.v_words == ["000"]
+            assert tower.materialized_depth == 1
+            assert tower.u_length(5) > 6
+
+    def test_words_within_the_cap_and_the_depth(self, built):
+        tower = uv_tower(P31, 6, materialize_cap=300)
+        assert tower.u_words == list(t_orbit("00", P31, 300))[:6]
+        assert tower.v_words == list(t_orbit("0", P31, 300))[:6]
+        assert all(n <= 300 for n in built)
+
+    def test_computed_fields_are_not_init_parameters(self):
+        with pytest.raises(TypeError):
+            UVTower(P31, 3, u_words=["x"])
+
+
+class TestBranchTowers:
+    @pytest.mark.parametrize("a,b", [(3, 1), (4, 2), (5, 2), (4, 1)])
+    @pytest.mark.parametrize("budget", [0, 2, 3000])
+    def test_each_tower_built_once_within_budget(self, built, a, b, budget):
+        params = QuadraticParams(a, b)
+        towers = [list(t_orbit("0" * b, params, budget))]
+        if (a % 2, b % 2) == (1, 0):  # the one case with a W branch
+            towers.append(list(t_orbit("0", params, budget)))
+        built.clear()
+        infinite_branches(params, budget)
+        assert all(n <= budget for n in built)
+        assert sorted(built) == sorted(len(w) for t in towers for w in t[1:])
+
+
+class TestTable:
+    def test_column(self):
+        table = factor_complexity(P31, 12, "closed_form")
+        c = [2, 3, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18]
+        assert table.column("n") == list(range(1, 13))
+        assert table.column("C") == c
+        assert table.column("deltaC")[:11] == [y - x for x, y in zip(c, c[1:])]
+        with pytest.raises(KeyError):
+            table.column("P")
+
+    def test_csv_lines_end_with_lf(self):
+        table = Table(("n", "agree"), [{"n": 1, "agree": ""},
+                                       {"n": 2, "agree": "yes"}])
+        assert table.to_csv() == "n,agree\n1,\n2,yes\n"
+
+    @pytest.mark.parametrize("a,b", [(3, 1), (4, 3)])
+    def test_analyze_csv_is_the_table_of_its_json_rows(self, a, b):
+        def analyze(fmt):
+            return subprocess.run(
+                [sys.executable, "-m", "betawords.cli", "analyze", "--a", str(a),
+                 "--b", str(b), "--n-max", "15", "--format", fmt],
+                capture_output=True, text=True, check=True).stdout
+
+        rows = json.loads(analyze("json"))["rows"]
+        fields = ("n", "C", "deltaC", "P", "agree")
+        assert analyze("csv") == Table(fields, rows).to_csv()

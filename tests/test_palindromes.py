@@ -239,7 +239,7 @@ class TestReversalClosure:
 class TestPalindromicComplexity:
     def test_oracle_spot_values_31(self):
         table = palindromic_complexity(quadratic_substitution(P31), 14, "oracle")
-        p = table.p_values()
+        p = table.column("P")
         assert p[0] == 1 and p[1] == 2 and p[2] == 1
         assert p[3] == p[5] == p[7] == 3
         assert p[9] == p[11] == 4
@@ -256,18 +256,18 @@ class TestPalindromicComplexity:
         params = QuadraticParams(a, b)
         oracle = palindromic_complexity(quadratic_substitution(params), 60, "oracle")
         closed = palindromic_complexity(params, 60, "closed_form")
-        assert oracle.p_values() == closed.p_values()
+        assert oracle.column("P") == closed.column("P")
 
     def test_bounded_by_four(self):
         for a, b in [(3, 1), (6, 3)]:
             table = palindromic_complexity(QuadraticParams(a, b), 80, "closed_form")
-            assert max(table.p_values()) <= 4
+            assert max(table.column("P")) <= 4
 
     def test_sturmian_oracle(self):
         table = palindromic_complexity(
             quadratic_substitution(QuadraticParams(2, 1)), 61, "oracle"
         )
-        p = table.p_values()
+        p = table.column("P")
         assert all(p[n] == 1 for n in range(0, 62, 2))
         assert all(p[n] == 2 for n in range(1, 62, 2))
 
