@@ -327,6 +327,10 @@ def beta_expand_cmd(a, b, x, digit_count, precision, fmt):
     beta = beta_of(params, precision)
     with workdps(precision):
         k, digit_seq = beta_expand(x, beta, digit_count)
+    if digit_count <= k:
+        raise click.BadParameter(
+            f"must be at least k + 1 = {k + 1}, the digits of x before the point",
+            param_hint="'--digit-count'")
     rendered = _render_expansion(k, digit_seq)
     payload = {"schema": 1, "a": params.a, "b": params.b, "x": x,
                "exponent": k, "digits": list(digit_seq),

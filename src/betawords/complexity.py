@@ -125,13 +125,15 @@ class UVTower:
 
     def lengths_json(self) -> dict:
         """Lengths as decimal strings (they outgrow doubles quickly)."""
-        return {
-            "schema": 1,
-            "a": self.params.a,
-            "b": self.params.b,
-            "u_lengths": [str(self.u_length(n)) for n in range(1, self.depth + 1)],
-            "v_lengths": [str(self.v_length(n)) for n in range(1, self.depth + 1)],
-        }
+        try:
+            u = [str(self.u_length(n)) for n in range(1, self.depth + 1)]
+            v = [str(self.v_length(n)) for n in range(1, self.depth + 1)]
+        except ValueError as exc:  # past Python's limit on int-to-str digits
+            raise InvalidInputError(
+                f"U/V lengths at depth {self.depth} have too many decimal digits"
+            ) from exc
+        return {"schema": 1, "a": self.params.a, "b": self.params.b,
+                "u_lengths": u, "v_lengths": v}
 
 
 def uv_tower(params: QuadraticParams, depth: int,

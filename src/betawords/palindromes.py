@@ -2,8 +2,10 @@
 
 Covers palindromic factors and their extensions, centers, the towers of
 maximal and two-extension palindromes, infinite palindromic branches, and
-the closed-form palindromic complexity, which splits into four cases by the
-parities of (a, b).  The four cases live in a data table so they can be
+the closed-form palindromic complexity.  The centers of the towers, the
+step d with V^(n) central in V^(n+d) and the branch plan all follow from one
+lemma, `center_evolution`: the center of T(p) from the center of p.  Only
+the P(n) clauses remain a per-parity table, so its four cases can be
 audited side by side.
 
 Like Delta C in `complexity`, P(n) is read off the one tower recurrence
@@ -117,47 +119,14 @@ def center_evolution(center: str, params: QuadraticParams) -> str:
     raise InvalidInputError(f"unknown center {center!r}")
 
 
-def _parity_key(params: QuadraticParams) -> tuple[int, int]:
-    return params.a % 2, params.b % 2
-
-
-def expected_v_center(params: QuadraticParams, n: int) -> str:
-    """Center of V^(n) per parity case."""
-    a_par, b_par = _parity_key(params)
-    if b_par == 0:
-        return "1" if n % 2 == 0 else EPSILON
-    if a_par == 0:  # b odd, a even
-        return ("0", EPSILON, "1")[(n - 1) % 3]
-    return "0"  # both odd
-
-
-def expected_u_center(params: QuadraticParams, n: int) -> str:
-    """Center of U^(n) per parity case."""
-    a_par, b_par = _parity_key(params)
-    if b_par == 0 and a_par == 1:
-        return "1" if n % 2 == 0 else EPSILON
-    if b_par == 0 and a_par == 0:
-        if n == 1:
-            return "0"
-        return EPSILON if n % 2 == 0 else "1"
-    if b_par == 1 and a_par == 0:
-        return ("0", EPSILON, "1")[(n - 1) % 3]
-    # both odd
-    if n == 1:
-        return EPSILON
-    if n == 2:
-        return "1"
-    return "0"
-
-
-def v_containment_step(params: QuadraticParams) -> int:
-    """d such that V^(n) is a central factor of V^(n+d)."""
-    a_par, b_par = _parity_key(params)
-    if b_par == 0:
-        return 2
-    if a_par == 0:
-        return 3
-    return 1
+def _v_centers(params: QuadraticParams) -> list[str]:
+    """Centers of V^(1) = 0^b, V^(2), ... up to their first repeat: V^(n)
+    has center cycle[(n - 1) % d] and is central in V^(n+d), d = len(cycle).
+    """
+    cycle = [center_of("0" * params.b)]
+    while (center := center_evolution(cycle[-1], params)) not in cycle:
+        cycle.append(center)
+    return cycle
 
 
 def is_central_factor(inner: str, outer: str) -> bool:
@@ -174,20 +143,23 @@ def classify_tower_centers(params: QuadraticParams, depth: int) -> dict:
     if params.is_sturmian:
         raise UnsupportedVariantError("towers are undefined for b = a-1")
     tower = uv_tower(params, depth)
+    cycle = _v_centers(params)
+    step = len(cycle)
+    u_expected = center_of("0" * (params.a - 1))  # U^(1)
     rows = []
-    step = v_containment_step(params)
     for n in range(1, tower.materialized_depth + 1):
         u, v = tower.u_word(n), tower.v_word(n)
         row = {
             "n": n,
             "u_center": center_of(u),
             "v_center": center_of(v),
-            "u_expected": expected_u_center(params, n),
-            "v_expected": expected_v_center(params, n),
+            "u_expected": u_expected,
+            "v_expected": cycle[(n - 1) % step],
         }
         if n + step <= tower.materialized_depth:
             row["v_in_later_v"] = is_central_factor(v, tower.v_word(n + step))
         rows.append(row)
+        u_expected = center_evolution(u_expected, params)
     return {"params": (params.a, params.b), "rows": rows}
 
 
@@ -210,17 +182,6 @@ class BranchSpec:
     verified: bool = False
 
 
-def _branch_plan(params: QuadraticParams) -> list[tuple[str, tuple]]:
-    a_par, b_par = _parity_key(params)
-    if b_par == 0 and a_par == 1:
-        return [(EPSILON, ("V", 2, -1)), ("1", ("V", 2, 0)), ("0", ("W",))]
-    if b_par == 0 and a_par == 0:
-        return [(EPSILON, ("V", 2, -1)), ("1", ("V", 2, 0))]
-    if b_par == 1 and a_par == 0:
-        return [("0", ("V", 3, -2)), (EPSILON, ("V", 3, -1)), ("1", ("V", 3, 0))]
-    return [("0", ("V", 1, 0))]
-
-
 def infinite_branches(params: QuadraticParams,
                       length_budget: int = 10 ** 4) -> list[BranchSpec]:
     """Branch specs for the applicable parity case, membership-verified.
@@ -237,8 +198,13 @@ def infinite_branches(params: QuadraticParams,
         raise InvalidInputError("length budget must be >= 0")
     lang = language_of(params)
     v_tower = list(t_orbit("0" * params.b, params, length_budget))
+    cycle = _v_centers(params)
+    plan = [(center, ("V", len(cycle), i + 1 - len(cycle)))
+            for i, center in enumerate(cycle)]
+    if params.a % 2 == 1 and params.b % 2 == 0:
+        plan.append(("0", ("W",)))
     specs = []
-    for center, generator in _branch_plan(params):
+    for center, generator in plan:
         if generator == ("W",):
             factors = list(t_orbit("0", params, length_budget))
         else:  # V^(c*k+o) for k >= 1
@@ -367,7 +333,7 @@ def closed_form_p(params: QuadraticParams, n_max: int) -> list[int]:
     """P(n) for 0 <= n <= n_max from the parity-case table."""
     if params.is_sturmian:
         raise UnsupportedVariantError("closed form applies only for a-1 > b")
-    rules = PARITY_CASES[_parity_key(params)]
+    rules = PARITY_CASES[params.a % 2, params.b % 2]
     pairs = tower_intervals(params, n_max + 1)
     values = [rules.even_default, rules.odd_default] * (n_max // 2 + 1)
     del values[n_max + 1:]

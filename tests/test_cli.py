@@ -238,6 +238,8 @@ class TestTopLevel:
     # a digit above floor(beta) = 3 used to come out at precision 0
     ["beta-expand", "--a", "3", "--b", "1", "--x", "3", "--precision", "0"],
     ["beta-integers", "--a", "3", "--b", "1", "--precision", "1"],
+    # 100 has k = 3, so three digits would drop the place values
+    ["beta-expand", "--a", "3", "--b", "1", "--x", "100", "--digit-count", "3"],
     # lengths past Python's 4300-digit limit on int-to-str conversion
     ["specials", "--a", "3", "--b", "1", "--n", "1", "--tower-depth", "100000"],
     ["palindromes", "--a", "3", "--b", "1", "--n", "2", "--branch-budget", "-1"],

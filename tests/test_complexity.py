@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -116,6 +117,13 @@ class TestUVTower:
         payload = uv_tower(P31, 10).lengths_json()
         assert payload["schema"] == 1
         assert all(re.fullmatch(r"\d+", s) for s in payload["u_lengths"])
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no limit on int-to-str conversion")
+    def test_lengths_json_past_the_digit_limit_is_invalid_input(self):
+        # |U^(20000)| of (3, 1) has over 10^4 decimal digits
+        with pytest.raises(InvalidInputError):
+            uv_tower(P31, 20000).lengths_json()
 
 
 class TestSpecialFactors:

@@ -172,6 +172,38 @@ class TestTowerCenters:
             classify_tower_centers(QuadraticParams(2, 1), 4)
 
 
+# The paper's per-parity statements, keyed by (a mod 2, b mod 2): the centers
+# of U^(1..9) and V^(1..9), one letter each (EPSILON is "e"), the step d with
+# V^(n) central in V^(n+d), and the (center, generator) list of the branches.
+PAPER_CASES = {
+    (1, 0): ("e1e1e1e1e", "e1e1e1e1e", 2,
+             [(EPSILON, ("V", 2, -1)), ("1", ("V", 2, 0)), ("0", ("W",))]),
+    (0, 0): ("0e1e1e1e1", "e1e1e1e1e", 2,
+             [(EPSILON, ("V", 2, -1)), ("1", ("V", 2, 0))]),
+    (0, 1): ("0e10e10e1", "0e10e10e1", 3,
+             [("0", ("V", 3, -2)), (EPSILON, ("V", 3, -1)), ("1", ("V", 3, 0))]),
+    (1, 1): ("e10000000", "000000000", 1, [("0", ("V", 1, 0))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAPER_CASES), ids=str)
+def test_centers_and_branches_match_the_paper(case):
+    u_centers, v_centers, step, plan = PAPER_CASES[case]
+    grid = [(a, b) for a in range(3, 13) for b in range(1, a - 1)
+            if (a % 2, b % 2) == case]
+    assert grid
+    for a, b in grid:
+        params = QuadraticParams(a, b)
+        rows = classify_tower_centers(params, 9)["rows"]
+        assert len(rows) >= 4, (a, b)
+        assert "".join(row["u_expected"] for row in rows) == u_centers[:len(rows)]
+        assert "".join(row["v_expected"] for row in rows) == v_centers[:len(rows)]
+        assert [row["n"] for row in rows if "v_in_later_v" in row] == \
+            list(range(1, len(rows) - step + 1)), (a, b)
+        specs = infinite_branches(params, 100)
+        assert [(s.center, s.generator) for s in specs] == plan, (a, b)
+
+
 class TestBranches:
     def test_case_iv_single_branch(self):
         specs = infinite_branches(P31, 2000)
