@@ -3,16 +3,20 @@
 All floating computations run under mpmath with a caller-selected decimal
 precision (default 64 digits).  Beta-integers are produced in Parry order,
 (length, lexicographic) order on admissible digit strings, with no sort.
+Their gaps are classified exactly in Z[beta], as integer coordinates
+reduced by the Parry relation; mpf only evaluates the values for printing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import sub
 
 from mpmath import mp, mpf, sqrt as mpsqrt, workdps
 
-from .errors import InvalidInputError, InvalidParamsError, PrecisionError
+from .errors import (InvalidInputError, InvalidParamsError, PrecisionError,
+                     VerificationError)
 
 DEFAULT_PRECISION = 64
 
@@ -335,30 +339,69 @@ def gap_distances(renyi: RenyiExpansion, beta: BetaValue) -> GapDistances:
     return GapDistances(values=tuple(values), precision=beta.precision)
 
 
-def _admissible_strings(renyi: RenyiExpansion, beta, level, limit: int):
+def _exact_gaps(renyi: RenyiExpansion) -> tuple[tuple[int, ...], dict]:
+    """The Parry relation and the gap letters by exact coordinates.
+
+    Elements of Z[beta] are carried as integer coordinates over 1, beta, ...,
+    beta^(d-1), d = m + p, reduced by the relation of d_beta(1),
+    beta^d = sum_(i<=d) t_i beta^(d-i) + beta^m - sum_(i<=m) t_i beta^(m-i),
+    returned as its coefficients r_0 .. r_(d-1) of 1 .. beta^(d-1).  The map
+    sends the coordinates of each Delta_k = beta^k - t_1 beta^(k-1) - ... - t_k,
+    k < d, to the letter of the first Delta_j equal to it; for j, k >= 1,
+    Delta_j = Delta_k iff sigma^j d_beta(1) = sigma^k d_beta(1).  Past d the
+    relation folds Delta_k onto Delta_(k-p), so these are all the gaps.
+    """
+    m, d, t = renyi.m, renyi.m + renyi.p, renyi.digit
+    relation = [t(d - j) for j in range(d)]
+    relation[m] += 1
+    for j in range(m):
+        relation[j] -= t(m - j)
+    # a window of d digits past index k reaches p digits past the preperiod
+    tails = [tuple(t(k + i) for i in range(1, d + 1)) for k in range(d)]
+    names, delta = {}, (1,) + (0,) * (d - 1)
+    for k in range(d):
+        if k:
+            delta = _times_beta(delta, relation)
+            delta = (delta[0] - t(k), *delta[1:])
+        names.setdefault(delta, _letter(tails.index(tails[k], 1) if k else 0))
+    return tuple(relation), names
+
+
+def _times_beta(coords: tuple, relation: tuple) -> list[int]:
+    """Coordinates of beta * x from those of x: a shift and one reduction."""
+    top = coords[-1]
+    return [top * r + c for r, c in zip(relation, (0, *coords))]
+
+
+def _admissible_strings(renyi: RenyiExpansion, beta, relation, level,
+                        limit: int):
     """The first `limit` admissible strings one digit longer than `level`.
 
     A string x_{k-1}..x_0 is admissible iff every suffix, read from its most
     significant digit and padded with zeros, is strictly below d_beta(1).  A
-    string is carried as (value, matched): its Horner value at `beta` and the
-    lengths j of its suffixes equal to t_1..t_j, so a digit above t_{j+1}, or
-    above t_1, kills an extension; undecided suffixes end in zeros, below the
-    infinite tail of d_beta(1).  Extending the strings of one length, in
+    string is carried as (value, coords, matched): its Horner value at
+    `beta`, its exact coordinates in Z[beta] (see `_exact_gaps`) and the
+    lengths j of its suffixes equal to t_1..t_j, so a digit above t_{j+1},
+    or above t_1, kills an extension; undecided suffixes end in zeros, below
+    the infinite tail of d_beta(1).  Extending the strings of one length, in
     lexicographic order, by their digits in increasing order keeps that
-    order.  The empty string's level [(0, [])] extends by nonzero digits only.
+    order.  The empty string's level, with value and coordinates 0 and no
+    matched suffix, extends by nonzero digits only.
     """
     t = renyi.digit
     t1 = t(1)
     lo = 0 if level[0][0] else 1
     children = []
-    for value, matched in level:
+    for value, coords, matched in level:
         refs = [(j + 1, t(j + 1)) for j in matched]
         top = min([r for _, r in refs] + [t1])
+        value = value * beta
+        head, *tail = _times_beta(coords, relation)
         for c in range(lo, top + 1):
             nxt = [k for k, r in refs if r == c]
             if c == t1:
                 nxt.append(1)
-            children.append((value * beta + c, nxt))
+            children.append((value + c, (head + c, *tail), nxt))
             if len(children) == limit:
                 return children
     return children
@@ -372,7 +415,8 @@ def beta_integers(renyi: RenyiExpansion, beta: BetaValue,
     without a leading zero.  By Parry's theorem numeric order on these
     strings is (length, lexicographic) order, so they are produced in that
     order, level by level, with no sort, and generation stops at `count`.
-    Each gap is coded by the index of the matching Delta_k.
+    Each gap is coded by the index of the first Delta_k it equals, decided
+    exactly in Z[beta]; `beta` only evaluates the values.
     """
     if count < 2:
         raise InvalidInputError("count must be >= 2")
@@ -381,19 +425,25 @@ def beta_integers(renyi: RenyiExpansion, beta: BetaValue,
         raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
     if renyi.is_simple:
         raise InvalidInputError("simple (finite) expansions are not supported here")
-    deltas = gap_distances(renyi, beta)
+    if unity_defect(renyi, beta) > mpf(10) ** (-beta.precision // 2):
+        raise InvalidInputError("beta is not the root of these digits")
+    relation, names = _exact_gaps(renyi)
+    last = (0,) * len(relation)
     with workdps(beta.precision):
-        values = [mpf(0)]
-        level = [(values[0], [])]
+        values, letters = [mpf(0)], []
+        level = [(values[0], last, [])]
         while len(values) < count:
-            level = _admissible_strings(renyi, beta.value, level,
+            level = _admissible_strings(renyi, beta.value, relation, level,
                                         count - len(values))
-            values += [value for value, _ in level]
-        letters = "".join(
-            _letter(deltas.classify(values[i + 1] - values[i]))
-            for i in range(count - 1)
-        )
-    return values, letters
+            for value, coords, _ in level:
+                gap = tuple(map(sub, coords, last))
+                if gap not in names:
+                    raise VerificationError(
+                        f"gap {len(values) - 1} is no Delta_k", {"gap": gap})
+                values.append(value)
+                letters.append(names[gap])
+                last = coords
+    return values, "".join(letters)
 
 
 def _letter(index: int) -> str:

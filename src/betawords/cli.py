@@ -287,7 +287,7 @@ def palindromes(a, b, n, branch_budget, fmt):
     lines += [f"  {r.word}  center={r.center} ext={''.join(sorted(r.extensions)) or '-'}"
               for r in records]
     if not params.is_sturmian:
-        branches = infinite_branches(params, branch_budget)
+        branches = infinite_branches(params, branch_budget, lang)
         payload["branches"] = [
             {"center": s.center, "generator": list(s.generator),
              "verified": s.verified,
@@ -356,6 +356,11 @@ def beta_integers_cmd(a, b, digits, count, precision, fmt):
     _, params, renyi = _subject(a, b, digits)
     beta = beta_of(params, precision) if params else beta_of_renyi(renyi, precision)
     values, letters = beta_integers(renyi, beta, count)
+    # the letters are exact; the values are only as good as the precision
+    if any(x >= y for x, y in zip(values, values[1:])):
+        raise PrecisionError(
+            f"precision {precision} does not separate consecutive "
+            "beta-integers; increase --precision")
     shown = [nstr(v, 12) for v in values]
     payload = {"schema": 1, "digits": str(renyi), "count": count,
                "values": shown, "gap_letters": letters}

@@ -8,8 +8,9 @@ The letter counts of both towers come from one recurrence, `_tower_counts`.
 The towers read it directly; both closed forms, this one and P(n) in
 `palindromes`, read it through `tower_intervals`.  Every tower word, here
 and in the palindromic branches, comes from one T-orbit builder, `t_orbit`,
-and every per-length table, here, in `palindromes` and in the CLI, is one
-`Table`.
+which joins T^k(w) = P_k phi^k(w) S_k from phi^k(0), phi^k(1) and the
+T-prefix and T-suffix P_k, S_k, and every per-length table, here, in
+`palindromes` and in the CLI, is one `Table`.
 """
 
 from __future__ import annotations
@@ -55,15 +56,30 @@ def _tower_counts(params: QuadraticParams):
 def t_orbit(word: str, params: QuadraticParams, cap: int):
     """w, T(w), T^2(w), ... while the words have at most `cap` letters.
 
-    The letter counts of each image are checked before it is built, so no
-    word over the cap is materialized.
+    T^k(w) = P_k phi^k(w) S_k, where P_(k+1) = P_k phi^k(0^b 1) and
+    S_(k+1) = phi^k(0^b) S_k, with phi^(k+1)(0) = phi^k(0)^a phi^k(1) and
+    phi^(k+1)(1) = phi^k(0)^b phi^k(1).  So each image is joined from a few
+    words (`_t_image`), with no pass over the previous one.  The letter
+    counts of each image are checked before it is built, so no word over
+    the cap is materialized.
     """
     counts = (word.count("0"), word.count("1"))
+    if sum(counts) != len(word):
+        raise InvalidInputError("word uses a letter outside the alphabet")
+    image, zero, one, prefix, suffix = word, "0", "1", "", ""
     while sum(counts) <= cap:
-        yield word
+        yield image
         counts = _t_counts(*counts, params)
         if sum(counts) <= cap:
-            word = t_map(word, params)
+            zeros = zero * params.b
+            prefix, suffix = prefix + zeros + one, zeros + suffix
+            zero, one = zero * params.a + one, zeros + one
+            image = _t_image(word, zero, one, prefix, suffix)
+
+
+def _t_image(first: str, zero: str, one: str, prefix: str, suffix: str) -> str:
+    """P_k phi^k(first) S_k, given phi^k(0), phi^k(1), P_k and S_k."""
+    return "".join([prefix, *(zero if c == "0" else one for c in first), suffix])
 
 
 @dataclass

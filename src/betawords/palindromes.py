@@ -183,20 +183,22 @@ class BranchSpec:
 
 
 def infinite_branches(params: QuadraticParams,
-                      length_budget: int = 10 ** 4) -> list[BranchSpec]:
+                      length_budget: int = 10 ** 4,
+                      lang: FactorLanguage | None = None) -> list[BranchSpec]:
     """Branch specs for the applicable parity case, membership-verified.
 
     Central factors are materialized while their length is within the
     budget, each tower once per call, and each is checked to be a
-    palindromic factor with the declared center and a central factor of its
-    successor.  A branch with no central factor within the budget is not
-    verified.
+    palindromic factor, in `lang`, the language of the parameters'
+    substitution, or a new one, with the declared center and a central
+    factor of its successor.  A branch with no central factor within the
+    budget is not verified.
     """
     if params.is_sturmian:
         raise UnsupportedVariantError("branch analysis requires a-1 > b")
     if length_budget < 0:
         raise InvalidInputError("length budget must be >= 0")
-    lang = language_of(params)
+    lang = language_of(params) if lang is None else lang
     v_tower = list(t_orbit("0" * params.b, params, length_budget))
     cycle = _v_centers(params)
     plan = [(center, ("V", len(cycle), i + 1 - len(cycle)))

@@ -10,6 +10,7 @@ from betawords import (
     PrecisionError,
     QuadraticParams,
     RenyiExpansion,
+    VerificationError,
     beta_expand,
     beta_integers,
     beta_of,
@@ -23,6 +24,11 @@ from betawords import (
     renyi_of_quadratic,
     unity_defect,
 )
+from betawords import beta_numeration
+
+
+# the benchmark's four expansions and the non-minimal "2 1 (1)"
+BENCHMARK_DIGITS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "2 1 (1)"]
 
 
 class TestRenyiExpansion:
@@ -236,6 +242,41 @@ class TestBetaIntegers:
         with pytest.raises(InvalidInputError):
             beta_integers(renyi_of_quadratic(params), beta_of(params, 64), 1)
 
+    def test_beta_of_other_digits_rejected(self):
+        renyi = renyi_of_quadratic(QuadraticParams(3, 1))
+        with pytest.raises(InvalidInputError):
+            beta_integers(renyi, beta_of(QuadraticParams(4, 2), 64), 5)
+
+    @pytest.mark.parametrize("digits", BENCHMARK_DIGITS)
+    def test_letters_do_not_depend_on_the_precision(self, digits):
+        renyi = RenyiExpansion.parse(digits)
+        _, exact = beta_integers(renyi, beta_of_renyi(renyi, 64), 3000)
+        for precision in (2, 5, 16):
+            beta = beta_of_renyi(renyi, precision)
+            assert beta_integers(renyi, beta, 3000)[1] == exact, precision
+
+    def test_gaps_are_not_classified_in_mpf(self, monkeypatch):
+        def refuse(self, gap, tolerance=None):
+            raise AssertionError("GapDistances.classify called")
+
+        monkeypatch.setattr(beta_numeration.GapDistances, "classify", refuse)
+        for digits in BENCHMARK_DIGITS:
+            renyi = RenyiExpansion.parse(digits)
+            beta_integers(renyi, beta_of_renyi(renyi, 64), 500)
+
+    def test_a_gap_that_is_no_delta_k_raises(self, monkeypatch):
+        real = beta_numeration._exact_gaps
+
+        def without_delta_one(renyi):
+            relation, names = real(renyi)
+            return relation, {k: v for k, v in names.items() if v != "1"}
+
+        monkeypatch.setattr(beta_numeration, "_exact_gaps", without_delta_one)
+        params = QuadraticParams(3, 1)
+        beta_integers(renyi_of_quadratic(params), beta_of(params, 64), 4)
+        with pytest.raises(VerificationError):
+            beta_integers(renyi_of_quadratic(params), beta_of(params, 64), 5)
+
 
 def brute_force_integers(renyi, beta, max_length):
     """0 and the values of every admissible string of at most `max_length`
@@ -279,7 +320,9 @@ def assert_stream_matches_brute_force(renyi, max_length, counts):
         assert gaps == letters[: count - 1], count
 
 
-STREAM_DIGITS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "2 1 (1)"] + [
+# "4 1 1 (2 1)" is non-minimal with Delta_2 = Delta_4: rounding must not
+# split its gaps between the letters 2 and 4
+STREAM_DIGITS = BENCHMARK_DIGITS + ["4 1 1 (2 1)"] + [
     f"{a} ({b})" for a in range(3, 7) for b in range(1, a - 1)]
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from betawords import cli as cli_module
+from betawords.language import FactorLanguage
 
 
 def cli(*args):
@@ -256,6 +257,22 @@ def _run_in_process(monkeypatch, capsys, *argv):
     with pytest.raises(SystemExit) as stop:
         cli_module.run()
     return stop.value.code, capsys.readouterr()
+
+
+def test_palindromes_builds_one_oracle(monkeypatch, capsys):
+    built = []
+    real = FactorLanguage.__init__
+
+    def counted(self, substitution):
+        built.append(substitution)
+        real(self, substitution)
+
+    monkeypatch.setattr(FactorLanguage, "__init__", counted)
+    monkeypatch.setattr(sys, "argv", ["betawords", "palindromes", "--a", "3",
+                                      "--b", "1", "--n", "4"])
+    cli_module.run()
+    assert "verified=True" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def _corrupt(monkeypatch, name, column, index):

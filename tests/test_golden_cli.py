@@ -130,9 +130,12 @@ GOLDEN = [
     (["beta-integers", "--digits", "4 (2)", "--count", "2000", "--format", "json"], 0,
      "9e33f669e3565882e3e001fb856aa3962f923bcb01f9ee4e9ff7251e1b6531c9",
      EMPTY),
-    (["beta-integers", "--a", "3", "--b", "1", "--count", "20", "--precision", "5"], 3,
+    (["beta-integers", "--a", "3", "--b", "1", "--count", "20", "--precision", "5"], 0,
+     "108a6f629f006a7e4ad1f268b51ed157bc94e886d0665227be273f3b85f8d314",
+     EMPTY),
+    (["beta-integers", "--a", "3", "--b", "1", "--count", "3000", "--precision", "2"], 3,
      EMPTY,
-     "34f6f487bc7f048695a32b56d5635c7b1d4e9baa0992099f534f8efc5f906bfa"),
+     "ba682aee3bcf5bfe85e95663400b1a3ed13dc2508da02f15129905665ecd4858"),
 ]
 
 

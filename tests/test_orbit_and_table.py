@@ -8,10 +8,12 @@ is a `Table`.
 import json
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
 from betawords import (
+    InvalidInputError,
     QuadraticParams,
     Table,
     UVTower,
@@ -30,14 +32,14 @@ P31 = QuadraticParams(3, 1)
 def built(monkeypatch) -> list[int]:
     """The lengths of the T-images the package builds, in order."""
     lengths = []
-    real = complexity.t_map
+    real = complexity._t_image
 
-    def counted(word, params):
-        image = real(word, params)
+    def counted(*words):
+        image = real(*words)
         lengths.append(len(image))
         return image
 
-    monkeypatch.setattr(complexity, "t_map", counted)
+    monkeypatch.setattr(complexity, "_t_image", counted)
     return lengths
 
 
@@ -45,13 +47,30 @@ class TestTOrbit:
     @pytest.mark.parametrize("a,b", [(3, 1), (4, 2), (5, 2), (7, 4)])
     def test_equals_iterated_t_map_up_to_the_cap(self, a, b):
         params = QuadraticParams(a, b)
-        for first in ("", "0", "0" * b, "0" * (a - 1), "010"):
+        for first in ("", "0", "1", "0" * b, "0" * (a - 1), "010"):
             for cap in [*range(0, 80), 1000, 5000]:
                 expected, w = [], first
                 while len(w) <= cap:
                     expected.append(w)
                     w = t_map(w, params)
                 assert list(t_orbit(first, params, cap)) == expected
+
+    @pytest.mark.parametrize("a", range(3, 13))
+    def test_equals_iterated_t_map_at_the_benchmark_depth_and_cap(self, a):
+        # the towers job builds U/V to depth 200 under a cap of 10^6 letters
+        for b in range(1, a - 1):
+            params = QuadraticParams(a, b)
+            for first in ("0" * b, "0" * (a - 1)):
+                expected, w = [], first
+                while len(w) <= 10 ** 6 and len(expected) < 200:
+                    expected.append(w)
+                    w = t_map(w, params)
+                assert list(islice(t_orbit(first, params, 10 ** 6), 200)) \
+                    == expected
+
+    def test_rejects_a_letter_outside_the_alphabet(self):
+        with pytest.raises(InvalidInputError):
+            next(t_orbit("012", P31, 100))
 
     @pytest.mark.parametrize("cap", [0, 1, 6, 7, 8, 30, 31, 1000, 10 ** 5])
     def test_no_word_over_the_cap_is_built(self, built, cap):
