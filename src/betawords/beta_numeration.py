@@ -125,7 +125,7 @@ def parry_check(renyi: RenyiExpansion) -> tuple[bool, int | None]:
     m, p = renyi.m, renyi.p
     window = m + 2 * p + 1
     ref = renyi.digits(window + m + p)
-    for j in range(2, m + p + 1):
+    for j in range(2, m + p + 2):
         shifted = tuple(renyi.digit(j + i) for i in range(window))
         if shifted >= ref[:window]:
             return False, j
@@ -307,20 +307,6 @@ class GapDistances:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def classify(self, gap, tolerance=mpf("1e-9")) -> int:
-        """Index k of the distance matching gap within tolerance."""
-        best, best_err = None, None
-        for k, delta in enumerate(self.values):
-            err = abs(gap - delta)
-            if best_err is None or err < best_err:
-                best, best_err = k, err
-        if best_err is None or best_err > tolerance:
-            raise PrecisionError(
-                f"gap {gap} matches no distance within {tolerance}; "
-                "increase working precision"
-            )
-        return best
 
 
 def gap_distances(renyi: RenyiExpansion, beta: BetaValue) -> GapDistances:

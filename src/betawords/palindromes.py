@@ -393,10 +393,9 @@ def palindromic_complexity(
 # Identity suite
 # ---------------------------------------------------------------------------
 
-def verify_identities(params: QuadraticParams, n_max: int,
-                      lang: FactorLanguage | None = None) -> dict:
-    """Check the palindromic/factor-complexity identities with oracle values
-    from `lang`, the language of the parameters' substitution, or a new one.
+def verify_identities(params: QuadraticParams, c: list[int], p: list[int]) -> dict:
+    """Check the palindromic/factor-complexity identities on the columns
+    c = [C(0) .. C(n_max+3)] and p = [P(0) .. P(n_max+2)], n_max >= 1.
 
     Verifies, for 1 <= n <= n_max:
       * P(n+1) + P(n) = Delta C(n) + 2
@@ -406,9 +405,11 @@ def verify_identities(params: QuadraticParams, n_max: int,
     """
     if params.is_sturmian:
         raise UnsupportedVariantError("identity suite requires a-1 > b")
-    lang = language_of(params) if lang is None else lang
-    c = [lang.complexity(n) for n in range(0, n_max + 4)]
-    p = [len(palindromes_of_length(lang, n)) for n in range(0, n_max + 3)]
+    n_max = len(p) - 3
+    if len(c) != n_max + 4 or n_max < 1:
+        raise InvalidInputError(
+            "need C(0..n_max+3) and P(0..n_max+2) with n_max >= 1, "
+            f"got {len(c)} and {len(p)} values")
     delta = [c[n + 1] - c[n] for n in range(0, n_max + 3)]
     v_lengths, u_lengths = _tower_length_sets(params, n_max)
 

@@ -94,7 +94,11 @@ def test_criterion_3_palindromic_complexity_grid():
 def test_criterion_4_identity_suite():
     def body():
         for a, b in GRID:
-            assert verify_identities(QuadraticParams(a, b), 120)["ok"], (a, b)
+            params = QuadraticParams(a, b)
+            lang = FactorLanguage(quadratic_substitution(params))
+            c = [1, *factor_complexity(lang, 123).column("C")]
+            p = palindromic_complexity(lang, 122).column("P")
+            assert verify_identities(params, c, p)["ok"], (a, b)
 
     report(4, "P/C identities hold on the grid, n <= 120", body)
 

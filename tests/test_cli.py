@@ -1,17 +1,24 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from betawords import cli as cli_module
+from betawords import palindromes as palindromes_module
 from betawords.language import FactorLanguage
+
+# the children import the package these tests import, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(cli_module.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "betawords.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
 
 
@@ -245,6 +252,9 @@ class TestTopLevel:
     ["specials", "--a", "3", "--b", "1", "--n", "1", "--tower-depth", "100000"],
     ["palindromes", "--a", "3", "--b", "1", "--n", "2", "--branch-budget", "-1"],
     ["palindromes", "--a", "5", "--b", "2", "--n", "2", "--branch-budget", "-7"],
+    # purely periodic digits: sigma^p(t) = t, so they fail the Parry criterion
+    ["beta-integers", "--digits", "(3 1)"],
+    ["word", "--digits", "(2 1)"],
 ])
 def test_outside_input_exits_2_without_traceback(argv):
     result = cli(*argv)
@@ -273,6 +283,30 @@ def test_palindromes_builds_one_oracle(monkeypatch, capsys):
     cli_module.run()
     assert "verified=True" in capsys.readouterr().out
     assert len(built) == 1
+
+
+def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
+    built, counted_lengths = [], []
+    real_init = FactorLanguage.__init__
+    real_count = palindromes_module.palindromes_of_length
+
+    def init(self, substitution):
+        built.append(substitution)
+        real_init(self, substitution)
+
+    def count(lang, n):
+        counted_lengths.append(n)
+        return real_count(lang, n)
+
+    monkeypatch.setattr(FactorLanguage, "__init__", init)
+    monkeypatch.setattr(palindromes_module, "palindromes_of_length", count)
+    monkeypatch.setattr(sys, "argv", ["betawords", "verify", "--a-max", "4",
+                                      "--n-max", "20"])
+    cli_module.run()
+    assert "passed 3/3" in capsys.readouterr().out
+    # P(0) .. P(n_max + 2) at each of the three points, each counted once
+    assert len(built) == 3
+    assert counted_lengths == list(range(20 + 3)) * 3
 
 
 def _corrupt(monkeypatch, name, column, index):

@@ -6,9 +6,11 @@ is a `Table`.
 """
 
 import json
+import os
 import subprocess
 import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,9 @@ from betawords import (
 )
 
 P31 = QuadraticParams(3, 1)
+# the children import the package these tests import, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(complexity.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture
@@ -140,7 +145,7 @@ class TestTable:
             return subprocess.run(
                 [sys.executable, "-m", "betawords.cli", "analyze", "--a", str(a),
                  "--b", str(b), "--n-max", "15", "--format", fmt],
-                capture_output=True, text=True, check=True).stdout
+                capture_output=True, text=True, check=True, env=CHILD_ENV).stdout
 
         rows = json.loads(analyze("json"))["rows"]
         fields = ("n", "C", "deltaC", "P", "agree")

@@ -9,11 +9,13 @@ from betawords import (
     QuadraticParams,
     RenyiExpansion,
     UnsupportedVariantError,
+    VerificationError,
     center_evolution,
     center_of,
     classify_tower_centers,
     closed_form_delta_c,
     closed_form_p,
+    factor_complexity,
     infinite_branches,
     palindromes_of_length,
     palindromic_complexity,
@@ -34,6 +36,13 @@ P31 = QuadraticParams(3, 1)
 @pytest.fixture(scope="module")
 def lang31():
     return FactorLanguage(quadratic_substitution(P31))
+
+
+def oracle_columns(params, n_max):
+    """C(0) .. C(n_max+3) and P(0) .. P(n_max+2) from one oracle."""
+    lang = FactorLanguage(quadratic_substitution(params))
+    return ([1, *factor_complexity(lang, n_max + 3).column("C")],
+            palindromic_complexity(lang, n_max + 2).column("P"))
 
 
 class TestCenters:
@@ -323,7 +332,8 @@ class TestPalindromicComplexity:
 class TestIdentities:
     @pytest.mark.parametrize("a,b", [(3, 1), (4, 2), (4, 1)])
     def test_verify_passes(self, a, b):
-        report = verify_identities(QuadraticParams(a, b), 50)
+        params = QuadraticParams(a, b)
+        report = verify_identities(params, *oracle_columns(params, 50))
         assert report["ok"]
 
     def test_spot_checks_31(self, lang31):
@@ -335,7 +345,27 @@ class TestIdentities:
 
     def test_sturmian_rejected(self):
         with pytest.raises(UnsupportedVariantError):
-            verify_identities(QuadraticParams(2, 1), 10)
+            verify_identities(QuadraticParams(2, 1),
+                              *oracle_columns(QuadraticParams(2, 1), 10))
+
+    def test_changed_p_names_the_first_broken_identity(self):
+        c, p = oracle_columns(P31, 20)
+        p[9] += 1
+        with pytest.raises(VerificationError) as caught:
+            verify_identities(P31, c, p)
+        # P(9) - P(7) is checked at n = 7 = |V^(2)| before P(9) + P(8) at n = 8
+        assert str(caught.value) == \
+            "P(n+2)-P(n) tower rule violated at n=7: expected 1, got 2"
+        assert caught.value.context == {
+            "params": (3, 1), "n": 7, "identity": "P(n+2)-P(n) tower rule",
+            "expected": 1, "actual": 2, "C": c[:23], "P": p[:23]}
+
+    @pytest.mark.parametrize("c_len,p_len", [(24, 22), (23, 23), (4, 3), (0, 0)])
+    def test_bad_column_lengths_rejected(self, c_len, p_len):
+        # n_max = len(p) - 3 must be >= 1 and len(c) must be n_max + 4
+        c, p = oracle_columns(P31, 20)
+        with pytest.raises(InvalidInputError):
+            verify_identities(P31, c[:c_len], p[:p_len])
 
     @pytest.mark.parametrize("a,b", [(a, b) for a in range(3, 7)
                                      for b in range(1, a - 1)])
