@@ -1,10 +1,12 @@
 """Arithmetic of Parry numbers: Renyi expansions, beta-expansions, beta-integers.
 
 All floating computations run under mpmath with a caller-selected decimal
-precision (default 64 digits).  Beta-integers are produced in Parry order,
-(length, lexicographic) order on admissible digit strings, with no sort.
-Their gaps are classified exactly in Z[beta], as integer coordinates
-reduced by the Parry relation; mpf only evaluates the values for printing.
+precision (default 64 digits).  mpmath is imported on first use, inside the
+functions that evaluate beta; the integer code never loads it.
+Beta-integers are produced in Parry order, (length, lexicographic) order
+on admissible digit strings, with no sort.  Their gaps are classified
+exactly in Z[beta], as integer coordinates reduced by the Parry relation;
+mpf only evaluates the values for printing.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from operator import sub
-
-from mpmath import mp, mpf, sqrt as mpsqrt, workdps
 
 from .errors import (InvalidInputError, InvalidParamsError, PrecisionError,
                      VerificationError)
@@ -175,6 +175,7 @@ class BetaValue:
 
 def beta_of(params: QuadraticParams, precision: int = DEFAULT_PRECISION) -> BetaValue:
     """Larger root of x^2 - (a+1)x + (a-b)."""
+    from mpmath import mpf, sqrt as mpsqrt, workdps
     u, v, d, w = params.exact_beta()
     with workdps(precision):
         value = (mpf(u) + v * mpsqrt(d)) / w
@@ -192,6 +193,7 @@ def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> 
     For m = p = 1 the root comes from the quadratic formula of `beta_of`;
     otherwise it is located by bisection in (t_1, t_1 + 1].
     """
+    from mpmath import mpf, workdps
     ok, shift = parry_check(renyi)
     if not ok:
         raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
@@ -218,6 +220,7 @@ def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> 
 
 def _shifted_tail_sum(renyi: RenyiExpansion, k: int, beta) -> mpf:
     """sum_{i>=1} t_{i+k} beta^(-i) in closed form."""
+    from mpmath import mpf
     m, p = renyi.m, renyi.p
     inv = 1 / mpf(beta)
     total = mpf(0)
@@ -241,6 +244,7 @@ def _shifted_tail_sum(renyi: RenyiExpansion, k: int, beta) -> mpf:
 
 def unity_defect(renyi: RenyiExpansion, beta: BetaValue) -> mpf:
     """|1 - sum t_i beta^(-i)| at the beta value's working precision."""
+    from mpmath import workdps
     with workdps(beta.precision):
         return abs(1 - _shifted_tail_sum(renyi, 0, beta.value))
 
@@ -255,6 +259,7 @@ def beta_expand(x, beta: BetaValue, digit_count: int) -> tuple[int, tuple[int, .
     x = sum digits[i] * beta^(k-i) + remainder, each digit in {0..ceil(beta)-1}.
     Produced by iterating T_beta(y) = beta*y - floor(beta*y) on x / beta^(k+1).
     """
+    from mpmath import mp, mpf, workdps
     if digit_count < 1:
         raise InvalidInputError("digit_count must be >= 1")
     with workdps(beta.precision):
@@ -287,6 +292,7 @@ def beta_expand(x, beta: BetaValue, digit_count: int) -> tuple[int, tuple[int, .
 
 def beta_reconstruct(k: int, digits, beta: BetaValue) -> mpf:
     """sum digits[i] * beta^(k-i); inverse of beta_expand up to truncation."""
+    from mpmath import mpf, workdps
     with workdps(beta.precision):
         total = mpf(0)
         for i, d in enumerate(digits):
@@ -311,6 +317,7 @@ class GapDistances:
 
 def gap_distances(renyi: RenyiExpansion, beta: BetaValue) -> GapDistances:
     """Delta_k = sum_{i>=1} t_{i+k} beta^(-i) for k = 0 .. m+p-1."""
+    from mpmath import mpf, workdps
     with workdps(beta.precision):
         values = [
             _shifted_tail_sum(renyi, k, beta.value) for k in range(renyi.m + renyi.p)
@@ -404,6 +411,7 @@ def beta_integers(renyi: RenyiExpansion, beta: BetaValue,
     Each gap is coded by the index of the first Delta_k it equals, decided
     exactly in Z[beta]; `beta` only evaluates the values.
     """
+    from mpmath import mpf, workdps
     if count < 2:
         raise InvalidInputError("count must be >= 2")
     ok, shift = parry_check(renyi)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification summary failure (verify), 2 usage,
-3 precision, 4 verification failure / oracle disagreement.
+3 precision, 4 verification failure / oracle disagreement.  Only
+`beta-expand` and `beta-integers` evaluate beta, so only they load mpmath.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import sys
 from itertools import count
 
 import click
-from mpmath import nstr, workdps
 
 from .beta_numeration import (
     DEFAULT_PRECISION,
@@ -150,8 +150,9 @@ def verify(a_max, n_max, digits, fmt):
     if digits is not None:
         renyi = RenyiExpansion.parse(digits)
         lang = language_of(parry_substitution(renyi))
-        probe = reversal_closure_probe(lang, min(n_max, 60))
-        pal = palindromic_complexity(lang, min(n_max, 60)).column("P")
+        window = min(n_max, 60)
+        probe = reversal_closure_probe(lang, window)
+        pal = palindromic_complexity(lang, window).column("P")
         last_pal = max((n for n, c in enumerate(pal) if c > 0), default=0)
         payload = {
             "schema": 1, "digits": str(renyi),
@@ -164,7 +165,7 @@ def verify(a_max, n_max, digits, fmt):
             f"digits: {renyi}",
             f"reversal witness: {probe['witness']!r} "
             f"(closed up to n={probe['closed_up_to']})",
-            f"no palindromes beyond length {last_pal}",
+            f"longest palindrome up to length {window}: {last_pal}",
         ])
         return
     points = [(a, b) for a in range(3, a_max + 1) for b in range(1, a - 1)]
@@ -327,8 +328,7 @@ def beta_expand_cmd(a, b, x, digit_count, precision, fmt):
     """Greedy beta-expansion digits of x."""
     params = _params(a, b)
     beta = beta_of(params, precision)
-    with workdps(precision):
-        k, digit_seq = beta_expand(x, beta, digit_count)
+    k, digit_seq = beta_expand(x, beta, digit_count)
     if digit_count <= k:
         raise click.BadParameter(
             f"must be at least k + 1 = {k + 1}, the digits of x before the point",
@@ -355,6 +355,7 @@ def _render_expansion(k, digit_seq):
 @_FORMAT
 def beta_integers_cmd(a, b, digits, count, precision, fmt):
     """First beta-integers and their gap letter sequence."""
+    from mpmath import nstr
     _, params, renyi = _subject(a, b, digits)
     beta = beta_of(params, precision) if params else beta_of_renyi(renyi, precision)
     values, letters = beta_integers(renyi, beta, count)

@@ -88,6 +88,14 @@ class TestVerify:
         assert point["a"] == 3 and point["b"] == 1
         assert all(point["checks"].values())
 
+    def test_digits_text_claims_nothing_past_its_window(self):
+        # P(61) = P(63) = 3 for 3 (1), so the 60-letter window must say so
+        result = cli("verify", "--digits", "3 (1)", "--n-max", "100")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[-1] == \
+            "longest palindrome up to length 60: 59"
+        assert "beyond" not in result.stdout
+
     def test_digits_probe(self):
         result = cli("verify", "--digits", "2 1 (1)", "--format", "json")
         assert result.returncode == 0
@@ -260,6 +268,67 @@ def test_outside_input_exits_2_without_traceback(argv):
     result = cli(*argv)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
+
+
+# mpmath stays off the start-up path: a fresh interpreter imports the
+# package and runs every command that does not evaluate beta without loading
+# it; only beta-expand and beta-integers do
+IMPORT_CHILD = """
+import contextlib, io, json, sys
+import betawords
+from betawords import cli
+
+def run(*args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(list(args), standalone_mode=False)
+    return out.getvalue()
+
+report = {"after_import": "mpmath" in sys.modules}
+run("verify", "--a-max", "4", "--n-max", "10")
+run("verify", "--digits", "3 (2 1)", "--n-max", "20")
+run("analyze", "--a", "3", "--b", "1", "--n-max", "8")
+run("word", "--a", "3", "--b", "1", "--length", "20")
+run("specials", "--a", "3", "--b", "1", "--n", "2")
+run("palindromes", "--a", "3", "--b", "1", "--n", "3")
+run("parry-check", "--digits", "3 1 (2)")
+report["after_combinatorial"] = "mpmath" in sys.modules
+report["beta_expand"] = json.loads(run(
+    "beta-expand", "--a", "3", "--b", "1", "--x", "3", "--digit-count", "3",
+    "--format", "json"))
+report["beta_integers"] = json.loads(run(
+    "beta-integers", "--a", "3", "--b", "1", "--count", "5", "--format", "json"))
+report["after_beta"] = "mpmath" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_only_the_beta_commands_load_mpmath():
+    result = subprocess.run([sys.executable, "-c", IMPORT_CHILD],
+                            capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert not report["after_import"]
+    assert not report["after_combinatorial"]
+    assert report["after_beta"]
+    assert (report["beta_expand"]["exponent"],
+            report["beta_expand"]["digits"]) == (0, [3, 0, 0])
+    # beta = 2 + sqrt(2) for d_beta(1) = 3 (1)
+    assert report["beta_integers"]["values"] == [
+        "0.0", "1.0", "2.0", "3.0", "3.41421356237"]
+    assert report["beta_integers"]["gap_letters"] == "0001"
+
+
+def test_importtime_lists_no_mpmath_row():
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import betawords.cli"],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    names = [line.rsplit("|", 1)[-1].strip()
+             for line in result.stderr.splitlines()
+             if line.startswith("import time:")]
+    assert "betawords.cli" in names
+    assert not [name for name in names if name.split(".")[0] == "mpmath"]
 
 
 def _run_in_process(monkeypatch, capsys, *argv):

@@ -56,7 +56,7 @@ GOLDEN = [
      EMPTY,
      "12809a63994dcb133d758288ce63a5b4c9f47047b4a35ff36c4f41981b796135"),
     (["verify", "--digits", "3 (2 1)", "--n-max", "30"], 0,
-     "77f8399eb6873925557325a4a38a90267288129bf584772e355b28892871ef6c",
+     "f73467505f201ae89f16a881d4ed12d46ae3d74d5c85c6e9fe2fc553e610fcd8",
      EMPTY),
     (["verify", "--digits", "2 1 (1)", "--n-max", "20", "--format", "json"], 0,
      "ef2f7964a609f62c52a4d736f702550a29b442b6f169f89face81ee7f6750446",

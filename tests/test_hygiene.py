@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function is used in its own module.
+"""Every name a package module imports is used where it is imported, and
+every module-level private function is used in its own module.
 
-`__init__.py` re-exports on purpose and is left out.  Parsed with `ast`, so
-the check needs no linter.
+A module-level import must be used somewhere in its module; an import inside
+a function must be used inside that function.  `__init__.py` re-exports on
+purpose and is left out.  Parsed with `ast`, so the check needs no linter.
 """
 
 import ast
@@ -12,21 +13,33 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "betawords"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(scope):
+    """The nodes of a module or function, without those of nested functions."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, FUNCTIONS):
+            yield from _own_nodes(child)
 
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in sorted(imported.items())
-            if name not in used]
+    unused = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        imported = {}
+        for node in _own_nodes(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        unused += [(line, name) for name, line in imported.items()
+                   if name not in used]
+    return [f"{name} (line {line})" for line, name in sorted(unused)]
 
 
 def unused_private_functions(source: str) -> list[str]:
@@ -63,3 +76,14 @@ def test_check_catches_an_unused_import():
     assert unused_imports("import json\nimport re\nre.compile('x')\n") == [
         "json (line 1)"
     ]
+
+
+def test_check_holds_each_function_to_its_own_imports():
+    # g names mp and workdps, but f imported them and never uses them
+    source = ("def f(x):\n    from mpmath import mp, mpf, workdps\n"
+              "    return mpf(x)\n\n\ndef g():\n    return mp, workdps\n")
+    assert unused_imports(source) == ["mp (line 2)", "workdps (line 2)"]
+
+
+def test_check_counts_a_module_import_used_in_a_function():
+    assert unused_imports("import re\n\n\ndef f():\n    return re\n") == []
