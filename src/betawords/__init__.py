@@ -7,6 +7,7 @@ from .beta_numeration import (
     QuadraticParams,
     RenyiExpansion,
     beta_expand,
+    beta_integer_decimals,
     beta_integers,
     beta_of,
     beta_of_renyi,

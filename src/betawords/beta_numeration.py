@@ -1,19 +1,18 @@
 """Arithmetic of Parry numbers: Renyi expansions, beta-expansions, beta-integers.
 
-All floating computations run under mpmath with a caller-selected decimal
-precision (default 64 digits).  mpmath is imported on first use, inside the
-functions that evaluate beta; the integer code never loads it.
-Beta-integers are produced in Parry order, (length, lexicographic) order
-on admissible digit strings, with no sort.  Their gaps are classified
-exactly in Z[beta], as integer coordinates reduced by the Parry relation;
-mpf only evaluates the values for printing.
+Floating computations run under mpmath at a caller-selected decimal precision
+(default 64 digits), imported inside the functions that use it.  Beta-integers
+come in Parry order with no sort, as integer coordinates in Z[beta] reduced by
+the Parry relation, which classify their gaps exactly; `beta_integer_decimals`
+prints them exactly from integers alone, so it never loads mpmath, and only
+`beta_integers` evaluates them as mpf.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import sub
+from operator import mul, sub
 
 from .errors import (InvalidInputError, InvalidParamsError, PrecisionError,
                      VerificationError)
@@ -191,7 +190,8 @@ def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> 
     """Numeric beta solving sum t_i beta^(-i) = 1 for a valid expansion.
 
     For m = p = 1 the root comes from the quadratic formula of `beta_of`;
-    otherwise it is located by bisection in (t_1, t_1 + 1].
+    otherwise floor(beta 2^K) from `_beta_floor`, with K past precision + 10
+    digits, is rounded once to `precision`.
     """
     from mpmath import mpf, workdps
     ok, shift = parry_check(renyi)
@@ -199,23 +199,26 @@ def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> 
         raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
     if renyi.m == 1 and renyi.p == 1:
         return beta_of(QuadraticParams(renyi.preperiod[0], renyi.period[0]), precision)
-    t1 = renyi.digit(1)
-    with workdps(precision + 10):
-        def defect(x):
-            return _shifted_tail_sum(renyi, 0, x) - 1
-
-        lo, hi = mpf(t1), mpf(t1 + 1)
-        # defect is decreasing in beta; bisect to full precision
-        for _ in range(int(3.5 * (precision + 10)) + 20):
-            mid = (lo + hi) / 2
-            if defect(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        value = (lo + hi) / 2
+    bits = 4 * (precision + 10)
+    scaled = _beta_floor(_exact_gaps(renyi)[0], renyi.digit(1), bits)
     with workdps(precision):
-        value = +value
+        value = mpf((scaled, -bits))
     return BetaValue(value=value, precision=precision)
+
+
+def _beta_floor(relation: tuple, t1: int, bits: int) -> int:
+    """floor(beta 2^bits), beta the root in [t_1, t_1 + 1) of x^d - sum r_j x^j.
+
+    For x > 1 that is x^d (1 - x^-p)(1 - sum t_i x^-i), of the sign of
+    1 - sum t_i x^-i, increasing in x: bisect on it in integers.
+    """
+    lo, hi = t1 << bits, (t1 + 1) << bits
+    while hi - lo > 1:
+        mid, acc = (lo + hi) >> 1, 1
+        for j in range(len(relation) - 1, -1, -1):
+            acc = acc * mid - (relation[j] << bits * (len(relation) - j))
+        lo, hi = (mid, hi) if acc < 0 else (lo, mid)
+    return lo
 
 
 def _shifted_tail_sum(renyi: RenyiExpansion, k: int, beta) -> mpf:
@@ -366,78 +369,137 @@ def _times_beta(coords: tuple, relation: tuple) -> list[int]:
     return [top * r + c for r, c in zip(relation, (0, *coords))]
 
 
-def _admissible_strings(renyi: RenyiExpansion, beta, relation, level,
-                        limit: int):
+def _admissible_strings(renyi: RenyiExpansion, relation, level, limit: int):
     """The first `limit` admissible strings one digit longer than `level`.
 
     A string x_{k-1}..x_0 is admissible iff every suffix, read from its most
     significant digit and padded with zeros, is strictly below d_beta(1).  A
-    string is carried as (value, coords, matched): its Horner value at
-    `beta`, its exact coordinates in Z[beta] (see `_exact_gaps`) and the
-    lengths j of its suffixes equal to t_1..t_j, so a digit above t_{j+1},
-    or above t_1, kills an extension; undecided suffixes end in zeros, below
-    the infinite tail of d_beta(1).  Extending the strings of one length, in
-    lexicographic order, by their digits in increasing order keeps that
-    order.  The empty string's level, with value and coordinates 0 and no
-    matched suffix, extends by nonzero digits only.
+    string is carried as (coords, matched, parent, digit): its coordinates
+    in Z[beta] (see `_exact_gaps`), the lengths j of its suffixes equal to
+    t_1..t_j, so a digit above t_{j+1}, or above t_1, kills an extension
+    (undecided suffixes end in zeros, below the tail of d_beta(1)), and the
+    index in `level` of the string it extends by `digit`.  Extending a level
+    in order, digits increasing, keeps (length, lexicographic) order.  The
+    empty string, with no parent, extends by nonzero digits only.
     """
     t = renyi.digit
     t1 = t(1)
-    lo = 0 if level[0][0] else 1
+    lo = 1 if level[0][2] is None else 0
     children = []
-    for value, coords, matched in level:
+    for parent, (coords, matched, *_) in enumerate(level):
         refs = [(j + 1, t(j + 1)) for j in matched]
         top = min([r for _, r in refs] + [t1])
-        value = value * beta
         head, *tail = _times_beta(coords, relation)
         for c in range(lo, top + 1):
             nxt = [k for k, r in refs if r == c]
             if c == t1:
                 nxt.append(1)
-            children.append((value + c, (head + c, *tail), nxt))
+            children.append(((head + c, *tail), tuple(nxt), parent, c))
             if len(children) == limit:
                 return children
     return children
+
+
+def _levels(renyi: RenyiExpansion, count: int):
+    """The first `count` beta-integers, level by level, in Parry order.
+
+    By Parry's theorem numeric order on admissible strings is (length,
+    lexicographic) order.  Each level comes with the letters of the gaps
+    ending at its strings, each the first Delta_k it equals in Z[beta].
+    """
+    ok, shift = parry_check(renyi)
+    if not ok:
+        raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
+    if count < 2:
+        raise InvalidInputError("count must be >= 2")
+    if renyi.is_simple:
+        raise InvalidInputError("simple (finite) expansions are not supported here")
+    relation, names = _exact_gaps(renyi)
+    last = (0,) * len(relation)
+    level, made = [(last, (), None, 0)], 1
+    while made < count:
+        level = _admissible_strings(renyi, relation, level, count - made)
+        letters = []
+        for coords, *_ in level:
+            gap = tuple(map(sub, coords, last))
+            if gap not in names:
+                raise VerificationError(f"gap {made - 1} is no Delta_k", {"gap": gap})
+            letters.append(names[gap])
+            last = coords
+            made += 1
+        yield level, letters
 
 
 def beta_integers(renyi: RenyiExpansion, beta: BetaValue,
                   count: int) -> tuple[list[mpf], str]:
     """First `count` nonnegative beta-integers and their gap letter sequence.
 
-    The beta-integers are the values of the Parry-admissible digit strings
-    without a leading zero.  By Parry's theorem numeric order on these
-    strings is (length, lexicographic) order, so they are produced in that
-    order, level by level, with no sort, and generation stops at `count`.
-    Each gap is coded by the index of the first Delta_k it equals, decided
-    exactly in Z[beta]; `beta` only evaluates the values.
+    Each value is one Horner step at `beta` from the string it extends.
     """
     from mpmath import mpf, workdps
-    if count < 2:
-        raise InvalidInputError("count must be >= 2")
-    ok, shift = parry_check(renyi)
-    if not ok:
-        raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
-    if renyi.is_simple:
-        raise InvalidInputError("simple (finite) expansions are not supported here")
     if unity_defect(renyi, beta) > mpf(10) ** (-beta.precision // 2):
         raise InvalidInputError("beta is not the root of these digits")
-    relation, names = _exact_gaps(renyi)
-    last = (0,) * len(relation)
     with workdps(beta.precision):
-        values, letters = [mpf(0)], []
-        level = [(values[0], last, [])]
-        while len(values) < count:
-            level = _admissible_strings(renyi, beta.value, relation, level,
-                                        count - len(values))
-            for value, coords, _ in level:
-                gap = tuple(map(sub, coords, last))
-                if gap not in names:
-                    raise VerificationError(
-                        f"gap {len(values) - 1} is no Delta_k", {"gap": gap})
-                values.append(value)
-                letters.append(names[gap])
-                last = coords
+        values, letters, level_values = [mpf(0)], [], [mpf(0)]
+        for level, gaps in _levels(renyi, count):
+            level_values = [level_values[parent] * beta.value + digit
+                            for _, _, parent, digit in level]
+            values += level_values
+            letters += gaps
     return values, "".join(letters)
+
+
+_GUARD_BITS = 64  # bits of the fixed point past its error bound
+
+
+def beta_integer_decimals(renyi: RenyiExpansion, digits: int,
+                          count: int) -> tuple[list[str], str]:
+    """First `count` beta-integers as exact decimals, and their gap letters.
+
+    Each value reads as mpmath's nstr(value, digits) of the exact value:
+    rounded half up to `digits` significant digits, fixed below 10^digits.
+    Values are sums of Delta_k in units of 2^-K within a proven bound, and
+    K doubles until the bound decides every rounding.  No tie can stall it:
+    a rational element of Z[beta] is an integer, and as gaps are at most 1,
+    two equal decimals, a PrecisionError, come before an integer tie.
+    """
+    letters = "".join(letter for _, gaps in _levels(renyi, count) for letter in gaps)
+    relation, names = _exact_gaps(renyi)
+    deltas, t1 = {letter: coords for coords, letter in names.items()}, renyi.digit(1)
+    # |beta^j 2^K - B_j| <= (t_1 + 3)^j for the powers B_j summed below
+    slack = count * max(sum(abs(c) * (t1 + 3) ** j for j, c in enumerate(coords))
+                        for coords in deltas.values())
+    bits, top = slack.bit_length() + _GUARD_BITS, 10 ** digits
+    while True:
+        scaled = _beta_floor(relation, t1, bits)
+        powers = [1 << bits]
+        for _ in relation[1:]:
+            powers.append(powers[-1] * scaled >> bits)
+        steps = {letter: sum(map(mul, coords, powers))
+                 for letter, coords in deltas.items()}
+        # v_1 = 1 exactly, so the loop sets the scale before it is read
+        shown, value, exponent, ceiling = ["0.0"], 0, -1, 1 << bits
+        for letter in letters:
+            value += steps[letter]
+            while value >= ceiling:
+                exponent, ceiling = exponent + 1, ceiling * 10
+                scale = 2 * 10 ** max(0, digits - 1 - exponent)
+                unit = 10 ** max(0, exponent - digits + 1) << bits
+            rounded = ((value - slack) * scale + unit) // (2 * unit)
+            if rounded != ((value + slack) * scale + unit) // (2 * unit):
+                break
+            at = exponent + (rounded == top)
+            text = str(rounded)[:digits]
+            split = at + 1 if at < digits else 1
+            text = f"{text[:split]}.{text[split:]}".rstrip("0")
+            text += ("0" if text[-1] == "." else "") + (f"e+{at}" if at >= digits else "")
+            if text == shown[-1]:
+                raise PrecisionError(f"{digits} significant digits do not "
+                                     "separate consecutive beta-integers")
+            shown.append(text)
+        else:
+            return shown, letters
+        bits *= 2
 
 
 def _letter(index: int) -> str:

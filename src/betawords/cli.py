@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification summary failure (verify), 2 usage,
 3 precision, 4 verification failure / oracle disagreement.  Only
-`beta-expand` and `beta-integers` evaluate beta, so only they load mpmath.
+`beta-expand` evaluates beta in floating point, so only it loads mpmath;
+`beta-integers` prints exact values from integer arithmetic.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from .beta_numeration import (
     QuadraticParams,
     RenyiExpansion,
     beta_expand,
-    beta_integers,
+    beta_integer_decimals,
     beta_of,
-    beta_of_renyi,
     parry_check,
     renyi_of_quadratic,
 )
@@ -155,7 +155,7 @@ def verify(a_max, n_max, digits, fmt):
         pal = palindromic_complexity(lang, window).column("P")
         last_pal = max((n for n, c in enumerate(pal) if c > 0), default=0)
         payload = {
-            "schema": 1, "digits": str(renyi),
+            "schema": 1, "digits": str(renyi), "window": window,
             "reversal_witness": probe["witness"],
             "closed_up_to": probe["closed_up_to"],
             "last_palindrome_length": last_pal,
@@ -354,17 +354,14 @@ def _render_expansion(k, digit_seq):
 @_PRECISION
 @_FORMAT
 def beta_integers_cmd(a, b, digits, count, precision, fmt):
-    """First beta-integers and their gap letter sequence."""
-    from mpmath import nstr
-    _, params, renyi = _subject(a, b, digits)
-    beta = beta_of(params, precision) if params else beta_of_renyi(renyi, precision)
-    values, letters = beta_integers(renyi, beta, count)
-    # the letters are exact; the values are only as good as the precision
-    if any(x >= y for x, y in zip(values, values[1:])):
+    """First beta-integers to min(--precision, 12) significant digits, and gaps."""
+    _, _, renyi = _subject(a, b, digits)
+    try:
+        shown, letters = beta_integer_decimals(renyi, min(precision, 12), count)
+    except PrecisionError:
         raise PrecisionError(
             f"precision {precision} does not separate consecutive "
-            "beta-integers; increase --precision")
-    shown = [nstr(v, 12) for v in values]
+            "beta-integers; increase --precision") from None
     payload = {"schema": 1, "digits": str(renyi), "count": count,
                "values": shown, "gap_letters": letters}
     lines = [", ".join(shown), f"gaps: {letters}"]

@@ -1,11 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mpf, nstr
+from test_beta_numeration import brute_force_integers
 
+from betawords import RenyiExpansion, beta_of_renyi, unity_defect
+from betawords import beta_numeration
 from betawords import cli as cli_module
 from betawords import palindromes as palindromes_module
 from betawords.language import FactorLanguage
@@ -95,6 +100,14 @@ class TestVerify:
         assert result.stdout.splitlines()[-1] == \
             "longest palindrome up to length 60: 59"
         assert "beyond" not in result.stdout
+
+    def test_digits_json_names_its_window(self):
+        result = cli("verify", "--digits", "3 (1)", "--n-max", "100",
+                     "--format", "json")
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert payload["window"] == 60
+        assert len(payload["palindrome_counts"]) == 61
 
     def test_digits_probe(self):
         result = cli("verify", "--digits", "2 1 (1)", "--format", "json")
@@ -271,8 +284,8 @@ def test_outside_input_exits_2_without_traceback(argv):
 
 
 # mpmath stays off the start-up path: a fresh interpreter imports the
-# package and runs every command that does not evaluate beta without loading
-# it; only beta-expand and beta-integers do
+# package and runs every command that does not evaluate beta in floating
+# point without loading it, beta-integers included; only beta-expand does
 IMPORT_CHILD = """
 import contextlib, io, json, sys
 import betawords
@@ -293,12 +306,14 @@ run("specials", "--a", "3", "--b", "1", "--n", "2")
 run("palindromes", "--a", "3", "--b", "1", "--n", "3")
 run("parry-check", "--digits", "3 1 (2)")
 report["after_combinatorial"] = "mpmath" in sys.modules
+report["beta_integers"] = json.loads(run(
+    "beta-integers", "--a", "3", "--b", "1", "--count", "5", "--format", "json"))
+run("beta-integers", "--digits", "4 1 1 (2 1)", "--count", "3000")
+report["after_beta_integers"] = "mpmath" in sys.modules
 report["beta_expand"] = json.loads(run(
     "beta-expand", "--a", "3", "--b", "1", "--x", "3", "--digit-count", "3",
     "--format", "json"))
-report["beta_integers"] = json.loads(run(
-    "beta-integers", "--a", "3", "--b", "1", "--count", "5", "--format", "json"))
-report["after_beta"] = "mpmath" in sys.modules
+report["after_beta_expand"] = "mpmath" in sys.modules
 print(json.dumps(report))
 """
 
@@ -310,7 +325,8 @@ def test_only_the_beta_commands_load_mpmath():
     report = json.loads(result.stdout)
     assert not report["after_import"]
     assert not report["after_combinatorial"]
-    assert report["after_beta"]
+    assert not report["after_beta_integers"]
+    assert report["after_beta_expand"]
     assert (report["beta_expand"]["exponent"],
             report["beta_expand"]["digits"]) == (0, [3, 0, 0])
     # beta = 2 + sqrt(2) for d_beta(1) = 3 (1)
@@ -416,3 +432,59 @@ def test_analyze_failure_names_first_disagreement(monkeypatch, capsys):
     dump = json.loads(out.err)
     assert dump["context"] == {"table": "C", "n": 7, "oracle": 9,
                                "closed_form": 10}
+
+
+# beta-integers prints exact values: the strings equal mpmath's nstr of
+# Horner values at 64 digits of every admissible string, sorted, at the
+# default precision (12 digits shown) and at --precision 5
+EXACT_DIGITS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "4 1 1 (2 1)"] + [
+    f"{a} ({b})" for a in range(3, 7) for b in range(1, a - 1)
+    if f"{a} ({b})" not in ("3 (1)", "4 (2)")]
+
+
+def _beta_integer_strings(capsys, *argv):
+    cli_module.main(["beta-integers", *argv, "--format", "json"],
+                    standalone_mode=False)
+    return json.loads(capsys.readouterr().out)["values"]
+
+
+@pytest.mark.parametrize("digits", EXACT_DIGITS)
+def test_beta_integers_print_exact_values(capsys, digits):
+    renyi = RenyiExpansion.parse(digits)
+    beta = beta_of_renyi(renyi, 64)
+    assert unity_defect(renyi, beta) < mpf("1e-60")
+    max_length = math.ceil(math.log(3000, float(beta)))
+    values, _ = brute_force_integers(renyi, beta, max_length)
+    assert len(values) >= 3000
+    count = ["--digits", digits, "--count", "3000"]
+    assert _beta_integer_strings(capsys, *count) == \
+        [nstr(v, 12) for v in values[:3000]]
+    assert _beta_integer_strings(capsys, *count, "--precision", "5") == \
+        [nstr(v, 5) for v in values[:3000]]
+
+
+def test_equal_shown_values_exit_3(monkeypatch, capsys):
+    code, out = _run_in_process(monkeypatch, capsys, "beta-integers", "--a",
+                                "3", "--b", "1", "--count", "20",
+                                "--precision", "2")
+    assert code == 3
+    assert out.err == ("precision error: precision 2 does not separate "
+                       "consecutive beta-integers; increase --precision\n")
+
+
+def test_undecided_rounding_retries_with_more_bits(monkeypatch, capsys):
+    argv = ["--digits", "3 (2 1)", "--count", "3000"]
+    exact = _beta_integer_strings(capsys, *argv)
+    tried = []
+    real = beta_numeration._beta_floor
+
+    def recorded(relation, t1, bits):
+        tried.append(bits)
+        return real(relation, t1, bits)
+
+    # no guard bits: the error bound is as large as the fixed-point unit
+    monkeypatch.setattr(beta_numeration, "_GUARD_BITS", 0)
+    monkeypatch.setattr(beta_numeration, "_beta_floor", recorded)
+    assert _beta_integer_strings(capsys, *argv) == exact
+    assert len(tried) >= 2
+    assert tried == [tried[0] * 2 ** k for k in range(len(tried))]

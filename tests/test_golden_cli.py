@@ -59,7 +59,7 @@ GOLDEN = [
      "f73467505f201ae89f16a881d4ed12d46ae3d74d5c85c6e9fe2fc553e610fcd8",
      EMPTY),
     (["verify", "--digits", "2 1 (1)", "--n-max", "20", "--format", "json"], 0,
-     "ef2f7964a609f62c52a4d736f702550a29b442b6f169f89face81ee7f6750446",
+     "0aed00cfa3da9312d2e073b3a87782ca33ec7dd931af0dece120babb1729b6ec",
      EMPTY),
     (["verify", "--a-max", "6", "--n-max", "60", "--format", "json"], 0,
      "c7342cb4e378b90046f3de80b695fdfb95b3ccc61a0cd9df5452ac9ad01ce6c1",
@@ -131,7 +131,7 @@ GOLDEN = [
      "9e33f669e3565882e3e001fb856aa3962f923bcb01f9ee4e9ff7251e1b6531c9",
      EMPTY),
     (["beta-integers", "--a", "3", "--b", "1", "--count", "20", "--precision", "5"], 0,
-     "108a6f629f006a7e4ad1f268b51ed157bc94e886d0665227be273f3b85f8d314",
+     "d219d57756e338a3b8c6df21f948013a0820d369c8b0935ff7e95e67db03bb41",
      EMPTY),
     (["beta-integers", "--a", "3", "--b", "1", "--count", "3000", "--precision", "2"], 3,
      EMPTY,
