@@ -189,16 +189,16 @@ def renyi_of_quadratic(params: QuadraticParams) -> RenyiExpansion:
 def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> BetaValue:
     """Numeric beta solving sum t_i beta^(-i) = 1 for a valid expansion.
 
-    For m = p = 1 the root comes from the quadratic formula of `beta_of`;
-    otherwise floor(beta 2^K) from `_beta_floor`, with K past precision + 10
-    digits, is rounded once to `precision`.
+    For m = p = 1 and t_1 - 1 >= t_2 >= 1 the root comes from the quadratic
+    formula of `beta_of`; otherwise floor(beta 2^K) from `_beta_floor`, with
+    K past precision + 10 digits, is rounded once to `precision`.
     """
     from mpmath import mpf, workdps
     ok, shift = parry_check(renyi)
     if not ok:
         raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
-    if renyi.m == 1 and renyi.p == 1:
-        return beta_of(QuadraticParams(renyi.preperiod[0], renyi.period[0]), precision)
+    if renyi.m == 1 and renyi.p == 1 and renyi.digit(1) - 1 >= renyi.digit(2) >= 1:
+        return beta_of(QuadraticParams(renyi.digit(1), renyi.digit(2)), precision)
     bits = 4 * (precision + 10)
     scaled = _beta_floor(_exact_gaps(renyi)[0], renyi.digit(1), bits)
     with workdps(precision):

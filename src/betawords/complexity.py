@@ -208,8 +208,7 @@ def factor_complexity(
     Delta C from C(1) = 2.
     """
     if mode == "oracle":
-        lang = language_of(subject)
-        counts = [lang.complexity(n) for n in range(1, n_max + 2)]
+        counts = language_of(subject).complexities(n_max + 1)[1:]
         delta = [after - before for before, after in zip(counts, counts[1:])]
     elif mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")

@@ -5,20 +5,37 @@ every letter c of u has |phi^k(c)| >= n, each length-n factor of u lies
 inside phi^k(xy) for some xy in L2 (Allouche & Shallit, *Automatic
 Sequences*, ch. 7), and every factor of such a word is a factor of u.  So
 the words phi^k(x) phi^k(y) hold exactly the factors of u up to length
-min_c |phi^k(c)|, with no heuristic and no stabilization check.  One scan
-gives every shorter factor set by truncation, since each occurrence in a
-one-sided infinite word extends to the right.  A scan reads as far as the
-words reach, up to twice the length asked for, so callers that ask for
-lengths in increasing order cause O(log n) scans.
+min_c |phi^k(c)|, with no heuristic and no stabilization check.
+
+A factor of length at most n lies inside one block phi^k(c) or crosses one
+junction, with at most n-1 letters on each side.  So the junction windows
+for n, which are the blocks phi^k(c) and, for each xy in L2, the last n-1
+letters of phi^k(x) followed by the first n-1 of phi^k(y), hold every
+factor up to length n, and all their substrings are factors.  The tables are
+read off two structures built once over these windows: C(n) from a
+generalized suffix automaton (Blumer et al. 1985), whose state s holds the
+strings of the lengths in (len(link(s)), len(s)], and the palindromes from a
+generalized eertree (Rubinchik & Shur 2015), one node per distinct
+palindrome with an edge by z to z w z.
+
+`contains` stays a substring search in the whole words phi^k(x) phi^k(y).
+`factors` scans them per length for `specials` and the reversal probe: one
+scan gives every shorter factor set by truncation, since each occurrence in
+a one-sided infinite word extends to the right, and a scan reads up to twice
+the length asked for, so lengths asked in increasing order cause O(log n)
+scans.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import accumulate
 
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError
 from .substitution import Substitution, letter, quadratic_substitution
 
-_SEPARATOR = " "  # between the words phi^k(x) phi^k(y); no letter of u
+_SEPARATOR = " "  # between the words or the windows; no letter of u
 
 
 class FactorLanguage:
@@ -73,6 +90,124 @@ class FactorLanguage:
             longest = self._factor_cache[self._scanned]
             cached = self._factor_cache[n] = frozenset(f[:n] for f in longest)
         return cached
+
+    def _windows(self, n: int) -> list[str]:
+        """The junction windows for length n: every factor of length at most
+        n lies inside one of them."""
+        self._grow(n)
+        images, cut = self._images, max(n - 1, 0)
+        return [images[c] for c in sorted(images)] + [
+            images[x][len(images[x]) - cut:] + images[y][:cut]
+            for x, y in sorted(self.two_factors)]
+
+    def _automaton(self, n: int) -> tuple[list[int], list[int]]:
+        """Generalized suffix automaton of the junction windows for n, as the
+        length of each state's longest string and the state of its suffix
+        link (-1 at the root, state 0)."""
+        # one column of edge targets per letter, -1 where there is no edge
+        edges = {c: [-1] for c in self._images}
+        columns = list(edges.values())
+        length, link = [0], [-1]
+        for piece in self._windows(n):
+            last = 0
+            for c in piece:
+                to = edges[c]
+                if to[last] >= 0:  # the string is in the automaton already
+                    p, cur = last, None
+                else:
+                    cur = len(length)
+                    length.append(length[last] + 1)
+                    link.append(0)
+                    for column in columns:
+                        column.append(-1)
+                    p = last
+                    while p != -1 and to[p] < 0:
+                        to[p] = cur
+                        p = link[p]
+                    if p == -1:
+                        last = cur
+                        continue
+                q = to[p]
+                if length[q] == length[p] + 1:
+                    target = q
+                else:  # split q: its strings up to length[p] + 1 move out
+                    target = len(length)
+                    length.append(length[p] + 1)
+                    link.append(link[q])
+                    for column in columns:
+                        column.append(column[q])
+                    link[q] = target
+                    while p != -1 and to[p] == q:
+                        to[p] = target
+                        p = link[p]
+                if cur is None:
+                    last = target
+                else:
+                    link[cur], last = target, cur
+        return length, link
+
+    def complexities(self, n_max: int) -> list[int]:
+        """Oracle C(0) .. C(n_max), from one suffix automaton."""
+        length, link = self._automaton(n_max)
+        # C(n) - C(n-1): the states whose lengths start at n, less those
+        # that end at n-1
+        starts = Counter(length[s] + 1 for s in link[1:])
+        ends = Counter(length[1:])
+        return [1, *accumulate(starts[n] - ends[n - 1] for n in range(1, n_max + 1))]
+
+    def eertree(self, n: int) -> tuple[str, list[int], dict[str, list[int]],
+                                       list[int]]:
+        """Generalized eertree of the junction windows for n: the windows
+        joined into one text and, per node, the palindrome's length, its
+        edges (column z holds the node of z w z, or -1) and the index in the
+        text where an occurrence of it ends.  Node 0 is the root of length -1
+        and node 1 the empty palindrome, so the nodes of length at most n are
+        exactly the palindromic factors of u up to that length."""
+        # text[0] and the separators match no letter, so no palindrome
+        # reaches from one window into the next
+        text = _SEPARATOR + _SEPARATOR.join(self._windows(n))
+        edges = {c: [-1, -1] for c in self._images}
+        columns = list(edges.values())
+        length, link, ends, last = [-1, 0], [0, 0], [0, 0], 1
+        for i in range(1, len(text)):
+            c = text[i]
+            if c == _SEPARATOR:
+                last = 1
+                continue
+            # the longest palindromic suffix x of text[:i] with c x c
+            cur, to = last, edges[c]
+            while text[i - length[cur] - 1] != c:
+                cur = link[cur]
+            node = to[cur]
+            if node < 0:
+                suffix = link[cur]
+                while text[i - length[suffix] - 1] != c:
+                    suffix = link[suffix]
+                node = len(length)
+                length.append(length[cur] + 2)
+                link.append(to[suffix] if length[cur] >= 0 else 1)
+                ends.append(i)
+                for column in columns:
+                    column.append(-1)
+                to[cur] = node
+            last = node
+        return text, length, edges, ends
+
+    def palindrome_counts(self, n_max: int) -> list[tuple[int, int, int]]:
+        """Oracle (P(n), maximal, two-extension) for 0 <= n <= n_max, from one
+        eertree; a palindrome's extensions are the letters 0 and 1 with
+        z w z a factor."""
+        _, length, edges, _ = self.eertree(n_max + 2)
+        none = [-1] * len(length)
+        counts = [[0, 0, 0] for _ in range(n_max + 1)]
+        for size, zero, one in zip(length, edges.get("0", none),
+                                   edges.get("1", none)):
+            if 0 <= size <= n_max:
+                row, ext = counts[size], (zero >= 0) + (one >= 0)
+                row[0] += 1
+                row[1] += ext == 0
+                row[2] += ext == 2
+        return [tuple(row) for row in counts]
 
     def _scan(self, n: int, length: int) -> set[str]:
         """The length-n factors of u in the first `length` letters of the

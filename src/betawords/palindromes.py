@@ -71,14 +71,18 @@ def palindromic_extensions(word: str, lang: FactorLanguage) -> frozenset[str]:
 
 
 def palindromes_of_length(lang: FactorLanguage, n: int) -> set[PalindromeRecord]:
-    """All palindromic factors of length n, extension sets included."""
-    longer = lang.factors(n + 2)
+    """All palindromic factors of length n, extension sets included, read
+    off the nodes of length n of the language's eertree."""
+    if n < 0:
+        raise InvalidInputError("factor length must be nonnegative")
+    text, length, edges, ends = lang.eertree(n + 2)
+    columns = [(z, edges[z]) for z in ("0", "1") if z in edges]
     records = set()
-    for w in lang.factors(n):
-        if not is_palindrome(w):
-            continue
-        ext = frozenset(z for z in ("0", "1") if z + w + z in longer)
-        records.add(PalindromeRecord(word=w, center=center_of(w), extensions=ext))
+    for node, (size, end) in enumerate(zip(length, ends)):
+        if size == n:
+            w = text[end + 1 - n : end + 1]
+            ext = frozenset(z for z, column in columns if column[node] >= 0)
+            records.add(PalindromeRecord(word=w, center=center_of(w), extensions=ext))
     return records
 
 
@@ -366,12 +370,7 @@ def palindromic_complexity(
     The oracle reads a given FactorLanguage, or builds one for the subject.
     """
     if mode == "oracle":
-        lang = language_of(subject)
-        counts = []
-        for n in range(n_max + 1):
-            records = palindromes_of_length(lang, n)
-            counts.append((len(records), sum(r.is_maximal for r in records),
-                           sum(len(r.extensions) == 2 for r in records)))
+        counts = language_of(subject).palindrome_counts(n_max)
     elif mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
     elif not isinstance(subject, QuadraticParams):

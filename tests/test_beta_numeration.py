@@ -145,6 +145,16 @@ class TestUnitySum:
         beta = beta_of_renyi(renyi, 64)
         assert unity_defect(renyi, beta) < mpf("1e-32")
 
+    @pytest.mark.parametrize("t1", [3, 5])
+    def test_simple_expansion_is_an_integer(self, t1):
+        # m = p = 1 with t2 = 0 lies outside the quadratic family a-1 >= b >= 1
+        beta = beta_of_renyi(RenyiExpansion((t1,), (0,)), 20)
+        assert beta.value == t1 and beta.precision == 20
+
+    def test_quadratic_shortcut_is_unchanged(self):
+        assert beta_of_renyi(RenyiExpansion((3,), (1,)), 20) == \
+            beta_of(QuadraticParams(3, 1), 20)
+
 
 class TestBetaExpand:
     def setup_method(self):

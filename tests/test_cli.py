@@ -93,6 +93,15 @@ class TestVerify:
         assert point["a"] == 3 and point["b"] == 1
         assert all(point["checks"].values())
 
+    def test_json_grid_at_n_960(self):
+        result = cli("verify", "--a-max", "4", "--n-max", "960",
+                     "--format", "json")
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert (payload["n_max"], payload["passed"], payload["failed"]) == \
+            (960, 3, 0)
+        assert all(all(p["checks"].values()) for p in payload["points"])
+
     def test_digits_text_claims_nothing_past_its_window(self):
         # P(61) = P(63) = 3 for 3 (1), so the 60-letter window must say so
         result = cli("verify", "--digits", "3 (1)", "--n-max", "100")
@@ -370,28 +379,36 @@ def test_palindromes_builds_one_oracle(monkeypatch, capsys):
     assert len(built) == 1
 
 
-def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
-    built, counted_lengths = [], []
+def test_verify_builds_each_structure_once_per_point(monkeypatch, capsys):
+    built, calls = [], []
+
+    def spy(name, real):
+        def counted(self, *args):
+            calls.append((name, built.index(self)))
+            return real(self, *args)
+        return counted
+
     real_init = FactorLanguage.__init__
-    real_count = palindromes_module.palindromes_of_length
 
     def init(self, substitution):
-        built.append(substitution)
+        built.append(self)
         real_init(self, substitution)
 
-    def count(lang, n):
-        counted_lengths.append(n)
-        return real_count(lang, n)
-
     monkeypatch.setattr(FactorLanguage, "__init__", init)
-    monkeypatch.setattr(palindromes_module, "palindromes_of_length", count)
+    for name in ("_automaton", "eertree", "factors"):
+        monkeypatch.setattr(FactorLanguage, name,
+                            spy(name, getattr(FactorLanguage, name)))
+    monkeypatch.setattr(palindromes_module, "palindromes_of_length",
+                        lambda lang, n: pytest.fail("per-length palindromes"))
     monkeypatch.setattr(sys, "argv", ["betawords", "verify", "--a-max", "4",
                                       "--n-max", "20"])
     cli_module.run()
     assert "passed 3/3" in capsys.readouterr().out
-    # P(0) .. P(n_max + 2) at each of the three points, each counted once
+    # one language per point, and one automaton and one eertree over it;
+    # no per-length factor set is built
     assert len(built) == 3
-    assert counted_lengths == list(range(20 + 3)) * 3
+    assert sorted(calls) == [(name, i) for name in ("_automaton", "eertree")
+                             for i in range(3)]
 
 
 def _corrupt(monkeypatch, name, column, index):

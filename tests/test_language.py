@@ -8,10 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 from betawords import (
     FactorLanguage,
     InvalidInputError,
+    PalindromeRecord,
     QuadraticParams,
     RenyiExpansion,
     Substitution,
+    center_of,
     fixed_point_prefix,
+    palindromes_of_length,
     parry_check,
     parry_substitution,
     quadratic_substitution,
@@ -45,6 +48,41 @@ def test_factors_equal_prefix_scan(subject):
         assert lang.factors(n) == scan(prefix, n), n
 
 
+# The 21 points with a <= 8 and Parry expansions over larger alphabets.  Every
+# length-122 factor of these occurs in their first 7724 letters.
+TABLE_SUBJECTS = [f"{a},{b}" for a in range(3, 9) for b in range(1, a - 1)] \
+    + ["3 1 (2)", "3 (2 1)", "2 1 (1)", "4 1 1 (2 1)"]
+TABLE_N = 120
+
+
+@pytest.mark.parametrize("subject", TABLE_SUBJECTS)
+def test_one_pass_tables_equal_prefix_scan(subject):
+    sub = substitution_of(subject)
+    prefix = fixed_point_prefix(sub, 8000)
+    scans = [scan(prefix, n) for n in range(TABLE_N + 3)]
+    lang = FactorLanguage(sub)
+    assert lang.complexities(TABLE_N) == list(map(len, scans[: TABLE_N + 1]))
+    counts = lang.palindrome_counts(TABLE_N)
+    for n in range(TABLE_N + 1):
+        records = {PalindromeRecord(w, center_of(w), frozenset(
+                       z for z in "01" if z + w + z in scans[n + 2]))
+                   for w in scans[n] if w == w[::-1]}
+        assert palindromes_of_length(lang, n) == records, n
+        assert counts[n] == (len(records),
+                             sum(not r.extensions for r in records),
+                             sum(len(r.extensions) == 2 for r in records)), n
+
+
+@pytest.mark.parametrize("subject", ["3,1", "5,2", "3 (2 1)"])
+def test_tables_truncate(subject):
+    # a table for a larger length starts with the table for a smaller one
+    lang = FactorLanguage(substitution_of(subject))
+    assert lang.complexities(N_MAX)[:11] == lang.complexities(10)
+    assert lang.palindrome_counts(N_MAX)[:11] == lang.palindrome_counts(10)
+    assert lang.complexities(0) == [1]
+    assert lang.palindrome_counts(0) == lang.palindrome_counts(1)[:1]
+
+
 def test_slowly_growing_expansion():
     # Letters 1 and 2 map to single letters: a prefix of 128 n letters misses
     # factors (C(2) = 10 instead of 11), and the two-letter factors first all
@@ -55,6 +93,8 @@ def test_slowly_growing_expansion():
     assert lang.complexity(2) == 11
     for n in range(13):
         assert lang.factors(n) == scan(prefix, n), n
+    assert FactorLanguage(sub).complexities(12) == [
+        len(scan(prefix, n)) for n in range(13)]
 
 
 @pytest.mark.parametrize("subject", ["3,1", "6,1", "8,6", "3 (2 1)"])
