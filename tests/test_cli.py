@@ -379,7 +379,7 @@ def test_palindromes_builds_one_oracle(monkeypatch, capsys):
     assert len(built) == 1
 
 
-def test_verify_builds_each_structure_once_per_point(monkeypatch, capsys):
+def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
     built, calls = [], []
 
     def spy(name, real):
