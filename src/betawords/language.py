@@ -18,12 +18,9 @@ strings of the lengths in (len(link(s)), len(s)], and the palindromes from a
 generalized eertree (Rubinchik & Shur 2015), one node per distinct
 palindrome with an edge by z to z w z.
 
-`contains` stays a substring search in the whole words phi^k(x) phi^k(y).
-`factors` scans them per length for `specials` and the reversal probe: one
-scan gives every shorter factor set by truncation, since each occurrence in
-a one-sided infinite word extends to the right, and a scan reads up to twice
-the length asked for, so lengths asked in increasing order cause O(log n)
-scans.
+`factors(n)` is the set of length-n substrings of the windows for n, and
+`contains(w)` is a substring test in the windows for |w|, so the windows are
+the one text that every query reads.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError
 from .substitution import Substitution, letter, quadratic_substitution
 
-_SEPARATOR = " "  # between the words or the windows; no letter of u
+_SEPARATOR = " "  # between the windows; no letter of u
 
 
 class FactorLanguage:
@@ -61,35 +58,23 @@ class FactorLanguage:
         if 1 in lengths.values():
             raise InvalidInputError("a letter's image never grows")
         self._images = {c: c for c in lengths}  # phi^k(c), each letter of u
-        self._text = ""  # the words phi^k(x) phi^k(y), xy in L2
-        self._reach = 0  # the text holds every factor up to this length
-        self._scanned = 0
-        self._factor_cache: dict[int, frozenset[str]] = {0: frozenset({""})}
+        self._reach = 0  # min_c |phi^k(c)|
 
     def _grow(self, n: int) -> None:
-        """Raise k until the text holds every factor of length n."""
+        """Raise k until every block phi^k(c) has at least n letters."""
         while self._reach < n:
             images = self._images = {
                 c: "".join(self._images[d] for d in self._phi[c])
                 for c in self._images}
             self._reach = min(map(len, images.values()))
-            self._text = _SEPARATOR.join(images[xy[0]] + images[xy[1]]
-                                         for xy in sorted(self.two_factors))
 
     def factors(self, n: int) -> frozenset[str]:
-        """The complete set of length-n factors."""
+        """The complete set of length-n factors: the length-n substrings of
+        the junction windows for n."""
         if n < 0:
             raise InvalidInputError("factor length must be nonnegative")
-        if n > self._scanned:
-            self._grow(n)
-            self._scanned = min(self._reach, 2 * n)
-            self._factor_cache[self._scanned] = frozenset(
-                self._scan(self._scanned, len(self._text)))
-        cached = self._factor_cache.get(n)
-        if cached is None:
-            longest = self._factor_cache[self._scanned]
-            cached = self._factor_cache[n] = frozenset(f[:n] for f in longest)
-        return cached
+        return frozenset(piece[i : i + n] for piece in self._windows(n)
+                         for i in range(len(piece) - n + 1))
 
     def _windows(self, n: int) -> list[str]:
         """The junction windows for length n: every factor of length at most
@@ -209,20 +194,13 @@ class FactorLanguage:
                 row[2] += ext == 2
         return [tuple(row) for row in counts]
 
-    def _scan(self, n: int, length: int) -> set[str]:
-        """The length-n factors of u in the first `length` letters of the
-        text, which must hold every factor of that length."""
-        text = self._text
-        windows = {text[i : i + n] for i in range(length - n + 1)}
-        return {w for w in windows if _SEPARATOR not in w}
-
     def __contains__(self, word: str) -> bool:
         return self.contains(word)
 
     def contains(self, word: str) -> bool:
-        """Membership via substring search in the words phi^k(x) phi^k(y)."""
-        self._grow(len(word))
-        return word in self._text
+        """Membership via substring search in the junction windows for
+        len(word)."""
+        return any(word in piece for piece in self._windows(len(word)))
 
     def complexity(self, n: int) -> int:
         """Oracle C(n): the number of distinct length-n factors."""

@@ -172,6 +172,30 @@ class TestSpecials:
         assert len(payload["u_lengths"]) == 6
 
 
+# Runs a command and prints its exit code and peak RSS in KiB.  The command
+# is spawned from this small process: a child's ru_maxrss starts at the peak
+# of the process it was spawned from, so one spawned straight from the test
+# runner would read the runner's peak.
+PEAK_RSS_CHILD = """
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=[
+    (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_specials_at_n_3000_stays_under_64_mb():
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, sys.executable, "-m",
+         "betawords.cli", "specials", "--a", "3", "--b", "1", "--n", "3000"],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    code, peak_kib = map(int, result.stdout.split())
+    assert code == 0
+    assert peak_kib < 64 * 1024
+
+
 class TestPalindromes:
     def test_length_three(self):
         result = cli("palindromes", "--a", "3", "--b", "1", "--n", "3",

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used where it is imported, and
-every module-level private function is used in its own module.
+"""Every name a package module imports is used where it is imported, every
+module-level private function is used in its own module, and every private
+attribute a module stores on `self` is read somewhere in that module.
 
 A module-level import must be used somewhere in its module; an import inside
 a function must be used inside that function.  `__init__.py` re-exports on
@@ -52,6 +53,21 @@ def unused_private_functions(source: str) -> list[str]:
             if name not in used]
 
 
+def dead_private_attributes(source: str) -> list[str]:
+    stored, loaded = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            continue
+        if isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        elif isinstance(node.value, ast.Name) and node.value.id == "self":
+            stored.setdefault(node.attr, node.lineno)
+    return [f"{name} (line {line})" for line, name in
+            sorted((line, name) for name, line in stored.items()
+                   if name not in loaded)]
+
+
 def test_sources_found():
     assert len(SOURCES) >= 6
 
@@ -66,10 +82,23 @@ def test_no_unused_private_functions(path):
     assert unused_private_functions(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_private_attributes(path):
+    assert dead_private_attributes(path.read_text()) == []
+
+
 def test_check_catches_an_unused_private_function():
     source = ("def _used():\n    return 1\n\n\ndef _dead():\n    return 2\n\n\n"
               "def public():\n    return _used()\n")
     assert unused_private_functions(source) == ["_dead (line 5)"]
+
+
+def test_check_catches_a_private_attribute_never_read():
+    # _cache is stored twice and read nowhere; _phi is read by a method
+    source = ("class A:\n    def __init__(self):\n        self._phi = {}\n"
+              "        self._cache = None\n\n    def f(self, n):\n"
+              "        self._cache = self._phi[n]\n        return n\n")
+    assert dead_private_attributes(source) == ["_cache (line 4)"]
 
 
 def test_check_catches_an_unused_import():

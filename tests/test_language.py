@@ -101,23 +101,28 @@ def test_slowly_growing_expansion():
 def test_one_top_scan_equals_scans_in_increasing_order(subject):
     sub = substitution_of(subject)
     top_first = FactorLanguage(sub)
-    top_first.factors(N_MAX)  # every shorter set is now a truncation
+    # factor sets do not depend on the order in which lengths are asked
+    top_first.factors(N_MAX)
     ascending = FactorLanguage(sub)
     for n in range(1, N_MAX + 1):
         assert top_first.factors(n) == ascending.factors(n), n
 
 
-@pytest.mark.parametrize("subject", ["3,1", "5,2", "7,5"])
+# the last three have more than two letters, and "3 0 0 (0 1)" has the
+# most uneven blocks
+@pytest.mark.parametrize("subject", ["3,1", "5,2", "7,5", "3 (2 1)",
+                                     "4 1 1 (2 1)", "3 0 0 (0 1)"])
 def test_contains_matches_factor_sets(subject):
     lang = FactorLanguage(substitution_of(subject))
     assert lang.contains("")
     assert not lang.contains("11")
     assert "11" not in lang
+    letters = lang.factors(1)
     for n in (1, 5, 17, 40):
         factors = lang.factors(n)
         assert all(lang.contains(w) for w in factors)
         for w in factors:
-            for z in "01":
+            for z in letters:
                 assert lang.contains(w + z) == (w + z in lang.factors(n + 1))
 
 
