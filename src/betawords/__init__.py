@@ -2,20 +2,12 @@
 
 from .beta_numeration import (
     DEFAULT_PRECISION,
-    BetaValue,
-    GapDistances,
     QuadraticParams,
     RenyiExpansion,
     beta_expand,
     beta_integer_decimals,
-    beta_integers,
-    beta_of,
-    beta_of_renyi,
-    beta_reconstruct,
-    gap_distances,
     parry_check,
     renyi_of_quadratic,
-    unity_defect,
 )
 from .complexity import (
     Table,
@@ -29,6 +21,7 @@ from .complexity import (
 )
 from .errors import (
     BetawordsError,
+    DigitCountError,
     InvalidInputError,
     InvalidParamsError,
     PrecisionError,

@@ -1,21 +1,21 @@
 """Arithmetic of Parry numbers: Renyi expansions, beta-expansions, beta-integers.
 
-Floating computations run under mpmath at a caller-selected decimal precision
-(default 64 digits), imported inside the functions that use it.  Beta-integers
-come in Parry order with no sort, as integer coordinates in Z[beta] reduced by
-the Parry relation, which classify their gaps exactly; `beta_integer_decimals`
-prints them exactly from integers alone, so it never loads mpmath, and only
-`beta_integers` evaluates them as mpf.
+All of it is exact, in integers.  Greedy beta-expansions of a quadratic beta
+run in Q(beta) on integer coordinates over 1 and beta.  Beta-integers come in
+Parry order with no sort, as integer coordinates in Z[beta] reduced by the
+Parry relation, which classify their gaps exactly; `beta_integer_decimals`
+prints them exactly from fixed-point integers.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import isqrt
 from operator import mul, sub
 
-from .errors import (InvalidInputError, InvalidParamsError, PrecisionError,
-                     VerificationError)
+from .errors import (DigitCountError, InvalidInputError, InvalidParamsError,
+                     PrecisionError, VerificationError)
 
 DEFAULT_PRECISION = 64
 
@@ -132,7 +132,7 @@ def parry_check(renyi: RenyiExpansion) -> tuple[bool, int | None]:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic parameters and beta values
+# Quadratic parameters and beta-expansions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -161,179 +161,93 @@ class QuadraticParams:
         return (a + 1, 1, (a + 1) ** 2 - 4 * (a - b), 2)
 
 
-@dataclass(frozen=True)
-class BetaValue:
-    """Numeric beta at a given working precision."""
-
-    value: mpf
-    precision: int
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def beta_of(params: QuadraticParams, precision: int = DEFAULT_PRECISION) -> BetaValue:
-    """Larger root of x^2 - (a+1)x + (a-b)."""
-    from mpmath import mpf, sqrt as mpsqrt, workdps
-    u, v, d, w = params.exact_beta()
-    with workdps(precision):
-        value = (mpf(u) + v * mpsqrt(d)) / w
-    return BetaValue(value=value, precision=precision)
-
-
 def renyi_of_quadratic(params: QuadraticParams) -> RenyiExpansion:
     """d_beta(1) = a b^w."""
     return RenyiExpansion((params.a,), (params.b,))
 
 
-def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> BetaValue:
-    """Numeric beta solving sum t_i beta^(-i) = 1 for a valid expansion.
-
-    For m = p = 1 and t_1 - 1 >= t_2 >= 1 the root comes from the quadratic
-    formula of `beta_of`; otherwise floor(beta 2^K) from `_beta_floor`, with
-    K past precision + 10 digits, is rounded once to `precision`.
-    """
-    from mpmath import mpf, workdps
-    ok, shift = parry_check(renyi)
-    if not ok:
-        raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
-    if renyi.m == 1 and renyi.p == 1 and renyi.digit(1) - 1 >= renyi.digit(2) >= 1:
-        return beta_of(QuadraticParams(renyi.digit(1), renyi.digit(2)), precision)
-    bits = 4 * (precision + 10)
-    scaled = _beta_floor(_exact_gaps(renyi)[0], renyi.digit(1), bits)
-    with workdps(precision):
-        value = mpf((scaled, -bits))
-    return BetaValue(value=value, precision=precision)
-
-
-def _beta_floor(relation: tuple, t1: int, bits: int) -> int:
-    """floor(beta 2^bits), beta the root in [t_1, t_1 + 1) of x^d - sum r_j x^j.
-
-    For x > 1 that is x^d (1 - x^-p)(1 - sum t_i x^-i), of the sign of
-    1 - sum t_i x^-i, increasing in x: bisect on it in integers.
-    """
-    lo, hi = t1 << bits, (t1 + 1) << bits
-    while hi - lo > 1:
-        mid, acc = (lo + hi) >> 1, 1
-        for j in range(len(relation) - 1, -1, -1):
-            acc = acc * mid - (relation[j] << bits * (len(relation) - j))
-        lo, hi = (mid, hi) if acc < 0 else (lo, mid)
-    return lo
-
-
-def _shifted_tail_sum(renyi: RenyiExpansion, k: int, beta) -> mpf:
-    """sum_{i>=1} t_{i+k} beta^(-i) in closed form."""
-    from mpmath import mpf
-    m, p = renyi.m, renyi.p
-    inv = 1 / mpf(beta)
-    total = mpf(0)
-    # preperiod leftover: indices j = k+1 .. m
-    power = inv
-    for j in range(k + 1, m + 1):
-        total += renyi.digit(j) * power
-        power *= inv
-    # aligned periodic tail starting at index j0
-    j0 = max(k + 1, m + 1)
-    offset = (j0 - m - 1) % p
-    one_period = mpf(0)
-    ppow = mpf(1)
-    for l in range(p):
-        one_period += renyi.period[(offset + l) % p] * ppow
-        ppow *= inv
-    e0 = j0 - k
-    total += (inv ** e0) * one_period / (1 - inv ** p)
-    return total
-
-
-def unity_defect(renyi: RenyiExpansion, beta: BetaValue) -> mpf:
-    """|1 - sum t_i beta^(-i)| at the beta value's working precision."""
-    from mpmath import workdps
-    with workdps(beta.precision):
-        return abs(1 - _shifted_tail_sum(renyi, 0, beta.value))
-
-
-# ---------------------------------------------------------------------------
-# Beta-expansions
-# ---------------------------------------------------------------------------
-
-def beta_expand(x, beta: BetaValue, digit_count: int) -> tuple[int, tuple[int, ...]]:
+def beta_expand(x, params: QuadraticParams,
+                digit_count: int) -> tuple[int, tuple[int, ...]]:
     """Greedy expansion of x >= 0: returns (k, digits) with digits x_k..x_{k-digit_count+1}.
 
-    x = sum digits[i] * beta^(k-i) + remainder, each digit in {0..ceil(beta)-1}.
-    Produced by iterating T_beta(y) = beta*y - floor(beta*y) on x / beta^(k+1).
+    x = sum digits[i] * beta^(k-i) + remainder, each digit in {0..a}, with
+    k = max(0, floor(log_beta x)) and x anything `Fraction` parses.  The map
+    T_beta(y) = beta*y - floor(beta*y) runs on y = x / beta^(k+1), exact as
+    (c0 + c1 beta) / q in integers, reduced by beta^2 = (a+1) beta - (a-b).
+    D = (a+1)^2 - 4(a-b) is never a square, so a floor is an integer root:
+    floor((s + e sqrt(D)) / den) = (s + floor(e sqrt(D))) // den.  Raises
+    DigitCountError when digit_count <= k.  x past beta^digit_count, or below
+    beta^-digit_count (all zeros), is decided from its decimal exponent alone.
     """
-    from mpmath import mp, mpf, workdps
+    # imported here: fractions loads decimal, a start-up cost to every command
+    from fractions import Fraction
     if digit_count < 1:
         raise InvalidInputError("digit_count must be >= 1")
-    with workdps(beta.precision):
-        try:
-            xv = mpf(x)
-        except ValueError as exc:
-            raise InvalidInputError(f"x is not a number: {x!r}") from exc
-        if not mp.isfinite(xv):
-            raise InvalidInputError(f"x must be finite, got {x!r}")
-        if xv < 0:
-            raise InvalidInputError("x must be nonnegative")
-        if xv == 0:
-            return 0, (0,) * digit_count
-        bv = beta.value
-        k = 0
-        while bv ** (k + 1) <= xv:
-            k += 1
-        y = xv / bv ** (k + 1)
-        # floor with a guard at half the working precision: beta-integers hit
-        # exact integer iterates that rounding may land a hair below
-        guard = mpf(10) ** (-beta.precision // 2)
-        digits = []
-        for _ in range(digit_count):
-            y = bv * y
-            d = int(mp.floor(y + guard))
-            y = max(y - d, mpf(0))
-            digits.append(d)
-        return k, tuple(digits)
+    exp_form = isinstance(x, str) and re.fullmatch(
+        r"(.*)e([-+]?\d+(?:_\d+)*)\s*", x, re.IGNORECASE | re.DOTALL)
+    try:
+        # x = mantissa * 10^exponent; "e0" keeps Fraction's grammar whole
+        mantissa, exponent = ((Fraction(exp_form[1] + "e0"), int(exp_form[2]))
+                              if exp_form else (Fraction(x), 0))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidInputError(f"x is not a number: {x!r}") from exc
+    if mantissa < 0:
+        raise InvalidInputError("x must be nonnegative")
+    (p, _, disc, _), ab = params.exact_beta(), params.a - params.b
+    # beta < a + 1, so log2 beta^digit_count < places; log2 x is within one
+    # of size + exponent log2 10, and 3 < log2 10 < 4
+    places = digit_count * p.bit_length()
+    size = mantissa.numerator.bit_length() - mantissa.denominator.bit_length()
+    if not mantissa or size + 1 + max(3 * exponent, 4 * exponent) <= -places:
+        return 0, (0,) * digit_count
+    if size - 1 + min(3 * exponent, 4 * exponent) >= places:
+        raise DigitCountError(f"must be at least k + 1 > {digit_count}, "
+                              "the digits of x before the point")
+    x = mantissa * Fraction(10) ** exponent
 
+    def floor(c0, c1, q):  # of (c0 + c1 beta) / q, q > 0
+        root = isqrt(c1 * c1 * disc)
+        return (2 * c0 + p * c1 + (root if c1 >= 0 else -root - 1)) // (2 * q)
 
-def beta_reconstruct(k: int, digits, beta: BetaValue) -> mpf:
-    """sum digits[i] * beta^(k-i); inverse of beta_expand up to truncation."""
-    from mpmath import mpf, workdps
-    with workdps(beta.precision):
-        total = mpf(0)
-        for i, d in enumerate(digits):
-            total += d * beta.value ** (k - i)
-        return total
+    def times(u, v):
+        top = u[1] * v[1]
+        return u[0] * v[0] - ab * top, u[0] * v[1] + u[1] * v[0] + p * top
+
+    def at_most_x(power):  # beta^j with j >= 1, irrational
+        return floor(x.denominator * power[0] - x.numerator,
+                     x.denominator * power[1], 1) < 0
+
+    squares, k, power = [(0, 1)], 0, (1, 0)  # beta^(2^i), then beta^k
+    while at_most_x(squares[-1]):
+        squares.append(times(squares[-1], squares[-1]))
+    for i in range(len(squares) - 2, -1, -1):
+        if at_most_x(trial := times(power, squares[i])):
+            k, power = k + (1 << i), trial
+    if digit_count <= k:
+        raise DigitCountError(f"must be at least k + 1 = {k + 1}, "
+                              "the digits of x before the point")
+    # 1 / beta^(k+1) is its conjugate, beta' = a + 1 - beta, over its norm
+    u, v = times(power, (0, 1))
+    c0, c1 = x.numerator * (u + p * v), -x.numerator * v
+    q, digits = x.denominator * ab ** (k + 1), []
+    # with fixed = floor(beta 2^bits), (c0 + c1 beta) 2^bits is within |c1| of
+    # mid; the root is taken only when that range holds a multiple of unit
+    bits = (abs(c0) + p * abs(c1)).bit_length() + 2
+    fixed, unit = floor(0, 1 << bits, 1), q << bits
+    for _ in range(digit_count):
+        c0, c1 = -ab * c1, c0 + p * c1
+        mid = (c0 << bits) + c1 * fixed
+        d = (mid - abs(c1)) // unit
+        if (mid + abs(c1)) // unit != d:
+            d = floor(c0, c1, q)
+        c0 -= d * q
+        digits.append(d)
+    return k, tuple(digits)
 
 
 # ---------------------------------------------------------------------------
-# Gap distances and beta-integers
+# Beta-integers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GapDistances:
-    """Distances Delta_0 .. Delta_{m+p-1} between consecutive beta-integers."""
-
-    values: tuple[mpf, ...]
-    precision: int
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def gap_distances(renyi: RenyiExpansion, beta: BetaValue) -> GapDistances:
-    """Delta_k = sum_{i>=1} t_{i+k} beta^(-i) for k = 0 .. m+p-1."""
-    from mpmath import mpf, workdps
-    with workdps(beta.precision):
-        values = [
-            _shifted_tail_sum(renyi, k, beta.value) for k in range(renyi.m + renyi.p)
-        ]
-        # Delta_0 is 1 by the definition of the expansion of unity; the
-        # computed sum only confirms beta and the digits are consistent
-        if abs(values[0] - 1) > mpf(10) ** (-beta.precision // 2):
-            raise PrecisionError(
-                "digit sequence does not sum to unity at this beta/precision"
-            )
-        values[0] = mpf(1)
-    return GapDistances(values=tuple(values), precision=beta.precision)
-
 
 def _exact_gaps(renyi: RenyiExpansion) -> tuple[tuple[int, ...], dict]:
     """The Parry relation and the gap letters by exact coordinates.
@@ -430,23 +344,19 @@ def _levels(renyi: RenyiExpansion, count: int):
         yield level, letters
 
 
-def beta_integers(renyi: RenyiExpansion, beta: BetaValue,
-                  count: int) -> tuple[list[mpf], str]:
-    """First `count` nonnegative beta-integers and their gap letter sequence.
+def _beta_floor(relation: tuple, t1: int, bits: int) -> int:
+    """floor(beta 2^bits), beta the root in [t_1, t_1 + 1) of x^d - sum r_j x^j.
 
-    Each value is one Horner step at `beta` from the string it extends.
+    For x > 1 that is x^d (1 - x^-p)(1 - sum t_i x^-i), of the sign of
+    1 - sum t_i x^-i, increasing in x: bisect on it in integers.
     """
-    from mpmath import mpf, workdps
-    if unity_defect(renyi, beta) > mpf(10) ** (-beta.precision // 2):
-        raise InvalidInputError("beta is not the root of these digits")
-    with workdps(beta.precision):
-        values, letters, level_values = [mpf(0)], [], [mpf(0)]
-        for level, gaps in _levels(renyi, count):
-            level_values = [level_values[parent] * beta.value + digit
-                            for _, _, parent, digit in level]
-            values += level_values
-            letters += gaps
-    return values, "".join(letters)
+    lo, hi = t1 << bits, (t1 + 1) << bits
+    while hi - lo > 1:
+        mid, acc = (lo + hi) >> 1, 1
+        for j in range(len(relation) - 1, -1, -1):
+            acc = acc * mid - (relation[j] << bits * (len(relation) - j))
+        lo, hi = (mid, hi) if acc < 0 else (lo, mid)
+    return lo
 
 
 _GUARD_BITS = 64  # bits of the fixed point past its error bound

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification summary failure (verify), 2 usage,
-3 precision, 4 verification failure / oracle disagreement.  Only
-`beta-expand` evaluates beta in floating point, so only it loads mpmath;
-`beta-integers` prints exact values from integer arithmetic.
+3 precision, 4 verification failure / oracle disagreement.  Every command
+is exact integer arithmetic: `beta-expand` works in Q(beta) and
+`beta-integers` prints exact values of Z[beta], so none loads mpmath.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from .beta_numeration import (
     RenyiExpansion,
     beta_expand,
     beta_integer_decimals,
-    beta_of,
     parry_check,
     renyi_of_quadratic,
 )
 from .complexity import Table, factor_complexity, tower_intervals, uv_tower
 from .errors import (
+    DigitCountError,
     InvalidInputError,
     PrecisionError,
     UnsupportedVariantError,
@@ -56,6 +56,8 @@ _FORMAT = click.option(
 _PRECISION = click.option(
     "--precision", type=click.IntRange(min=2), envvar="BETAWORDS_PRECISION",
     default=DEFAULT_PRECISION, show_default=True,
+    help="Significant digits shown by beta-integers (at most 12); "
+         "changes no digit of beta-expand, which is exact.",
 )
 
 
@@ -325,14 +327,12 @@ def parry_check_cmd(digits, fmt):
 @_PRECISION
 @_FORMAT
 def beta_expand_cmd(a, b, x, digit_count, precision, fmt):
-    """Greedy beta-expansion digits of x."""
+    """Greedy beta-expansion digits of x, exact in Q(beta)."""
     params = _params(a, b)
-    beta = beta_of(params, precision)
-    k, digit_seq = beta_expand(x, beta, digit_count)
-    if digit_count <= k:
-        raise click.BadParameter(
-            f"must be at least k + 1 = {k + 1}, the digits of x before the point",
-            param_hint="'--digit-count'")
+    try:
+        k, digit_seq = beta_expand(x, params, digit_count)
+    except DigitCountError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--digit-count'") from None
     rendered = _render_expansion(k, digit_seq)
     payload = {"schema": 1, "a": params.a, "b": params.b, "x": x,
                "exponent": k, "digits": list(digit_seq),

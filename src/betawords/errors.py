@@ -13,6 +13,10 @@ class InvalidParamsError(InvalidInputError):
     """Parameter pair violates a-1 >= b >= 1."""
 
 
+class DigitCountError(InvalidInputError):
+    """Fewer digits asked of a beta-expansion than x has before the point."""
+
+
 class UnsupportedVariantError(BetawordsError):
     """Operation requested for a variant outside its domain.
 

@@ -1,0 +1,182 @@
+"""Floating-point beta arithmetic under mpmath, kept as a reference for tests.
+
+These are the mpf views the package used before its beta arithmetic became
+exact: beta at a working precision, the unity sum, the greedy expansion with
+its floor guard, reconstruction, gap distances and Horner values of the
+beta-integers.  No command calls them; tests compare the exact code against
+them and use them where an input is irrational, such as x = beta + 1.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from betawords.beta_numeration import (DEFAULT_PRECISION, QuadraticParams,
+                                       RenyiExpansion, _beta_floor, _exact_gaps,
+                                       _levels, parry_check)
+from betawords.errors import InvalidInputError, PrecisionError
+
+
+@dataclass(frozen=True)
+class BetaValue:
+    """Numeric beta at a given working precision."""
+
+    value: mpf
+    precision: int
+
+    def __float__(self) -> float:
+        return float(self.value)
+
+
+def beta_of(params: QuadraticParams, precision: int = DEFAULT_PRECISION) -> BetaValue:
+    """Larger root of x^2 - (a+1)x + (a-b)."""
+    from mpmath import mpf, sqrt as mpsqrt, workdps
+    u, v, d, w = params.exact_beta()
+    with workdps(precision):
+        value = (mpf(u) + v * mpsqrt(d)) / w
+    return BetaValue(value=value, precision=precision)
+
+
+def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> BetaValue:
+    """Numeric beta solving sum t_i beta^(-i) = 1 for a valid expansion.
+
+    For m = p = 1 and t_1 - 1 >= t_2 >= 1 the root comes from the quadratic
+    formula of `beta_of`; otherwise floor(beta 2^K) from `_beta_floor`, with
+    K past precision + 10 digits, is rounded once to `precision`.
+    """
+    from mpmath import mpf, workdps
+    ok, shift = parry_check(renyi)
+    if not ok:
+        raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
+    if renyi.m == 1 and renyi.p == 1 and renyi.digit(1) - 1 >= renyi.digit(2) >= 1:
+        return beta_of(QuadraticParams(renyi.digit(1), renyi.digit(2)), precision)
+    bits = 4 * (precision + 10)
+    scaled = _beta_floor(_exact_gaps(renyi)[0], renyi.digit(1), bits)
+    with workdps(precision):
+        value = mpf((scaled, -bits))
+    return BetaValue(value=value, precision=precision)
+
+
+def _shifted_tail_sum(renyi: RenyiExpansion, k: int, beta) -> mpf:
+    """sum_{i>=1} t_{i+k} beta^(-i) in closed form."""
+    from mpmath import mpf
+    m, p = renyi.m, renyi.p
+    inv = 1 / mpf(beta)
+    total = mpf(0)
+    # preperiod leftover: indices j = k+1 .. m
+    power = inv
+    for j in range(k + 1, m + 1):
+        total += renyi.digit(j) * power
+        power *= inv
+    # aligned periodic tail starting at index j0
+    j0 = max(k + 1, m + 1)
+    offset = (j0 - m - 1) % p
+    one_period = mpf(0)
+    ppow = mpf(1)
+    for l in range(p):
+        one_period += renyi.period[(offset + l) % p] * ppow
+        ppow *= inv
+    e0 = j0 - k
+    total += (inv ** e0) * one_period / (1 - inv ** p)
+    return total
+
+
+def unity_defect(renyi: RenyiExpansion, beta: BetaValue) -> mpf:
+    """|1 - sum t_i beta^(-i)| at the beta value's working precision."""
+    from mpmath import workdps
+    with workdps(beta.precision):
+        return abs(1 - _shifted_tail_sum(renyi, 0, beta.value))
+
+
+def beta_expand(x, beta: BetaValue, digit_count: int) -> tuple[int, tuple[int, ...]]:
+    """Greedy expansion of x >= 0: returns (k, digits) with digits x_k..x_{k-digit_count+1}.
+
+    x = sum digits[i] * beta^(k-i) + remainder, each digit in {0..ceil(beta)-1}.
+    Produced by iterating T_beta(y) = beta*y - floor(beta*y) on x / beta^(k+1).
+    """
+    from mpmath import mp, mpf, workdps
+    if digit_count < 1:
+        raise InvalidInputError("digit_count must be >= 1")
+    with workdps(beta.precision):
+        try:
+            xv = mpf(x)
+        except ValueError as exc:
+            raise InvalidInputError(f"x is not a number: {x!r}") from exc
+        if not mp.isfinite(xv):
+            raise InvalidInputError(f"x must be finite, got {x!r}")
+        if xv < 0:
+            raise InvalidInputError("x must be nonnegative")
+        if xv == 0:
+            return 0, (0,) * digit_count
+        bv = beta.value
+        k = 0
+        while bv ** (k + 1) <= xv:
+            k += 1
+        y = xv / bv ** (k + 1)
+        # floor with a guard at half the working precision: beta-integers hit
+        # exact integer iterates that rounding may land a hair below
+        guard = mpf(10) ** (-beta.precision // 2)
+        digits = []
+        for _ in range(digit_count):
+            y = bv * y
+            d = int(mp.floor(y + guard))
+            y = max(y - d, mpf(0))
+            digits.append(d)
+        return k, tuple(digits)
+
+
+def beta_reconstruct(k: int, digits, beta: BetaValue) -> mpf:
+    """sum digits[i] * beta^(k-i); inverse of beta_expand up to truncation."""
+    from mpmath import mpf, workdps
+    with workdps(beta.precision):
+        total = mpf(0)
+        for i, d in enumerate(digits):
+            total += d * beta.value ** (k - i)
+        return total
+
+
+@dataclass(frozen=True)
+class GapDistances:
+    """Distances Delta_0 .. Delta_{m+p-1} between consecutive beta-integers."""
+
+    values: tuple[mpf, ...]
+    precision: int
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def gap_distances(renyi: RenyiExpansion, beta: BetaValue) -> GapDistances:
+    """Delta_k = sum_{i>=1} t_{i+k} beta^(-i) for k = 0 .. m+p-1."""
+    from mpmath import mpf, workdps
+    with workdps(beta.precision):
+        values = [
+            _shifted_tail_sum(renyi, k, beta.value) for k in range(renyi.m + renyi.p)
+        ]
+        # Delta_0 is 1 by the definition of the expansion of unity; the
+        # computed sum only confirms beta and the digits are consistent
+        if abs(values[0] - 1) > mpf(10) ** (-beta.precision // 2):
+            raise PrecisionError(
+                "digit sequence does not sum to unity at this beta/precision"
+            )
+        values[0] = mpf(1)
+    return GapDistances(values=tuple(values), precision=beta.precision)
+
+
+def beta_integers(renyi: RenyiExpansion, beta: BetaValue,
+                  count: int) -> tuple[list[mpf], str]:
+    """First `count` nonnegative beta-integers and their gap letter sequence.
+
+    Each value is one Horner step at `beta` from the string it extends.
+    """
+    from mpmath import mpf, workdps
+    if unity_defect(renyi, beta) > mpf(10) ** (-beta.precision // 2):
+        raise InvalidInputError("beta is not the root of these digits")
+    with workdps(beta.precision):
+        values, letters, level_values = [mpf(0)], [], [mpf(0)]
+        for level, gaps in _levels(renyi, count):
+            level_values = [level_values[parent] * beta.value + digit
+                            for _, _, parent, digit in level]
+            values += level_values
+            letters += gaps
+    return values, "".join(letters)

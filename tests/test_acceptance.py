@@ -8,14 +8,13 @@ import random
 import time
 
 import pytest
+from mpf_reference import beta_integers, beta_of, unity_defect
 from mpmath import mpf
 
 from betawords import (
     FactorLanguage,
     QuadraticParams,
     RenyiExpansion,
-    beta_integers,
-    beta_of,
     factor_complexity,
     fixed_point_prefix,
     palindromes_of_length,
@@ -26,7 +25,6 @@ from betawords import (
     reversal_closure_probe,
     t_map,
     t_map_palindrome_check,
-    unity_defect,
     uv_tower,
     verify_identities,
 )

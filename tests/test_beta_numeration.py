@@ -1,27 +1,26 @@
+from fractions import Fraction
 from itertools import accumulate, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from mpf_reference import (beta_expand as mpf_beta_expand, beta_integers,
+                           beta_of, beta_of_renyi, beta_reconstruct,
+                           gap_distances, unity_defect)
 from mpmath import mpf, workdps
 
 from betawords import (
+    DigitCountError,
     InvalidInputError,
     InvalidParamsError,
     QuadraticParams,
     RenyiExpansion,
     VerificationError,
     beta_expand,
-    beta_integers,
-    beta_of,
-    beta_of_renyi,
-    beta_reconstruct,
     fixed_point_prefix,
-    gap_distances,
     parry_check,
     parry_substitution,
     quadratic_substitution,
     renyi_of_quadratic,
-    unity_defect,
 )
 from betawords import beta_numeration
 
@@ -162,24 +161,24 @@ class TestBetaExpand:
         self.beta = beta_of(self.params, 64)
 
     def test_one_is_single_digit(self):
-        k, digits = beta_expand(1, self.beta, 5)
+        k, digits = beta_expand(1, self.params, 5)
         assert k == 0 and digits == (1, 0, 0, 0, 0)
 
     def test_beta_plus_one(self):
         with workdps(64):
             x = self.beta.value + 1
-        k, digits = beta_expand(x, self.beta, 2)
+        k, digits = mpf_beta_expand(x, self.beta, 2)
         assert (k, digits) == (1, (1, 1))
 
     def test_three_reconstructs(self):
-        k, digits = beta_expand(3, self.beta, 40)
+        k, digits = beta_expand(3, self.params, 40)
         assert digits[0] == 3
         with workdps(64):
             assert abs(beta_reconstruct(k, digits, self.beta) - 3) < mpf("1e-18")
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidInputError):
-            beta_expand(-1, self.beta, 3)
+            beta_expand(-1, self.params, 3)
 
     def test_digits_below_ceiling(self):
         import random
@@ -188,9 +187,53 @@ class TestBetaExpand:
         with workdps(64):
             for _ in range(25):
                 x = mpf(rng.random()) * self.beta.value
-                k, digits = beta_expand(x, self.beta, 50)
+                k, digits = beta_expand(Fraction(x.man) * Fraction(2) ** x.exp,
+                                        self.params, 50)
                 assert all(0 <= d <= 3 for d in digits)
                 assert abs(beta_reconstruct(k, digits, self.beta) - x) < mpf("1e-20")
+
+
+# integers, terminating decimals, repeating fractions, small and large x
+EXPAND_X = ["0", "1", "3", "7.25", "0.5", "1/3", "2/7", "0.1", "1e-3", "10",
+            "99.99", "100", "3.14159", "1000", "1e6", "123456.789"]
+# b = a-1 included: there a - b = 1 and the denominators of y stay small
+GRID_A8 = [(a, b) for a in range(2, 9) for b in range(1, a)]
+
+
+@pytest.mark.parametrize("a,b", GRID_A8)
+def test_exact_expansion_equals_the_mpf_reference(a, b):
+    params = QuadraticParams(a, b)
+    beta = beta_of(params, 64)
+    for x in EXPAND_X:
+        for digit_count in (16, 40):
+            assert beta_expand(x, params, digit_count) == \
+                mpf_beta_expand(x, beta, digit_count), (x, digit_count)
+
+
+def test_floor_of_a_negative_root_term_rounds_down():
+    # at (2, 1), x = 10^17 has a digit whose fixed-point bracket holds an
+    # integer, with c1 < 0 and the value just below it: the integer root
+    # decides it, and floor(e sqrt(D)) for e < 0 is -isqrt(e^2 D) - 1
+    params = QuadraticParams(2, 1)
+    assert beta_expand("1e17", params, 60) == \
+        mpf_beta_expand("1e17", beta_of(params, 64), 60)
+
+
+@pytest.mark.parametrize("a,b", [(3, 1), (8, 1), (8, 6)])
+def test_decimal_exponent_decides_as_the_reference(a, b):
+    # 10^e on both sides of the exponents decided without building x:
+    # k >= digit_count raises, and the digits agree otherwise
+    params = QuadraticParams(a, b)
+    beta = beta_of(params, 64)
+    for digit_count in (1, 4, 16):
+        for e in range(-3 * digit_count, 3 * digit_count + 1):
+            x = f"1e{e}"
+            k, digits = mpf_beta_expand(x, beta, digit_count)
+            if k >= digit_count:
+                with pytest.raises(DigitCountError):
+                    beta_expand(x, params, digit_count)
+            else:
+                assert beta_expand(x, params, digit_count) == (k, digits), x
 
 
 class TestGapDistances:

@@ -6,10 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpf_reference import beta_of_renyi, unity_defect
 from mpmath import mpf, nstr
 from test_beta_numeration import brute_force_integers
 
-from betawords import RenyiExpansion, beta_of_renyi, unity_defect
+from betawords import RenyiExpansion
 from betawords import beta_numeration
 from betawords import cli as cli_module
 from betawords import palindromes as palindromes_module
@@ -259,6 +260,28 @@ class TestBetaExpand:
         result = cli("beta-expand", "--a", "3", "--b", "1", "--x", "-2")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("x, code, out, err", [
+        ("1e99999999", 2, "", "usage error: Invalid value for '--digit-count'"),
+        ("1e-99999999", 0, "0.000000000000000\n", "")])
+    def test_huge_decimal_exponent_answers_at_once(self, x, code, out, err):
+        # the exponent alone decides: x is never built
+        result = subprocess.run(
+            [sys.executable, "-m", "betawords.cli", "beta-expand", "--a", "3",
+             "--b", "1", "--x", x, "--digit-count", "16"],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=5)
+        assert (result.returncode, result.stdout) == (code, out)
+        assert result.stderr.startswith(err) and "Traceback" not in result.stderr
+
+
+def test_beta_expand_digits_do_not_depend_on_the_precision(capsys):
+    # the true expansion of 7.25 in base 2 + sqrt(2) is 20.1112 then 1s; at
+    # --precision 2, 5 and 10 mpmath floors used to print other digits
+    argv = ["beta-expand", "--a", "3", "--b", "1", "--x", "7.25",
+            "--digit-count", "24"]
+    for precision in ("2", "5", "10", "64"):
+        cli_module.main([*argv, "--precision", precision], standalone_mode=False)
+        assert capsys.readouterr().out == "20.1112111111111111111111\n", precision
+
 
 class TestBetaIntegers:
     def test_gap_letters(self):
@@ -294,6 +317,7 @@ class TestTopLevel:
     ["beta-expand", "--a", "3", "--b", "1", "--x", "abc"],
     ["beta-expand", "--a", "3", "--b", "1", "--x", "nan"],
     ["beta-expand", "--a", "3", "--b", "1", "--x", "inf"],
+    ["beta-expand", "--a", "3", "--b", "1", "--x", "3/0"],
     ["analyze", "--a", "3", "--b", "1", "--n-max", "-5"],
     ["analyze", "--a", "3", "--b", "1", "--n-max", "0"],
     ["verify", "--a-max", "2"],
@@ -316,11 +340,13 @@ def test_outside_input_exits_2_without_traceback(argv):
     assert "Traceback" not in result.stderr
 
 
-# mpmath stays off the start-up path: a fresh interpreter imports the
-# package and runs every command that does not evaluate beta in floating
-# point without loading it, beta-integers included; only beta-expand does
+# mpmath is no runtime dependency: a fresh interpreter imports the package
+# and runs every command without loading it, and every command still runs
+# when the child is first made unable to import it
 IMPORT_CHILD = """
 import contextlib, io, json, sys
+if sys.argv[1:] == ["blocked"]:
+    sys.modules["mpmath"] = None
 import betawords
 from betawords import cli
 
@@ -330,7 +356,10 @@ def run(*args):
         cli.main(list(args), standalone_mode=False)
     return out.getvalue()
 
-report = {"after_import": "mpmath" in sys.modules}
+def loaded():
+    return sys.modules.get("mpmath") is not None
+
+report = {"after_import": loaded()}
 run("verify", "--a-max", "4", "--n-max", "10")
 run("verify", "--digits", "3 (2 1)", "--n-max", "20")
 run("analyze", "--a", "3", "--b", "1", "--n-max", "8")
@@ -338,28 +367,29 @@ run("word", "--a", "3", "--b", "1", "--length", "20")
 run("specials", "--a", "3", "--b", "1", "--n", "2")
 run("palindromes", "--a", "3", "--b", "1", "--n", "3")
 run("parry-check", "--digits", "3 1 (2)")
-report["after_combinatorial"] = "mpmath" in sys.modules
+report["after_combinatorial"] = loaded()
 report["beta_integers"] = json.loads(run(
     "beta-integers", "--a", "3", "--b", "1", "--count", "5", "--format", "json"))
 run("beta-integers", "--digits", "4 1 1 (2 1)", "--count", "3000")
-report["after_beta_integers"] = "mpmath" in sys.modules
+report["after_beta_integers"] = loaded()
 report["beta_expand"] = json.loads(run(
     "beta-expand", "--a", "3", "--b", "1", "--x", "3", "--digit-count", "3",
     "--format", "json"))
-report["after_beta_expand"] = "mpmath" in sys.modules
+report["after_beta_expand"] = loaded()
 print(json.dumps(report))
 """
 
 
-def test_only_the_beta_commands_load_mpmath():
-    result = subprocess.run([sys.executable, "-c", IMPORT_CHILD],
+@pytest.mark.parametrize("argv", [[], ["blocked"]], ids=["free", "blocked"])
+def test_no_command_loads_mpmath(argv):
+    result = subprocess.run([sys.executable, "-c", IMPORT_CHILD, *argv],
                             capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     assert not report["after_import"]
     assert not report["after_combinatorial"]
     assert not report["after_beta_integers"]
-    assert report["after_beta_expand"]
+    assert not report["after_beta_expand"]
     assert (report["beta_expand"]["exponent"],
             report["beta_expand"]["digits"]) == (0, [3, 0, 0])
     # beta = 2 + sqrt(2) for d_beta(1) = 3 (1)

@@ -1,6 +1,7 @@
 """Every name a package module imports is used where it is imported, every
-module-level private function is used in its own module, and every private
-attribute a module stores on `self` is read somewhere in that module.
+module-level private function is used in its own module, every private
+attribute a module stores on `self` is read somewhere in that module, and no
+module imports mpmath, which is a test dependency only.
 
 A module-level import must be used somewhere in its module; an import inside
 a function must be used inside that function.  `__init__.py` re-exports on
@@ -68,6 +69,20 @@ def dead_private_attributes(source: str) -> list[str]:
                    if name not in loaded)]
 
 
+def mpmath_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] == "mpmath"]
+    return found
+
+
 def test_sources_found():
     assert len(SOURCES) >= 6
 
@@ -85,6 +100,19 @@ def test_no_unused_private_functions(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_dead_private_attributes(path):
     assert dead_private_attributes(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_mpmath_imports(path):
+    assert mpmath_imports(path.read_text()) == []
+
+
+def test_check_catches_an_mpmath_import():
+    source = ("import json, mpmath.libmp\nfrom . import mpmath_free\n\n\n"
+              "def f(x):\n    from mpmath import mpf\n    return mpf(x)\n")
+    assert mpmath_imports(source) == ["mpmath.libmp (line 1)",
+                                      "mpmath (line 6)"]
 
 
 def test_check_catches_an_unused_private_function():
