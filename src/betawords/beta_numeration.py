@@ -1,10 +1,11 @@
 """Arithmetic of Parry numbers: Renyi expansions, beta-expansions, beta-integers.
 
 All of it is exact, in integers.  Greedy beta-expansions of a quadratic beta
-run in Q(beta) on integer coordinates over 1 and beta.  Beta-integers come in
-Parry order with no sort, as integer coordinates in Z[beta] reduced by the
-Parry relation, which classify their gaps exactly; `beta_integer_decimals`
-prints them exactly from fixed-point integers.
+run in Q(beta) on integer coordinates over 1 and beta.  The gaps between
+consecutive beta-integers spell u_beta, the fixed point of the canonical
+substitution (Fabre 1995), so `beta_integer_decimals` reads the gap letters
+off that fixed point and prints the values, sums of the distances Delta_k
+in Z[beta], exactly from fixed-point integers.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import isqrt
-from operator import mul, sub
+from operator import mul
 
 from .errors import (DigitCountError, InvalidInputError, InvalidParamsError,
-                     PrecisionError, VerificationError)
+                     PrecisionError)
 
 DEFAULT_PRECISION = 64
 
@@ -257,91 +258,40 @@ def _exact_gaps(renyi: RenyiExpansion) -> tuple[tuple[int, ...], dict]:
     beta^d = sum_(i<=d) t_i beta^(d-i) + beta^m - sum_(i<=m) t_i beta^(m-i),
     returned as its coefficients r_0 .. r_(d-1) of 1 .. beta^(d-1).  The map
     sends the coordinates of each Delta_k = beta^k - t_1 beta^(k-1) - ... - t_k,
-    k < d, to the letter of the first Delta_j equal to it; for j, k >= 1,
-    Delta_j = Delta_k iff sigma^j d_beta(1) = sigma^k d_beta(1).  Past d the
-    relation folds Delta_k onto Delta_(k-p), so these are all the gaps.
+    k < d, to its name in `_gap_names`.  Past d the relation folds Delta_k
+    onto Delta_(k-p), so these are all the gaps.
     """
     m, d, t = renyi.m, renyi.m + renyi.p, renyi.digit
     relation = [t(d - j) for j in range(d)]
     relation[m] += 1
     for j in range(m):
         relation[j] -= t(m - j)
-    # a window of d digits past index k reaches p digits past the preperiod
-    tails = [tuple(t(k + i) for i in range(1, d + 1)) for k in range(d)]
     names, delta = {}, (1,) + (0,) * (d - 1)
-    for k in range(d):
+    for k, name in enumerate(_gap_names(renyi)):
         if k:
             delta = _times_beta(delta, relation)
             delta = (delta[0] - t(k), *delta[1:])
-        names.setdefault(delta, _letter(tails.index(tails[k], 1) if k else 0))
+        names.setdefault(delta, name)
     return tuple(relation), names
+
+
+def _gap_names(renyi: RenyiExpansion) -> list[str]:
+    """The letter naming each Delta_k, k < m + p: that of the first Delta_j equal to it.
+
+    For j, k >= 1, Delta_j = Delta_k iff sigma^j d_beta(1) = sigma^k d_beta(1),
+    and Delta_0 = 1 is above the rest.  A non-minimal expansion repeats a
+    Delta_k, and so a distance: in `4 1 1 (2 1)` letter 4 is named 2.
+    """
+    d, t = renyi.m + renyi.p, renyi.digit
+    # a window of d digits past index k reaches p digits past the preperiod
+    tails = [tuple(t(k + i) for i in range(1, d + 1)) for k in range(d)]
+    return [_letter(tails.index(tail, 1) if k else 0) for k, tail in enumerate(tails)]
 
 
 def _times_beta(coords: tuple, relation: tuple) -> list[int]:
     """Coordinates of beta * x from those of x: a shift and one reduction."""
     top = coords[-1]
     return [top * r + c for r, c in zip(relation, (0, *coords))]
-
-
-def _admissible_strings(renyi: RenyiExpansion, relation, level, limit: int):
-    """The first `limit` admissible strings one digit longer than `level`.
-
-    A string x_{k-1}..x_0 is admissible iff every suffix, read from its most
-    significant digit and padded with zeros, is strictly below d_beta(1).  A
-    string is carried as (coords, matched, parent, digit): its coordinates
-    in Z[beta] (see `_exact_gaps`), the lengths j of its suffixes equal to
-    t_1..t_j, so a digit above t_{j+1}, or above t_1, kills an extension
-    (undecided suffixes end in zeros, below the tail of d_beta(1)), and the
-    index in `level` of the string it extends by `digit`.  Extending a level
-    in order, digits increasing, keeps (length, lexicographic) order.  The
-    empty string, with no parent, extends by nonzero digits only.
-    """
-    t = renyi.digit
-    t1 = t(1)
-    lo = 1 if level[0][2] is None else 0
-    children = []
-    for parent, (coords, matched, *_) in enumerate(level):
-        refs = [(j + 1, t(j + 1)) for j in matched]
-        top = min([r for _, r in refs] + [t1])
-        head, *tail = _times_beta(coords, relation)
-        for c in range(lo, top + 1):
-            nxt = [k for k, r in refs if r == c]
-            if c == t1:
-                nxt.append(1)
-            children.append(((head + c, *tail), tuple(nxt), parent, c))
-            if len(children) == limit:
-                return children
-    return children
-
-
-def _levels(renyi: RenyiExpansion, count: int):
-    """The first `count` beta-integers, level by level, in Parry order.
-
-    By Parry's theorem numeric order on admissible strings is (length,
-    lexicographic) order.  Each level comes with the letters of the gaps
-    ending at its strings, each the first Delta_k it equals in Z[beta].
-    """
-    ok, shift = parry_check(renyi)
-    if not ok:
-        raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
-    if count < 2:
-        raise InvalidInputError("count must be >= 2")
-    if renyi.is_simple:
-        raise InvalidInputError("simple (finite) expansions are not supported here")
-    relation, names = _exact_gaps(renyi)
-    last = (0,) * len(relation)
-    level, made = [(last, (), None, 0)], 1
-    while made < count:
-        level = _admissible_strings(renyi, relation, level, count - made)
-        letters = []
-        for coords, *_ in level:
-            gap = tuple(map(sub, coords, last))
-            if gap not in names:
-                raise VerificationError(f"gap {made - 1} is no Delta_k", {"gap": gap})
-            letters.append(names[gap])
-            last = coords
-            made += 1
-        yield level, letters
 
 
 def _beta_floor(relation: tuple, t1: int, bits: int) -> int:
@@ -362,9 +312,14 @@ def _beta_floor(relation: tuple, t1: int, bits: int) -> int:
 _GUARD_BITS = 64  # bits of the fixed point past its error bound
 
 
-def beta_integer_decimals(renyi: RenyiExpansion, digits: int,
-                          count: int) -> tuple[list[str], str]:
+def beta_integer_decimals(renyi: RenyiExpansion, digits: int, count: int,
+                          substitution=None) -> tuple[list[str], str]:
     """First `count` beta-integers as exact decimals, and their gap letters.
+
+    The gaps between consecutive beta-integers spell the fixed point of the
+    canonical substitution (Fabre 1995): `substitution`, which a caller that
+    has built it passes, else `parry_substitution(renyi)`.  Each letter k is
+    renamed to the first Delta_j equal to Delta_k (`_gap_names`).
 
     Each value reads as mpmath's nstr(value, digits) of the exact value:
     rounded half up to `digits` significant digits, fixed below 10^digits.
@@ -373,7 +328,18 @@ def beta_integer_decimals(renyi: RenyiExpansion, digits: int,
     a rational element of Z[beta] is an integer, and as gaps are at most 1,
     two equal decimals, a PrecisionError, come before an integer tie.
     """
-    letters = "".join(letter for _, gaps in _levels(renyi, count) for letter in gaps)
+    # imported here: substitution imports this module
+    from .substitution import fixed_point_prefix, parry_substitution
+    ok, shift = parry_check(renyi)
+    if not ok:
+        raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
+    if count < 2:
+        raise InvalidInputError("count must be >= 2")
+    if renyi.is_simple:
+        raise InvalidInputError("simple (finite) expansions are not supported here")
+    word = fixed_point_prefix(substitution or parry_substitution(renyi), count - 1)
+    letters = word.translate({ord(_letter(k)): name
+                              for k, name in enumerate(_gap_names(renyi))})
     relation, names = _exact_gaps(renyi)
     deltas, t1 = {letter: coords for coords, letter in names.items()}, renyi.digit(1)
     # |beta^j 2^K - B_j| <= (t_1 + 3)^j for the powers B_j summed below

@@ -48,6 +48,8 @@ from .substitution import (
 
 EXIT_PRECISION = 3
 EXIT_VERIFICATION = 4
+# 10^6 digits take about a second and 100 MB
+MAX_DIGIT_COUNT = 10 ** 6
 
 _FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]),
@@ -323,7 +325,10 @@ def parry_check_cmd(digits, fmt):
 @click.option("--a", type=int)
 @click.option("--b", type=int)
 @click.option("--x", type=str, required=True)
-@click.option("--digit-count", type=int, default=16, show_default=True)
+@click.option("--digit-count", type=click.IntRange(max=MAX_DIGIT_COUNT),
+              default=16, show_default=True,
+              help="Digits to print: at least k + 1, the digits of x before "
+                   f"the point, and at most {MAX_DIGIT_COUNT}.")
 @_PRECISION
 @_FORMAT
 def beta_expand_cmd(a, b, x, digit_count, precision, fmt):
@@ -355,9 +360,9 @@ def _render_expansion(k, digit_seq):
 @_FORMAT
 def beta_integers_cmd(a, b, digits, count, precision, fmt):
     """First beta-integers to min(--precision, 12) significant digits, and gaps."""
-    _, _, renyi = _subject(a, b, digits)
+    sub, _, renyi = _subject(a, b, digits)
     try:
-        shown, letters = beta_integer_decimals(renyi, min(precision, 12), count)
+        shown, letters = beta_integer_decimals(renyi, min(precision, 12), count, sub)
     except PrecisionError:
         raise PrecisionError(
             f"precision {precision} does not separate consecutive "

@@ -41,10 +41,11 @@ class Substitution:
     def __post_init__(self):
         if self.alphabet_size < 1 or len(self.images) != self.alphabet_size:
             raise InvalidInputError("need one image per letter")
+        alphabet = {letter(j) for j in range(self.alphabet_size)}
         for img in self.images:
             if len(img) == 0:
                 raise InvalidInputError("images must be non-empty")
-            if any(not 0 <= letter_index(c) < self.alphabet_size for c in img):
+            if not set(img) <= alphabet:
                 raise InvalidInputError("image uses a letter outside the alphabet")
         ax = self.images[self.axiom]
         if len(ax) < 2 or letter_index(ax[0]) != self.axiom:

@@ -5,16 +5,23 @@ exact: beta at a working precision, the unity sum, the greedy expansion with
 its floor guard, reconstruction, gap distances and Horner values of the
 beta-integers.  No command calls them; tests compare the exact code against
 them and use them where an input is irrational, such as x = beta + 1.
+
+The beta-integers come from Parry's admissible digit strings, generated
+level by level in (length, lexicographic) order (`_admissible_strings`,
+`_levels`), and each gap is named by its exact coordinates in Z[beta].  The
+package reads the same gaps off the fixed point of the canonical
+substitution; this enumeration is the independent check on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 
 from betawords.beta_numeration import (DEFAULT_PRECISION, QuadraticParams,
                                        RenyiExpansion, _beta_floor, _exact_gaps,
-                                       _levels, parry_check)
-from betawords.errors import InvalidInputError, PrecisionError
+                                       _times_beta, parry_check)
+from betawords.errors import InvalidInputError, PrecisionError, VerificationError
 
 
 @dataclass(frozen=True)
@@ -161,6 +168,67 @@ def gap_distances(renyi: RenyiExpansion, beta: BetaValue) -> GapDistances:
             )
         values[0] = mpf(1)
     return GapDistances(values=tuple(values), precision=beta.precision)
+
+
+def _admissible_strings(renyi: RenyiExpansion, relation, level, limit: int):
+    """The first `limit` admissible strings one digit longer than `level`.
+
+    A string x_{k-1}..x_0 is admissible iff every suffix, read from its most
+    significant digit and padded with zeros, is strictly below d_beta(1).  A
+    string is carried as (coords, matched, parent, digit): its coordinates
+    in Z[beta] (see `_exact_gaps`), the lengths j of its suffixes equal to
+    t_1..t_j, so a digit above t_{j+1}, or above t_1, kills an extension
+    (undecided suffixes end in zeros, below the tail of d_beta(1)), and the
+    index in `level` of the string it extends by `digit`.  Extending a level
+    in order, digits increasing, keeps (length, lexicographic) order.  The
+    empty string, with no parent, extends by nonzero digits only.
+    """
+    t = renyi.digit
+    t1 = t(1)
+    lo = 1 if level[0][2] is None else 0
+    children = []
+    for parent, (coords, matched, *_) in enumerate(level):
+        refs = [(j + 1, t(j + 1)) for j in matched]
+        top = min([r for _, r in refs] + [t1])
+        head, *tail = _times_beta(coords, relation)
+        for c in range(lo, top + 1):
+            nxt = [k for k, r in refs if r == c]
+            if c == t1:
+                nxt.append(1)
+            children.append(((head + c, *tail), tuple(nxt), parent, c))
+            if len(children) == limit:
+                return children
+    return children
+
+
+def _levels(renyi: RenyiExpansion, count: int):
+    """The first `count` beta-integers, level by level, in Parry order.
+
+    By Parry's theorem numeric order on admissible strings is (length,
+    lexicographic) order.  Each level comes with the letters of the gaps
+    ending at its strings, each the first Delta_k it equals in Z[beta].
+    """
+    ok, shift = parry_check(renyi)
+    if not ok:
+        raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
+    if count < 2:
+        raise InvalidInputError("count must be >= 2")
+    if renyi.is_simple:
+        raise InvalidInputError("simple (finite) expansions are not supported here")
+    relation, names = _exact_gaps(renyi)
+    last = (0,) * len(relation)
+    level, made = [(last, (), None, 0)], 1
+    while made < count:
+        level = _admissible_strings(renyi, relation, level, count - made)
+        letters = []
+        for coords, *_ in level:
+            gap = tuple(map(sub, coords, last))
+            if gap not in names:
+                raise VerificationError(f"gap {made - 1} is no Delta_k", {"gap": gap})
+            letters.append(names[gap])
+            last = coords
+            made += 1
+        yield level, letters
 
 
 def beta_integers(renyi: RenyiExpansion, beta: BetaValue,

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import accumulate, product
 
+import mpf_reference
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpf_reference import (beta_expand as mpf_beta_expand, beta_integers,
@@ -16,6 +17,7 @@ from betawords import (
     RenyiExpansion,
     VerificationError,
     beta_expand,
+    beta_integer_decimals,
     fixed_point_prefix,
     parry_check,
     parry_substitution,
@@ -314,7 +316,7 @@ class TestBetaIntegers:
             relation, names = real(renyi)
             return relation, {k: v for k, v in names.items() if v != "1"}
 
-        monkeypatch.setattr(beta_numeration, "_exact_gaps", without_delta_one)
+        monkeypatch.setattr(mpf_reference, "_exact_gaps", without_delta_one)
         params = QuadraticParams(3, 1)
         beta_integers(renyi_of_quadratic(params), beta_of(params, 64), 4)
         with pytest.raises(VerificationError):
@@ -361,6 +363,7 @@ def assert_stream_matches_brute_force(renyi, max_length, counts):
         values, gaps = beta_integers(renyi, beta, count)
         assert values == expected[:count], count
         assert gaps == letters[: count - 1], count
+        assert beta_integer_decimals(renyi, 12, count)[1] == letters[: count - 1], count
 
 
 # "4 1 1 (2 1)" is non-minimal with Delta_2 = Delta_4: rounding must not

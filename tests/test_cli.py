@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpf_reference import beta_of_renyi, unity_defect
+from mpf_reference import beta_integers, beta_of_renyi, unity_defect
 from mpmath import mpf, nstr
 from test_beta_numeration import brute_force_integers
 
@@ -15,6 +15,7 @@ from betawords import beta_numeration
 from betawords import cli as cli_module
 from betawords import palindromes as palindromes_module
 from betawords.language import FactorLanguage
+from betawords.substitution import Substitution
 
 # the children import the package these tests import, installed or not
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
@@ -273,6 +274,19 @@ class TestBetaExpand:
         assert result.stderr.startswith(err) and "Traceback" not in result.stderr
 
 
+def test_digit_count_past_its_bound_exits_2_before_any_digit(monkeypatch, capsys):
+    def no_digits(*args):
+        raise AssertionError("beta_expand ran")
+
+    monkeypatch.setattr(cli_module, "beta_expand", no_digits)
+    code, out = _run_in_process(
+        monkeypatch, capsys, "beta-expand", "--a", "3", "--b", "1", "--x", "3",
+        "--digit-count", str(cli_module.MAX_DIGIT_COUNT + 1))
+    assert (code, out.out) == (2, "")
+    assert out.err == ("usage error: Invalid value for '--digit-count': 1000001 "
+                       "is not in the range x<=1000000.\n")
+
+
 def test_beta_expand_digits_do_not_depend_on_the_precision(capsys):
     # the true expansion of 7.25 in base 2 + sqrt(2) is 20.1112 then 1s; at
     # --precision 2, 5 and 10 mpmath floors used to print other digits
@@ -433,6 +447,24 @@ def test_palindromes_builds_one_oracle(monkeypatch, capsys):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("subject", [["--a", "3", "--b", "1"],
+                                     ["--digits", "4 1 1 (2 1)"]])
+def test_beta_integers_builds_one_substitution(monkeypatch, capsys, subject):
+    built = []
+    real = Substitution.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Substitution, "__post_init__", counted)
+    monkeypatch.setattr(sys, "argv", ["betawords", "beta-integers", *subject,
+                                      "--count", "50"])
+    cli_module.run()
+    assert capsys.readouterr().out.startswith("0.0, 1.0, ")
+    assert len(built) == 1
+
+
 def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
     built, calls = [], []
 
@@ -513,10 +545,14 @@ EXACT_DIGITS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "4 1 1 (2 1)"] + [
     if f"{a} ({b})" not in ("3 (1)", "4 (2)")]
 
 
-def _beta_integer_strings(capsys, *argv):
+def _beta_integer_payload(capsys, *argv):
     cli_module.main(["beta-integers", *argv, "--format", "json"],
                     standalone_mode=False)
-    return json.loads(capsys.readouterr().out)["values"]
+    return json.loads(capsys.readouterr().out)
+
+
+def _beta_integer_strings(capsys, *argv):
+    return _beta_integer_payload(capsys, *argv)["values"]
 
 
 @pytest.mark.parametrize("digits", EXACT_DIGITS)
@@ -528,8 +564,10 @@ def test_beta_integers_print_exact_values(capsys, digits):
     values, _ = brute_force_integers(renyi, beta, max_length)
     assert len(values) >= 3000
     count = ["--digits", digits, "--count", "3000"]
-    assert _beta_integer_strings(capsys, *count) == \
-        [nstr(v, 12) for v in values[:3000]]
+    payload = _beta_integer_payload(capsys, *count)
+    assert payload["values"] == [nstr(v, 12) for v in values[:3000]]
+    # the letters read off the fixed point equal the admissible strings' gaps
+    assert payload["gap_letters"] == beta_integers(renyi, beta, 3000)[1]
     assert _beta_integer_strings(capsys, *count, "--precision", "5") == \
         [nstr(v, 5) for v in values[:3000]]
 

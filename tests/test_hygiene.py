@@ -1,7 +1,8 @@
 """Every name a package module imports is used where it is imported, every
 module-level private function is used in its own module, every private
 attribute a module stores on `self` is read somewhere in that module, and no
-module imports mpmath, which is a test dependency only.
+module imports mpmath, which is a test dependency only, or any module of
+the tests, such as the reference `mpf_reference`.
 
 A module-level import must be used somewhere in its module; an import inside
 a function must be used inside that function.  `__init__.py` re-exports on
@@ -16,6 +17,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "betawords"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# the tests import each other by module name, so each is a top-level name
+TEST_MODULES = {"tests", *(p.stem for p in Path(__file__).parent.glob("*.py"))}
 
 
 def _own_nodes(scope):
@@ -83,6 +86,21 @@ def mpmath_imports(source: str) -> list[str]:
     return found
 
 
+def imports_of_tests(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # `from . import x` names its modules in the aliases
+            names = [node.module] if node.module else [a.name for a in node.names]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] in TEST_MODULES]
+    return found
+
+
 def test_sources_found():
     assert len(SOURCES) >= 6
 
@@ -113,6 +131,22 @@ def test_check_catches_an_mpmath_import():
               "def f(x):\n    from mpmath import mpf\n    return mpf(x)\n")
     assert mpmath_imports(source) == ["mpmath.libmp (line 1)",
                                       "mpmath (line 6)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_imports_of_the_tests(path):
+    assert imports_of_tests(path.read_text()) == []
+
+
+def test_check_catches_an_import_of_the_tests():
+    source = ("import json, tests.mpf_reference\nfrom .language import lang\n"
+              "from mpf_reference import beta_of\n\n\ndef f():\n"
+              "    from . import test_cli\n    return test_cli, beta_of(3)\n")
+    assert "mpf_reference" in TEST_MODULES
+    assert imports_of_tests(source) == ["tests.mpf_reference (line 1)",
+                                        "mpf_reference (line 3)",
+                                        "test_cli (line 7)"]
 
 
 def test_check_catches_an_unused_private_function():

@@ -14,6 +14,7 @@ from betawords import (
     parry_substitution,
     quadratic_substitution,
 )
+from betawords import substitution as substitution_module
 from betawords.substitution import word_counts
 
 
@@ -29,6 +30,23 @@ class TestSubstitutionType:
             Substitution(2, ("1000", "01"))  # axiom image must start with axiom
         with pytest.raises(InvalidInputError):
             Substitution(2, ("0", "01"))  # axiom image too short
+
+    def test_a_long_image_is_checked_without_a_call_per_letter(self, monkeypatch):
+        calls = []
+        real = substitution_module.letter_index
+
+        def spy(ch):
+            calls.append(ch)
+            return real(ch)
+
+        monkeypatch.setattr(substitution_module, "letter_index", spy)
+        Substitution(2, ("0" * 10 ** 6 + "1", "0" * 10 ** 6 + "1"))
+        assert len(calls) <= 2
+        # letters past either end of the alphabet, "/" below "0" and "2"
+        for image in ("0/1", "0" * 10 ** 6 + "2"):
+            with pytest.raises(InvalidInputError,
+                               match="^image uses a letter outside the alphabet$"):
+                Substitution(2, (image, "01"))
 
     def test_morphism_property(self):
         sub = quadratic_substitution(QuadraticParams(3, 1))
