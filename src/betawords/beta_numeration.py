@@ -11,7 +11,6 @@ in Z[beta], exactly from fixed-point integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 
@@ -21,12 +20,45 @@ from .errors import (DigitCountError, InvalidInputError, InvalidParamsError,
 DEFAULT_PRECISION = 64
 
 
+class _Frozen:
+    """Base of the package's immutable value types, in place of frozen
+    dataclasses, which cost start-up: the public `__slots__` are the fields,
+    set once by the constructor with `_set`; ==, hash and repr read them,
+    and assigning or deleting one raises."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__
+                if not name.startswith("_")}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # Renyi expansions of unity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RenyiExpansion:
+class RenyiExpansion(_Frozen):
     """Eventually periodic digit sequence t_1 t_2 ... t_m (t_{m+1} ... t_{m+p})^w.
 
     The period of length one equal to (0,) encodes a finite (simple-Parry)
@@ -34,14 +66,12 @@ class RenyiExpansion:
     constructors.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        pre = tuple(int(t) for t in self.preperiod)
-        per = tuple(int(t) for t in self.period)
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]):
+        pre = tuple(int(t) for t in preperiod)
+        per = tuple(int(t) for t in period)
+        self._set(preperiod=pre, period=per)
         if len(per) < 1:
             raise InvalidInputError("period must have length >= 1")
         if len(pre) + len(per) == 0:
@@ -136,20 +166,17 @@ def parry_check(renyi: RenyiExpansion) -> tuple[bool, int | None]:
 # Quadratic parameters and beta-expansions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadraticParams:
+class QuadraticParams(_Frozen):
     """The pair (a, b) with d_beta(1) = a b^w and a-1 >= b >= 1."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+    def __init__(self, a: int, b: int):
+        if not (isinstance(a, int) and isinstance(b, int)):
             raise InvalidParamsError("a and b must be integers")
-        if not (self.a - 1 >= self.b >= 1):
-            raise InvalidParamsError(
-                f"require a-1 >= b >= 1, got a={self.a}, b={self.b}"
-            )
+        if not (a - 1 >= b >= 1):
+            raise InvalidParamsError(f"require a-1 >= b >= 1, got a={a}, b={b}")
+        self._set(a=a, b=b)
 
     @property
     def is_sturmian(self) -> bool:

@@ -15,9 +15,6 @@ T-prefix and T-suffix P_k, S_k, and every per-length table, here, in
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
 from itertools import accumulate, islice, takewhile
 
 from .beta_numeration import QuadraticParams
@@ -82,7 +79,6 @@ def _t_image(first: str, zero: str, one: str, prefix: str, suffix: str) -> str:
     return "".join([prefix, *(zero if c == "0" else one for c in first), suffix])
 
 
-@dataclass
 class UVTower:
     """Towers U^(n), V^(n) with exact lengths far past materialization.
 
@@ -92,23 +88,17 @@ class UVTower:
     integers via the letter-count recurrence of T.
     """
 
-    params: QuadraticParams
-    depth: int
-    materialize_cap: int = DEFAULT_MATERIALIZE_CAP
-    u_words: list[str] = field(init=False)
-    v_words: list[str] = field(init=False)
-    u_counts: list[tuple[int, int]] = field(init=False)
-    v_counts: list[tuple[int, int]] = field(init=False)
-
-    def __post_init__(self):
-        params = self.params
+    def __init__(self, params: QuadraticParams, depth: int,
+                 materialize_cap: int = DEFAULT_MATERIALIZE_CAP):
         if params.is_sturmian:
             raise UnsupportedVariantError(
                 "the U/V towers degenerate on the Sturmian boundary b = a-1"
             )
-        if self.depth < 0:
+        if depth < 0:
             raise InvalidInputError("tower depth must be nonnegative")
-        counts = list(islice(_tower_counts(params), self.depth))
+        self.params, self.depth = params, depth
+        self.materialize_cap = materialize_cap
+        counts = list(islice(_tower_counts(params), depth))
         self.v_counts = [v for v, _ in counts]
         self.u_counts = [u for _, u in counts]
         self.u_words = self._words("0" * (params.a - 1))
@@ -142,8 +132,8 @@ class UVTower:
     def lengths_json(self) -> dict:
         """Lengths as decimal strings (they outgrow doubles quickly)."""
         try:
-            u = [str(self.u_length(n)) for n in range(1, self.depth + 1)]
-            v = [str(self.v_length(n)) for n in range(1, self.depth + 1)]
+            u = [str(z + o) for z, o in self.u_counts]
+            v = [str(z + o) for z, o in self.v_counts]
         except ValueError as exc:  # past Python's limit on int-to-str digits
             raise InvalidInputError(
                 f"U/V lengths at depth {self.depth} have too many decimal digits"
@@ -174,17 +164,19 @@ def closed_form_delta_c(params: QuadraticParams, n_max: int) -> list[int]:
     return delta[1:]
 
 
-@dataclass
 class Table:
     """Per-length rows, written out as the columns `fields`."""
 
-    fields: tuple[str, ...]
-    rows: list[dict]
+    def __init__(self, fields: tuple[str, ...], rows: list[dict]):
+        self.fields, self.rows = fields, rows
 
     def column(self, name: str) -> list:
         return [row[name] for row in self.rows]
 
     def to_csv(self) -> str:
+        # imported here: csv loads a C extension, a start-up cost to every command
+        import csv
+        import io
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=self.fields, lineterminator="\n")
         writer.writeheader()

@@ -11,8 +11,12 @@ A factor of length at most n lies inside one block phi^k(c) or crosses one
 junction, with at most n-1 letters on each side.  So the junction windows
 for n, which are the blocks phi^k(c) and, for each xy in L2, the last n-1
 letters of phi^k(x) followed by the first n-1 of phi^k(y), hold every
-factor up to length n, and all their substrings are factors.  The tables are
-read off two structures built once over these windows: C(n) from a
+factor up to length n, and all their substrings are factors.  A block needs
+only a suffix: if phi(c) = x^t v, then phi^k(c) = A^t phi^(k-1)(v) with
+A = phi^(k-1)(x), and a factor of at most n letters that starts before the
+last r = min(t, 1 + ceil((n-1)/|A|)) copies of A recurs |A| letters on, so
+the block's window is its suffix from those r copies.  The tables are read
+off two structures built once over these windows: C(n) from a
 generalized suffix automaton (Blumer et al. 1985), whose state s holds the
 strings of the lengths in (len(link(s)), len(s)], and the palindromes from a
 generalized eertree (Rubinchik & Shur 2015), one node per distinct
@@ -57,15 +61,16 @@ class FactorLanguage:
             lengths = {c: sum(lengths[d] for d in phi[c]) for c in lengths}
         if 1 in lengths.values():
             raise InvalidInputError("a letter's image never grows")
-        self._images = {c: c for c in lengths}  # phi^k(c), each letter of u
+        # phi^k(c) and phi^(k-1)(c), each letter c of u
+        self._images, self._previous = {c: c for c in lengths}, None
         self._reach = 0  # min_c |phi^k(c)|
 
     def _grow(self, n: int) -> None:
         """Raise k until every block phi^k(c) has at least n letters."""
         while self._reach < n:
+            self._previous = previous = self._images
             images = self._images = {
-                c: "".join(self._images[d] for d in self._phi[c])
-                for c in self._images}
+                c: "".join(previous[d] for d in self._phi[c]) for c in previous}
             self._reach = min(map(len, images.values()))
 
     def factors(self, n: int) -> frozenset[str]:
@@ -77,13 +82,17 @@ class FactorLanguage:
                          for i in range(len(piece) - n + 1))
 
     def _windows(self, n: int) -> list[str]:
-        """The junction windows for length n: every factor of length at most
-        n lies inside one of them."""
-        self._grow(n)
-        images, cut = self._images, max(n - 1, 0)
-        return [images[c] for c in sorted(images)] + [
-            images[x][len(images[x]) - cut:] + images[y][:cut]
-            for x, y in sorted(self.two_factors)]
+        """The junction windows for length n, each block from its last r
+        copies of A on: every factor of length at most n lies inside one."""
+        self._grow(max(n, 1))  # k >= 1, so that phi^(k-1) is defined
+        images, cut, blocks = self._images, max(n - 1, 0), []
+        for c in sorted(images):
+            image = self._phi[c]
+            run = len(image) - len(image.lstrip(image[0]))  # t
+            size = len(self._previous[image[0]])  # |A|; -cut // size = -ceil(cut/|A|)
+            blocks.append(images[c][max(run - 1 + -cut // size, 0) * size:])
+        return blocks + [images[x][len(images[x]) - cut:] + images[y][:cut]
+                         for x, y in sorted(self.two_factors)]
 
     def _automaton(self, n: int) -> tuple[list[int], list[int]]:
         """Generalized suffix automaton of the junction windows for n, as the

@@ -18,9 +18,7 @@ P(n) rows are a `complexity.Table`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .beta_numeration import QuadraticParams
+from .beta_numeration import QuadraticParams, _Frozen
 from .complexity import Table, t_map, t_orbit, tower_intervals, uv_tower
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
 from .language import FactorLanguage, language_of
@@ -46,13 +44,13 @@ def center_of(word: str) -> str:
     return word[len(word) // 2]
 
 
-@dataclass(frozen=True)
-class PalindromeRecord:
+class PalindromeRecord(_Frozen):
     """A palindromic factor with its center and palindromic-extension set."""
 
-    word: str
-    center: str
-    extensions: frozenset[str]
+    __slots__ = ("word", "center", "extensions")
+
+    def __init__(self, word: str, center: str, extensions: frozenset[str]):
+        self._set(word=word, center=center, extensions=extensions)
 
     @property
     def is_maximal(self) -> bool:
@@ -171,7 +169,6 @@ def classify_tower_centers(params: QuadraticParams, depth: int) -> dict:
 # Infinite palindromic branches
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BranchSpec:
     """Budgeted surrogate for one infinite palindromic branch.
 
@@ -180,10 +177,11 @@ class BranchSpec:
     W^(1) = 0, W^(n) = T(W^(n-1)).
     """
 
-    center: str
-    generator: tuple
-    central_factors: list[str] = field(default_factory=list)
-    verified: bool = False
+    def __init__(self, center: str, generator: tuple,
+                 central_factors: list[str] | None = None,
+                 verified: bool = False):
+        self.center, self.generator, self.verified = center, generator, verified
+        self.central_factors = [] if central_factors is None else central_factors
 
 
 def infinite_branches(params: QuadraticParams,
@@ -249,37 +247,37 @@ def reversal_closure_probe(subject: FactorLanguage | Substitution,
 # Closed-form palindromic complexity: the four parity cases as data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UptoClause:
+class UptoClause(_Frozen):
     """value applies when n <= bound (bound is "a-1" or "b")."""
 
-    bound: str
-    value: int
+    __slots__ = ("bound", "value")
+
+    def __init__(self, bound: str, value: int):
+        self._set(bound=bound, value=value)
 
 
-@dataclass(frozen=True)
-class IntervalClause:
+class IntervalClause(_Frozen):
     """value applies when |V^(vc*k+vo)| < n <= |U^(uc*k+uo)| for some k.
 
     k runs over k >= k_min; a (mod, residue) pair in `forbid` excludes the
     k with k % mod == residue.
     """
 
-    vc: int
-    vo: int
-    uc: int
-    uo: int
-    value: int
-    k_min: int = 1
-    forbid: tuple[int, int] | None = None
+    __slots__ = ("vc", "vo", "uc", "uo", "value", "k_min", "forbid")
+
+    def __init__(self, vc: int, vo: int, uc: int, uo: int, value: int,
+                 k_min: int = 1, forbid: tuple[int, int] | None = None):
+        self._set(vc=vc, vo=vo, uc=uc, uo=uo, value=value, k_min=k_min,
+                  forbid=forbid)
 
 
-@dataclass(frozen=True)
-class ParityRules:
-    even: tuple
-    even_default: int
-    odd: tuple
-    odd_default: int
+class ParityRules(_Frozen):
+    __slots__ = ("even", "even_default", "odd", "odd_default")
+
+    def __init__(self, even: tuple, even_default: int, odd: tuple,
+                 odd_default: int):
+        self._set(even=even, even_default=even_default, odd=odd,
+                  odd_default=odd_default)
 
 
 # Keyed by (a mod 2, b mod 2).
@@ -353,12 +351,6 @@ def closed_form_p(params: QuadraticParams, n_max: int) -> list[int]:
     return values
 
 
-def _tower_length_sets(params: QuadraticParams, n_max: int) -> tuple[set, set]:
-    """{|V^(k)|} and {|U^(k)|} over the k with |V^(k)| <= n_max."""
-    pairs = tower_intervals(params, n_max + 1)
-    return {v for v, _ in pairs}, {u for _, u in pairs}
-
-
 def palindromic_complexity(
     subject: FactorLanguage | Substitution | QuadraticParams,
     n_max: int,
@@ -378,10 +370,14 @@ def palindromic_complexity(
             "closed-form palindromic complexity needs quadratic parameters"
         )
     else:
-        values = closed_form_p(subject, n_max)
-        v_lengths, u_lengths = _tower_length_sets(subject, n_max)
-        counts = [(p, int(n in u_lengths), int(n in v_lengths))
-                  for n, p in enumerate(values)]
+        # one maximal palindrome at each |U^(k)|, one with two extensions at
+        # each |V^(k)|
+        maximal_at, two_ext_at = [0] * (n_max + 1), [0] * (n_max + 1)
+        for v_len, u_len in tower_intervals(subject, n_max + 1):
+            two_ext_at[v_len] = 1
+            if u_len <= n_max:
+                maximal_at[u_len] = 1
+        counts = zip(closed_form_p(subject, n_max), maximal_at, two_ext_at)
     return Table(("n", "P", "maximal_count", "two_ext_count", "source"), [
         {"n": n, "P": p, "maximal_count": maximal, "two_ext_count": two_ext,
          "source": mode}
@@ -410,7 +406,8 @@ def verify_identities(params: QuadraticParams, c: list[int], p: list[int]) -> di
             "need C(0..n_max+3) and P(0..n_max+2) with n_max >= 1, "
             f"got {len(c)} and {len(p)} values")
     delta = [c[n + 1] - c[n] for n in range(0, n_max + 3)]
-    v_lengths, u_lengths = _tower_length_sets(params, n_max)
+    pairs = tower_intervals(params, n_max + 1)  # the k with |V^(k)| <= n_max
+    v_lengths, u_lengths = {v for v, _ in pairs}, {u for _, u in pairs}
 
     def fail(name, n, expected, actual):
         raise VerificationError(

@@ -7,9 +7,7 @@ for the alphabet sizes that occur here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .beta_numeration import QuadraticParams, RenyiExpansion, parry_check
+from .beta_numeration import QuadraticParams, RenyiExpansion, _Frozen, parry_check
 from .errors import InvalidInputError, UnsupportedVariantError
 
 
@@ -26,17 +24,19 @@ def word_counts(word: str, alphabet_size: int) -> tuple[int, ...]:
     return tuple(word.count(letter(j)) for j in range(alphabet_size))
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_Frozen):
     """Letter-to-word morphism with a designated axiom letter.
 
     The axiom image must start with the axiom and be at least two letters
     long, so the fixed point lim phi^n(axiom) exists and is prefix-stable.
     """
 
-    alphabet_size: int
-    images: tuple[str, ...]
-    axiom: int = 0
+    __slots__ = ("alphabet_size", "images", "axiom", "_table")
+
+    def __init__(self, alphabet_size: int, images: tuple[str, ...],
+                 axiom: int = 0):
+        self._set(alphabet_size=alphabet_size, images=images, axiom=axiom)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.alphabet_size < 1 or len(self.images) != self.alphabet_size:
@@ -52,8 +52,8 @@ class Substitution:
             raise InvalidInputError(
                 "axiom image must start with the axiom and have length >= 2"
             )
-        object.__setattr__(self, "_table", {
-            ord(letter(j)): img for j, img in enumerate(self.images)})
+        self._set(_table={ord(letter(j)): img
+                          for j, img in enumerate(self.images)})
 
     def apply(self, word: str) -> str:
         """phi(word), images applied letterwise."""

@@ -2,7 +2,10 @@
 module-level private function is used in its own module, every private
 attribute a module stores on `self` is read somewhere in that module, and no
 module imports mpmath, which is a test dependency only, or any module of
-the tests, such as the reference `mpf_reference`.
+the tests, such as the reference `mpf_reference`.  A fresh
+`import betawords.cli` loads every layer the benchmark's tracer looks up,
+and neither `dataclasses` nor `csv`, which would add to every command's
+start-up.
 
 A module-level import must be used somewhere in its module; an import inside
 a function must be used inside that function.  `__init__.py` re-exports on
@@ -10,11 +13,15 @@ purpose and is left out.  Parsed with `ast`, so the check needs no linter.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "betawords"
+TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # the tests import each other by module name, so each is a top-level name
@@ -178,3 +185,28 @@ def test_check_holds_each_function_to_its_own_imports():
 
 def test_check_counts_a_module_import_used_in_a_function():
     assert unused_imports("import re\n\n\ndef f():\n    return re\n") == []
+
+
+def traced_layers() -> tuple[str, ...]:
+    """`LAYERS` of the benchmark's tracer: the modules it looks up in
+    sys.modules by name once it has imported `betawords.cli`."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no LAYERS in {TRACER}")
+
+
+def test_cli_import_loads_the_layers_and_neither_dataclasses_nor_csv():
+    # a fresh child, as the test process has imported far more
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, betawords.cli; print(*sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    layers = traced_layers()
+    assert len(layers) == 6
+    assert {f"betawords.{layer}" for layer in layers} <= loaded
+    assert loaded & {"dataclasses", "csv", "_csv"} == set()

@@ -126,6 +126,39 @@ def test_contains_matches_factor_sets(subject):
                 assert lang.contains(w + z) == (w + z in lang.factors(n + 1))
 
 
+class WholeBlocks(FactorLanguage):
+    """The oracle with each whole block phi^k(c) in its windows, the
+    reference for the blocks cut to a suffix."""
+
+    def _windows(self, n):
+        self._grow(n)
+        images, cut = self._images, max(n - 1, 0)
+        return [images[c] for c in sorted(images)] + [
+            images[x][len(images[x]) - cut:] + images[y][:cut]
+            for x, y in sorted(self.two_factors)]
+
+
+# every (a, b) with a <= 12, the Sturmian b = a - 1 included, and expansions
+# whose images start with runs of other lengths (t = 0 and t = 1 included)
+CUT_SUBJECTS = [f"{a},{b}" for a in range(2, 13) for b in range(1, a)] \
+    + ["3 1 (2)", "3 (2 1)", "4 1 1 (2 1)", "3 0 0 (0 1)"]
+
+
+@pytest.mark.parametrize("subject", CUT_SUBJECTS)
+def test_cut_blocks_read_as_whole_blocks(subject):
+    sub = substitution_of(subject)
+    cut, whole = FactorLanguage(sub), WholeBlocks(sub)
+    for n in (1, 2, 3, 5, 13, 40, 121, 500):
+        assert cut.complexities(n) == whole.complexities(n), n
+        assert cut.palindrome_counts(n) == whole.palindrome_counts(n), n
+        factors = sorted(cut.factors(n))
+        assert factors == sorted(whole.factors(n)), n
+        # the first and last factors, and the words one letter off them
+        for w in factors[:3] + factors[-3:]:
+            for v in (w, w[:-1] + "0", w[:-1] + "1", "1" + w[1:], w[::-1]):
+                assert cut.contains(v) == whole.contains(v), (n, v)
+
+
 def test_two_letter_factors():
     assert FactorLanguage(substitution_of("3,1")).two_factors == {"00", "01", "10"}
     assert "11" not in FactorLanguage(substitution_of("3 (2 1)")).two_factors

@@ -1,0 +1,86 @@
+"""The value types keep the behaviour of the dataclasses they once were: the
+frozen ones compare, hash and print by their fields and refuse assignment,
+and every constructor takes its fields by position or keyword, with the
+same defaults."""
+
+import pytest
+
+from betawords import (
+    BranchSpec,
+    PalindromeRecord,
+    QuadraticParams,
+    RenyiExpansion,
+    Substitution,
+    Table,
+    UVTower,
+    quadratic_substitution,
+)
+from betawords.palindromes import PARITY_CASES, IntervalClause, UptoClause
+
+# repr -> (a new value, its fields in order)
+FROZEN = {
+    "QuadraticParams(a=3, b=1)": (lambda: QuadraticParams(3, 1), (3, 1)),
+    "RenyiExpansion(preperiod=(3, 1), period=(2,))": (
+        lambda: RenyiExpansion([3, "1"], (2,)), ((3, 1), (2,))),
+    "Substitution(alphabet_size=2, images=('0001', '01'), axiom=0)": (
+        lambda: quadratic_substitution(QuadraticParams(3, 1)),
+        (2, ("0001", "01"), 0)),
+    "PalindromeRecord(word='010', center='1', extensions=frozenset({'0'}))": (
+        lambda: PalindromeRecord(word="010", center="1",
+                                 extensions=frozenset("0")),
+        ("010", "1", frozenset("0"))),
+    "UptoClause(bound='b', value=2)": (lambda: UptoClause("b", 2), ("b", 2)),
+    "IntervalClause(vc=1, vo=0, uc=1, uo=0, value=3, k_min=1, forbid=(3, 2))": (
+        lambda: IntervalClause(1, 0, 1, 0, 3, forbid=(3, 2)),
+        (1, 0, 1, 0, 3, 1, (3, 2))),
+}
+
+
+@pytest.mark.parametrize("shown", FROZEN)
+def test_frozen_types_compare_hash_and_print_by_fields(shown):
+    make, fields = FROZEN[shown]
+    one, two = make(), make()
+    assert one is not two and one == two and not one != two
+    assert hash(one) == hash(two) == hash(fields) and len({one, two}) == 1
+    assert repr(one) == shown
+    assert one != fields  # another class never compares equal
+
+
+@pytest.mark.parametrize("shown", FROZEN)
+def test_frozen_types_refuse_assignment(shown):
+    value = FROZEN[shown][0]()
+    name = shown[shown.index("(") + 1 : shown.index("=")]  # the first field
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.other = 1
+    assert getattr(value, name) == before
+
+
+def test_fields_differ_by_value():
+    assert QuadraticParams(3, 1) != QuadraticParams(4, 1)
+    assert RenyiExpansion((3,), (1,)) != RenyiExpansion((3,), (2,))
+    assert Substitution(2, ("001", "11")) != Substitution(2, ("001", "11"), 1)
+
+
+def test_constructors_take_keywords_and_defaults():
+    sub = Substitution(alphabet_size=2, images=("0001", "01"))
+    assert sub.axiom == 0 and sub == quadratic_substitution(QuadraticParams(3, 1))
+    clause = IntervalClause(vc=2, vo=0, uc=2, uo=0, value=3)
+    assert (clause.k_min, clause.forbid) == (1, None)
+    assert PARITY_CASES[1, 0].odd == (clause,)
+    tower = UVTower(params=QuadraticParams(3, 1), depth=2)
+    assert tower.materialize_cap == 10 ** 6
+    assert Table(fields=("n",), rows=[{"n": 1}]).column("n") == [1]
+
+
+def test_branch_specs_get_their_own_empty_factor_list():
+    one, two = BranchSpec("0", ("W",)), BranchSpec(center="1", generator=("W",))
+    assert one.central_factors == two.central_factors == []
+    assert one.central_factors is not two.central_factors
+    assert one.verified is False
+    one.verified = True  # the mutable types take assignment
+    assert one.verified
