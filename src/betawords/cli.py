@@ -50,6 +50,7 @@ EXIT_PRECISION = 3
 EXIT_VERIFICATION = 4
 # 10^6 digits take about a second and 100 MB
 MAX_DIGIT_COUNT = 10 ** 6
+MAX_SPECIAL_LENGTH = 10 ** 5  # its left specials: about a second and 80 MB
 
 _FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]),
@@ -237,14 +238,13 @@ def word(a, b, digits, length, fmt):
 @main.command()
 @click.option("--a", type=int)
 @click.option("--b", type=int)
-@click.option("--n", type=click.IntRange(min=0), required=True)
+@click.option("--n", type=click.IntRange(min=0, max=MAX_SPECIAL_LENGTH), required=True)
 @click.option("--tower-depth", type=click.IntRange(min=0), default=8, show_default=True)
 @_FORMAT
 def specials(a, b, n, tower_depth, fmt):
     """Left special factors of length n, plus the U/V towers."""
     params = _params(a, b)
-    lang = language_of(params)
-    left = sorted(lang.left_special_factors(n))
+    left = sorted(language_of(params).left_special_factors(n))
     payload = {"schema": 1, "a": params.a, "b": params.b, "n": n,
                "left_special": left}
     lines = [f"left special ({len(left)}): " + " ".join(left)]

@@ -22,9 +22,9 @@ strings of the lengths in (len(link(s)), len(s)], and the palindromes from a
 generalized eertree (Rubinchik & Shur 2015), one node per distinct
 palindrome with an edge by z to z w z.
 
-`factors(n)` is the set of length-n substrings of the windows for n, and
-`contains(w)` is a substring test in the windows for |w|, so the windows are
-the one text that every query reads.
+Both keep where an occurrence of each state or node ends.  The left
+specials and `palindromes.reversal_closure_probe` read the automaton, and
+`contains(w)` searches the windows for |w|: the windows are the one text.
 """
 
 from __future__ import annotations
@@ -39,8 +39,15 @@ from .substitution import Substitution, letter, quadratic_substitution
 _SEPARATOR = " "  # between the windows; no letter of u
 
 
+def _length(n: int) -> int:
+    if n < 0:
+        raise InvalidInputError("factor length must be nonnegative")
+    return n
+
+
 class FactorLanguage:
-    """Cached view of the language of a substitution fixed point."""
+    """The language of a substitution fixed point, read off the junction
+    windows for each length asked."""
 
     def __init__(self, substitution: Substitution):
         self.substitution = substitution
@@ -73,14 +80,6 @@ class FactorLanguage:
                 c: "".join(previous[d] for d in self._phi[c]) for c in previous}
             self._reach = min(map(len, images.values()))
 
-    def factors(self, n: int) -> frozenset[str]:
-        """The complete set of length-n factors: the length-n substrings of
-        the junction windows for n."""
-        if n < 0:
-            raise InvalidInputError("factor length must be nonnegative")
-        return frozenset(piece[i : i + n] for piece in self._windows(n)
-                         for i in range(len(piece) - n + 1))
-
     def _windows(self, n: int) -> list[str]:
         """The junction windows for length n, each block from its last r
         copies of A on: every factor of length at most n lies inside one."""
@@ -94,55 +93,60 @@ class FactorLanguage:
         return blocks + [images[x][len(images[x]) - cut:] + images[y][:cut]
                          for x, y in sorted(self.two_factors)]
 
-    def _automaton(self, n: int) -> tuple[list[int], list[int]]:
-        """Generalized suffix automaton of the junction windows for n, as the
-        length of each state's longest string and the state of its suffix
-        link (-1 at the root, state 0)."""
-        # one column of edge targets per letter, -1 where there is no edge
+    def _automaton(self, n: int) -> tuple:
+        """Generalized suffix automaton of the junction windows for n: the
+        text as in `eertree` and, per state, its longest string's length, its
+        suffix link (-1 at the root, state 0), its edges (column c holds the
+        target by c, or -1) and where in the text an occurrence ends."""
+        from array import array  # off the import path of every command
+        text = _SEPARATOR + _SEPARATOR.join(self._windows(n))
         edges = {c: [-1] for c in self._images}
         columns = list(edges.values())
-        length, link = [0], [-1]
-        for piece in self._windows(n):
-            last = 0
-            for c in piece:
-                to = edges[c]
-                if to[last] >= 0:  # the string is in the automaton already
-                    p, cur = last, None
-                else:
-                    cur = len(length)
-                    length.append(length[last] + 1)
-                    link.append(0)
-                    for column in columns:
-                        column.append(-1)
-                    p = last
-                    while p != -1 and to[p] < 0:
-                        to[p] = cur
-                        p = link[p]
-                    if p == -1:
-                        last = cur
-                        continue
-                q = to[p]
-                if length[q] == length[p] + 1:
-                    target = q
-                else:  # split q: its strings up to length[p] + 1 move out
-                    target = len(length)
-                    length.append(length[p] + 1)
-                    link.append(link[q])
-                    for column in columns:
-                        column.append(column[q])
-                    link[q] = target
-                    while p != -1 and to[p] == q:
-                        to[p] = target
-                        p = link[p]
-                if cur is None:
-                    last = target
-                else:
-                    link[cur], last = target, cur
-        return length, link
+        length, link, ends, last = [0], [-1], array("l", [0]), 0
+        for i, c in enumerate(text):
+            if c == _SEPARATOR:
+                last = 0
+                continue
+            to = edges[c]
+            if to[last] >= 0:  # the string is in the automaton already
+                p, cur = last, None
+            else:
+                cur = len(length)
+                length.append(length[last] + 1)
+                link.append(0)
+                ends.append(i)
+                for column in columns:
+                    column.append(-1)
+                p = last
+                while p != -1 and to[p] < 0:
+                    to[p] = cur
+                    p = link[p]
+                if p == -1:
+                    last = cur
+                    continue
+            q = to[p]
+            if length[q] == length[p] + 1:
+                target = q
+            else:  # split q: its strings up to length[p] + 1 move out
+                target = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                ends.append(ends[q])
+                for column in columns:
+                    column.append(column[q])
+                link[q] = target
+                while p != -1 and to[p] == q:
+                    to[p] = target
+                    p = link[p]
+            if cur is None:
+                last = target
+            else:
+                link[cur], last = target, cur
+        return text, length, link, edges, ends
 
     def complexities(self, n_max: int) -> list[int]:
         """Oracle C(0) .. C(n_max), from one suffix automaton."""
-        length, link = self._automaton(n_max)
+        _, length, link, _, _ = self._automaton(_length(n_max))
         # C(n) - C(n-1): the states whose lengths start at n, less those
         # that end at n-1
         starts = Counter(length[s] + 1 for s in link[1:])
@@ -163,8 +167,7 @@ class FactorLanguage:
         edges = {c: [-1, -1] for c in self._images}
         columns = list(edges.values())
         length, link, ends, last = [-1, 0], [0, 0], [0, 0], 1
-        for i in range(1, len(text)):
-            c = text[i]
+        for i, c in enumerate(text):
             if c == _SEPARATOR:
                 last = 1
                 continue
@@ -191,7 +194,7 @@ class FactorLanguage:
         """Oracle (P(n), maximal, two-extension) for 0 <= n <= n_max, from one
         eertree; a palindrome's extensions are the letters 0 and 1 with
         z w z a factor."""
-        _, length, edges, _ = self.eertree(n_max + 2)
+        _, length, edges, _ = self.eertree(_length(n_max) + 2)
         none = [-1] * len(length)
         counts = [[0, 0, 0] for _ in range(n_max + 1)]
         for size, zero, one in zip(length, edges.get("0", none),
@@ -203,28 +206,19 @@ class FactorLanguage:
                 row[2] += ext == 2
         return [tuple(row) for row in counts]
 
-    def __contains__(self, word: str) -> bool:
-        return self.contains(word)
-
     def contains(self, word: str) -> bool:
-        """Membership via substring search in the junction windows for
-        len(word)."""
+        """Membership: a substring search in the windows for len(word)."""
         return any(word in piece for piece in self._windows(len(word)))
 
-    def complexity(self, n: int) -> int:
-        """Oracle C(n): the number of distinct length-n factors."""
-        return len(self.factors(n))
-
     def left_special_factors(self, n: int) -> set[str]:
-        """Factors of length n with at least two left extensions."""
-        longer = self.factors(n + 1)
-        seen: dict[str, set[str]] = {}
-        for f in longer:
-            seen.setdefault(f[1:], set()).add(f[0])
-        return {w for w, ext in seen.items() if len(ext) >= 2}
-
-    def is_left_special(self, word: str) -> bool:
-        return word in self.left_special_factors(len(word))
+        """Factors of length n with at least two left extensions: in the
+        automaton for n+1, the longest strings w of the states of length n
+        whose suffix-link children, the states of the z w, differ in z."""
+        text, length, link, _, ends = self._automaton(_length(n) + 1)
+        pairs = {(s, text[ends[t] - n]) for t, s in enumerate(link)
+                 if t and length[s] == n}  # (the state of w, z) per z w
+        count = Counter(s for s, _ in pairs)
+        return {text[ends[s] + 1 - n : ends[s] + 1] for s in count if count[s] > 1}
 
 
 def language_of(subject: FactorLanguage | Substitution | QuadraticParams

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .beta_numeration import QuadraticParams, _Frozen
 from .complexity import Table, t_map, t_orbit, tower_intervals, uv_tower
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
-from .language import FactorLanguage, language_of
+from .language import _SEPARATOR, FactorLanguage, _length, language_of
 from .substitution import Substitution
 
 EPSILON = "e"  # center marker for even-length palindromes
@@ -71,9 +71,7 @@ def palindromic_extensions(word: str, lang: FactorLanguage) -> frozenset[str]:
 def palindromes_of_length(lang: FactorLanguage, n: int) -> set[PalindromeRecord]:
     """All palindromic factors of length n, extension sets included, read
     off the nodes of length n of the language's eertree."""
-    if n < 0:
-        raise InvalidInputError("factor length must be nonnegative")
-    text, length, edges, ends = lang.eertree(n + 2)
+    text, length, edges, ends = lang.eertree(_length(n) + 2)
     columns = [(z, edges[z]) for z in ("0", "1") if z in edges]
     records = set()
     for node, (size, end) in enumerate(zip(length, ends)):
@@ -231,16 +229,24 @@ def reversal_closure_probe(subject: FactorLanguage | Substitution,
                            n_max: int) -> dict:
     """Check reversal-invariance of the factor sets up to n_max.
 
-    Returns {"closed_up_to": n, "witness": w or None}; the witness is a factor
-    whose reversal is not a factor, at the first length where one exists.
+    Returns {"closed_up_to": n, "witness": w or None}; the witness is the
+    least factor whose reversal is not one, at the first length with one.
     """
-    lang = language_of(subject)
-    for n in range(1, n_max + 1):
-        factors = lang.factors(n)
-        for w in sorted(factors):
-            if w[::-1] not in factors:
-                return {"closed_up_to": n - 1, "witness": w}
-    return {"closed_up_to": n_max, "witness": None}
+    # the windows for 1 hold every letter, so the root has an edge by each
+    text, length, link, edges, _ = \
+        language_of(subject)._automaton(max(_length(n_max), 1))
+    best = (n_max + 1, None)
+    for piece in text.split(_SEPARATOR):
+        state = m = 0  # piece[i : i + m] reversed: the longest such factor
+        for i in range(len(piece) - 1, -1, -1):
+            to = edges[piece[i]]
+            while to[state] < 0:
+                state, m = link[state], length[link[state]]
+            state, m = to[state], m + 1
+            # piece[i : i + m + 1], if it fits, is a factor; its reversal is not
+            if m < min(len(piece) - i, n_max, best[0]):
+                best = min(best, (m + 1, piece[i : i + m + 1]))
+    return {"closed_up_to": best[0] - 1, "witness": best[1]}
 
 
 # ---------------------------------------------------------------------------

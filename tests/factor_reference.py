@@ -1,0 +1,61 @@
+"""Set-based factor readers, kept as a reference for tests.
+
+These are the readers the package used before every per-length question
+read the suffix automaton: the set of length-n factors as the length-n
+substrings of the junction windows for n, C(n) as its size, the left
+special factors from the set for n + 1, and the reversal-closure probe
+that checks each factor set against its reversals.  No command calls them;
+tests compare the automaton readers with them, and use the factor sets
+where they need every factor of one length.  `factors` reads the windows
+themselves, so the tests that compare it with prefix scans check the
+window cover as well.
+"""
+
+from __future__ import annotations
+
+from betawords.errors import InvalidInputError
+from betawords.language import FactorLanguage, language_of
+from betawords.substitution import Substitution
+
+
+def factors(lang: FactorLanguage, n: int) -> frozenset[str]:
+    """The complete set of length-n factors: the length-n substrings of
+    the junction windows for n."""
+    if n < 0:
+        raise InvalidInputError("factor length must be nonnegative")
+    return frozenset(piece[i : i + n] for piece in lang._windows(n)
+                     for i in range(len(piece) - n + 1))
+
+
+def complexity(lang: FactorLanguage, n: int) -> int:
+    """Oracle C(n): the number of distinct length-n factors."""
+    return len(factors(lang, n))
+
+
+def left_special_factors(lang: FactorLanguage, n: int) -> set[str]:
+    """Factors of length n with at least two left extensions."""
+    longer = factors(lang, n + 1)
+    seen: dict[str, set[str]] = {}
+    for f in longer:
+        seen.setdefault(f[1:], set()).add(f[0])
+    return {w for w, ext in seen.items() if len(ext) >= 2}
+
+
+def is_left_special(lang: FactorLanguage, word: str) -> bool:
+    return word in left_special_factors(lang, len(word))
+
+
+def reversal_closure_probe(subject: FactorLanguage | Substitution,
+                           n_max: int) -> dict:
+    """Check reversal-invariance of the factor sets up to n_max.
+
+    Returns {"closed_up_to": n, "witness": w or None}; the witness is a factor
+    whose reversal is not a factor, at the first length where one exists.
+    """
+    lang = language_of(subject)
+    for n in range(1, n_max + 1):
+        found = factors(lang, n)
+        for w in sorted(found):
+            if w[::-1] not in found:
+                return {"closed_up_to": n - 1, "witness": w}
+    return {"closed_up_to": n_max, "witness": None}

@@ -198,6 +198,19 @@ def test_specials_at_n_3000_stays_under_64_mb():
     assert peak_kib < 64 * 1024
 
 
+def test_specials_length_past_its_bound_exits_2_before_any_factor(monkeypatch, capsys):
+    def no_specials(*args):
+        raise AssertionError("left_special_factors ran")
+
+    monkeypatch.setattr(FactorLanguage, "left_special_factors", no_specials)
+    code, out = _run_in_process(
+        monkeypatch, capsys, "specials", "--a", "3", "--b", "1",
+        "--n", str(cli_module.MAX_SPECIAL_LENGTH + 1))
+    assert (code, out.out) == (2, "")
+    assert out.err == ("usage error: Invalid value for '--n': 100001 "
+                       "is not in the range 0<=x<=100000.\n")
+
+
 class TestPalindromes:
     def test_length_three(self):
         result = cli("palindromes", "--a", "3", "--b", "1", "--n", "3",
@@ -481,7 +494,7 @@ def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
         real_init(self, substitution)
 
     monkeypatch.setattr(FactorLanguage, "__init__", init)
-    for name in ("_automaton", "eertree", "factors"):
+    for name in ("_automaton", "eertree"):
         monkeypatch.setattr(FactorLanguage, name,
                             spy(name, getattr(FactorLanguage, name)))
     monkeypatch.setattr(palindromes_module, "palindromes_of_length",

@@ -61,6 +61,9 @@ GOLDEN = [
     (["verify", "--digits", "2 1 (1)", "--n-max", "20", "--format", "json"], 0,
      "0aed00cfa3da9312d2e073b3a87782ca33ec7dd931af0dece120babb1729b6ec",
      EMPTY),
+    (["verify", "--digits", "4 1 1 (2 1)", "--n-max", "60", "--format", "json"], 0,
+     "4ac5c98eef6cb17902f25894346724ca1cbe2d8a19bb0e75bcb36ab444b98ac5",
+     EMPTY),
     (["verify", "--a-max", "6", "--n-max", "60", "--format", "json"], 0,
      "c7342cb4e378b90046f3de80b695fdfb95b3ccc61a0cd9df5452ac9ad01ce6c1",
      EMPTY),
@@ -81,6 +84,12 @@ GOLDEN = [
      EMPTY),
     (["specials", "--a", "4", "--b", "3", "--n", "3"], 0,
      "fe3ac6cac72b9a4d292780290478c00bda78370ab0be82377d76a47fe7a4a3db",
+     EMPTY),
+    (["specials", "--a", "3", "--b", "1", "--n", "0"], 0,
+     "b9d62889169e2f5372097ff1641dc8f0e1f47438134277cc15615d9d00dd51cc",
+     EMPTY),
+    (["specials", "--a", "7", "--b", "2", "--n", "300", "--format", "json"], 0,
+     "830718e0337ee3b764b29d977966a34d1fd29b7ba5abfdc2ad97da10cbf71304",
      EMPTY),
     (["palindromes", "--a", "3", "--b", "1", "--n", "5"], 0,
      "514e9031328095136229863ff2191e40f6f7cc27a1af86a2e4cb76deb94687e1",

@@ -3,6 +3,8 @@
 import time
 
 import pytest
+from factor_reference import complexity, factors, left_special_factors
+from factor_reference import reversal_closure_probe as reference_probe
 from hypothesis import assume, given, settings, strategies as st
 
 from betawords import (
@@ -18,6 +20,7 @@ from betawords import (
     parry_check,
     parry_substitution,
     quadratic_substitution,
+    reversal_closure_probe,
 )
 
 # Every length-60 factor of these subjects occurs in their first 889 letters.
@@ -45,7 +48,7 @@ def test_factors_equal_prefix_scan(subject):
     prefix = fixed_point_prefix(sub, PREFIX)
     lang = FactorLanguage(sub)
     for n in range(N_MAX + 1):
-        assert lang.factors(n) == scan(prefix, n), n
+        assert factors(lang, n) == scan(prefix, n), n
 
 
 # The 21 points with a <= 8 and Parry expansions over larger alphabets.  Every
@@ -90,9 +93,9 @@ def test_slowly_growing_expansion():
     sub = substitution_of("3 0 0 (0 1)")
     prefix = fixed_point_prefix(sub, 50_000)
     lang = FactorLanguage(sub)
-    assert lang.complexity(2) == 11
+    assert complexity(lang, 2) == 11
     for n in range(13):
-        assert lang.factors(n) == scan(prefix, n), n
+        assert factors(lang, n) == scan(prefix, n), n
     assert FactorLanguage(sub).complexities(12) == [
         len(scan(prefix, n)) for n in range(13)]
 
@@ -102,10 +105,10 @@ def test_one_top_scan_equals_scans_in_increasing_order(subject):
     sub = substitution_of(subject)
     top_first = FactorLanguage(sub)
     # factor sets do not depend on the order in which lengths are asked
-    top_first.factors(N_MAX)
+    factors(top_first, N_MAX)
     ascending = FactorLanguage(sub)
     for n in range(1, N_MAX + 1):
-        assert top_first.factors(n) == ascending.factors(n), n
+        assert factors(top_first, n) == factors(ascending, n), n
 
 
 # the last three have more than two letters, and "3 0 0 (0 1)" has the
@@ -116,14 +119,13 @@ def test_contains_matches_factor_sets(subject):
     lang = FactorLanguage(substitution_of(subject))
     assert lang.contains("")
     assert not lang.contains("11")
-    assert "11" not in lang
-    letters = lang.factors(1)
+    letters = factors(lang, 1)
     for n in (1, 5, 17, 40):
-        factors = lang.factors(n)
-        assert all(lang.contains(w) for w in factors)
-        for w in factors:
+        words = factors(lang, n)
+        assert all(lang.contains(w) for w in words)
+        for w in words:
             for z in letters:
-                assert lang.contains(w + z) == (w + z in lang.factors(n + 1))
+                assert lang.contains(w + z) == (w + z in factors(lang, n + 1))
 
 
 class WholeBlocks(FactorLanguage):
@@ -151,10 +153,10 @@ def test_cut_blocks_read_as_whole_blocks(subject):
     for n in (1, 2, 3, 5, 13, 40, 121, 500):
         assert cut.complexities(n) == whole.complexities(n), n
         assert cut.palindrome_counts(n) == whole.palindrome_counts(n), n
-        factors = sorted(cut.factors(n))
-        assert factors == sorted(whole.factors(n)), n
+        words = sorted(factors(cut, n))
+        assert words == sorted(factors(whole, n)), n
         # the first and last factors, and the words one letter off them
-        for w in factors[:3] + factors[-3:]:
+        for w in words[:3] + words[-3:]:
             for v in (w, w[:-1] + "0", w[:-1] + "1", "1" + w[1:], w[::-1]):
                 assert cut.contains(v) == whole.contains(v), (n, v)
 
@@ -176,8 +178,32 @@ def test_non_growing_substitution_raises_promptly(images):
 
 
 def test_negative_length_rejected():
-    with pytest.raises(InvalidInputError):
-        FactorLanguage(substitution_of("3,1")).factors(-1)
+    lang = FactorLanguage(substitution_of("3,1"))
+    readers = [lambda n: factors(lang, n), lang.complexities,
+               lang.palindrome_counts, lang.left_special_factors,
+               lambda n: reversal_closure_probe(lang, n),
+               lambda n: palindromes_of_length(lang, n)]
+    for reader in readers:
+        for n in (-1, -3):
+            with pytest.raises(InvalidInputError):
+                reader(n)
+
+
+# every (a, b) with a <= 9, the Sturmian b = a - 1 included, and Parry
+# expansions over larger alphabets, "3 0 0 (0 1)" with the most uneven blocks
+READER_SUBJECTS = [f"{a},{b}" for a in range(2, 10) for b in range(1, a)] \
+    + ["3 1 (2)", "3 (2 1)", "4 1 1 (2 1)", "2 1 (1)", "3 0 0 (0 1)"]
+
+
+@pytest.mark.parametrize("subject", READER_SUBJECTS)
+def test_automaton_readers_equal_factor_sets(subject):
+    sub = substitution_of(subject)
+    lang = FactorLanguage(sub)
+    for n in [*range(41), 77, 150]:
+        assert lang.left_special_factors(n) == left_special_factors(lang, n), n
+    for window in (1, 5, 20, 60):
+        assert reversal_closure_probe(lang, window) \
+            == reference_probe(lang, window), window
 
 
 @st.composite
@@ -198,4 +224,4 @@ def test_random_parry_expansions_equal_prefix_scan(renyi):
     prefix = fixed_point_prefix(sub, 20_000)
     lang = FactorLanguage(sub)
     for n in range(9):
-        assert lang.factors(n) == scan(prefix, n), (str(renyi), n)
+        assert factors(lang, n) == scan(prefix, n), (str(renyi), n)
