@@ -14,7 +14,6 @@ from .complexity import (
     UVTower,
     closed_form_delta_c,
     factor_complexity,
-    t_map,
     t_orbit,
     tower_intervals,
     uv_tower,
@@ -35,22 +34,18 @@ from .palindromes import (
     PalindromeRecord,
     center_evolution,
     center_of,
-    classify_tower_centers,
     closed_form_p,
     infinite_branches,
     is_palindrome,
     palindromes_of_length,
     palindromic_complexity,
-    palindromic_extensions,
     reversal_closure_probe,
-    t_map_palindrome_check,
     verify_identities,
 )
 from .substitution import (
     FixedPointStream,
     Substitution,
     fixed_point_prefix,
-    is_primitive,
     parry_substitution,
     quadratic_substitution,
 )

@@ -125,13 +125,6 @@ class RenyiExpansion(_Frozen):
         per = " ".join(str(t) for t in self.period)
         return (pre + " " if pre else "") + "(" + per + ")"
 
-    def to_json(self) -> dict:
-        return {"preperiod": list(self.preperiod), "period": list(self.period)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RenyiExpansion":
-        return cls(tuple(obj["preperiod"]), tuple(obj["period"]))
-
     @classmethod
     def parse(cls, text: str) -> "RenyiExpansion":
         """Parse the textual form "t1 t2 ... (tm+1 ... tm+p)"."""

@@ -50,14 +50,16 @@ EXIT_PRECISION = 3
 EXIT_VERIFICATION = 4
 # 10^6 digits take about a second and 100 MB
 MAX_DIGIT_COUNT = 10 ** 6
-MAX_SPECIAL_LENGTH = 10 ** 5  # its left specials: about a second and 80 MB
+# --n of specials and palindromes: at (a, b) = (3, 1) about 0.7 s and 60-85 MB;
+# the windows grow with a, to 2-3.5 s and 260-320 MB at (15, 1)
+MAX_FACTOR_LENGTH = 10 ** 5
 
 _FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]),
     default="text", show_default=True,
 )
 _PRECISION = click.option(
-    "--precision", type=click.IntRange(min=2), envvar="BETAWORDS_PRECISION",
+    "--precision", type=click.IntRange(min=2),
     default=DEFAULT_PRECISION, show_default=True,
     help="Significant digits shown by beta-integers (at most 12); "
          "changes no digit of beta-expand, which is exact.",
@@ -238,7 +240,7 @@ def word(a, b, digits, length, fmt):
 @main.command()
 @click.option("--a", type=int)
 @click.option("--b", type=int)
-@click.option("--n", type=click.IntRange(min=0, max=MAX_SPECIAL_LENGTH), required=True)
+@click.option("--n", type=click.IntRange(min=0, max=MAX_FACTOR_LENGTH), required=True)
 @click.option("--tower-depth", type=click.IntRange(min=0), default=8, show_default=True)
 @_FORMAT
 def specials(a, b, n, tower_depth, fmt):
@@ -274,7 +276,7 @@ def specials(a, b, n, tower_depth, fmt):
 @main.command()
 @click.option("--a", type=int)
 @click.option("--b", type=int)
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=0, max=MAX_FACTOR_LENGTH), required=True)
 @click.option("--branch-budget", type=click.IntRange(min=0), default=2000, show_default=True)
 @_FORMAT
 def palindromes(a, b, n, branch_budget, fmt):

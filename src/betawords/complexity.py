@@ -6,11 +6,13 @@ factors V^(k) and maximal left special factors U^(k), and 1 elsewhere.
 
 The letter counts of both towers come from one recurrence, `_tower_counts`.
 The towers read it directly; both closed forms, this one and P(n) in
-`palindromes`, read it through `tower_intervals`.  Every tower word, here
-and in the palindromic branches, comes from one T-orbit builder, `t_orbit`,
-which joins T^k(w) = P_k phi^k(w) S_k from phi^k(0), phi^k(1) and the
-T-prefix and T-suffix P_k, S_k, and every per-length table, here, in
-`palindromes` and in the CLI, is one `Table`.
+`palindromes`, read it through `tower_intervals`.  Its marks, +1 at each
+|V^(k)| and -1 at each |U^(k)| (`_tower_marks`), are Delta^2 C: Delta C,
+the identity suite and the closed-form palindrome counts read them.  Every
+tower word, here and in the palindromic branches, comes from one T-orbit
+builder, `t_orbit`, which joins T^k(w) = P_k phi^k(w) S_k from phi^k(0),
+phi^k(1) and the T-prefix and T-suffix P_k, S_k, and every per-length
+table, here, in `palindromes` and in the CLI, is one `Table`.
 """
 
 from __future__ import annotations
@@ -20,16 +22,9 @@ from itertools import accumulate, islice, takewhile
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError, UnsupportedVariantError
 from .language import FactorLanguage, language_of
-from .substitution import Substitution, quadratic_substitution
+from .substitution import Substitution
 
 DEFAULT_MATERIALIZE_CAP = 10 ** 6
-
-
-def t_map(word: str, params: QuadraticParams) -> str:
-    """The language-preserving map w -> 0^b 1 phi(w) 0^b."""
-    phi = quadratic_substitution(params)
-    zeros = "0" * params.b
-    return zeros + "1" + phi.apply(word) + zeros
 
 
 def _t_counts(zeros: int, ones: int, params: QuadraticParams) -> tuple[int, int]:
@@ -109,26 +104,6 @@ class UVTower:
         cap = max(self.materialize_cap, len(first))
         return list(islice(t_orbit(first, self.params, cap), self.depth))
 
-    def u_length(self, n: int) -> int:
-        """|U^(n)|, 1-based, exact."""
-        z, o = self.u_counts[n - 1]
-        return z + o
-
-    def v_length(self, n: int) -> int:
-        """|V^(n)|, 1-based, exact."""
-        z, o = self.v_counts[n - 1]
-        return z + o
-
-    def u_word(self, n: int) -> str:
-        return self.u_words[n - 1]
-
-    def v_word(self, n: int) -> str:
-        return self.v_words[n - 1]
-
-    @property
-    def materialized_depth(self) -> int:
-        return min(len(self.u_words), len(self.v_words))
-
     def lengths_json(self) -> dict:
         """Lengths as decimal strings (they outgrow doubles quickly)."""
         try:
@@ -153,15 +128,26 @@ def tower_intervals(params: QuadraticParams, n_max: int):
     return [(sum(v), sum(u)) for v, u in counts]
 
 
+def _tower_marks(params: QuadraticParams, n_max: int) -> list[int]:
+    """+1 at each |V^(k)|, -1 at each |U^(k)| and 0 elsewhere, for
+    n = 0 .. n_max: the lengths interleave, |V^(k)| < |U^(k)| < |V^(k+1)|."""
+    marks = [0] * (n_max + 1)
+    for v_len, u_len in tower_intervals(params, n_max + 1):
+        marks[v_len] = 1
+        if u_len <= n_max:
+            marks[u_len] = -1
+    return marks
+
+
 def closed_form_delta_c(params: QuadraticParams, n_max: int) -> list[int]:
-    """Delta C(n) for n = 1 .. n_max: 2 on each (|V^(k)|, |U^(k)|], else 1."""
+    """Delta C(n) for n = 1 .. n_max: 2 on each (|V^(k)|, |U^(k)|], else 1.
+
+    Delta C(0) = 1 and Delta^2 C(n) is the mark of n, so Delta C(n) is 1
+    plus the marks of 0 .. n-1.
+    """
     if params.is_sturmian:
         raise UnsupportedVariantError("closed form applies only for a-1 > b")
-    delta = [1] * (n_max + 1)
-    for v_len, u_len in tower_intervals(params, n_max + 1):
-        for n in range(v_len + 1, min(u_len, n_max) + 1):
-            delta[n] = 2
-    return delta[1:]
+    return list(accumulate(_tower_marks(params, n_max - 1), initial=1))[1:]
 
 
 class Table:

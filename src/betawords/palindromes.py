@@ -11,15 +11,16 @@ audited side by side.
 Like Delta C in `complexity`, P(n) is read off the one tower recurrence
 there: `tower_intervals` lists the pairs (|V^(k)|, |U^(k)|) once per table,
 each clause turns them into the (lo, hi] ranges of n where it holds, and
-the clauses are painted over the per-parity default.  The branches take
-their words from the T-orbit builder of `complexity`, `t_orbit`, and the
-P(n) rows are a `complexity.Table`.
+the clauses are painted over the per-parity default.  Its maximal and
+two-extension columns and the identity suite read the tower marks of
+`complexity`.  The branches take their words from the T-orbit builder of
+`complexity`, `t_orbit`, and the P(n) rows are a `complexity.Table`.
 """
 
 from __future__ import annotations
 
 from .beta_numeration import QuadraticParams, _Frozen
-from .complexity import Table, t_map, t_orbit, tower_intervals, uv_tower
+from .complexity import Table, _tower_marks, t_orbit, tower_intervals
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
 from .language import _SEPARATOR, FactorLanguage, _length, language_of
 from .substitution import Substitution
@@ -52,21 +53,6 @@ class PalindromeRecord(_Frozen):
     def __init__(self, word: str, center: str, extensions: frozenset[str]):
         self._set(word=word, center=center, extensions=extensions)
 
-    @property
-    def is_maximal(self) -> bool:
-        return len(self.extensions) == 0
-
-
-def palindromic_extensions(word: str, lang: FactorLanguage) -> frozenset[str]:
-    """Letters z with z word z in the language."""
-    if not is_palindrome(word):
-        raise InvalidInputError(f"{word!r} is not a palindrome")
-    if not lang.contains(word):
-        raise InvalidInputError(f"{word!r} is not a factor")
-    return frozenset(
-        z for z in ("0", "1") if lang.contains(z + word + z)
-    )
-
 
 def palindromes_of_length(lang: FactorLanguage, n: int) -> set[PalindromeRecord]:
     """All palindromic factors of length n, extension sets included, read
@@ -80,28 +66,6 @@ def palindromes_of_length(lang: FactorLanguage, n: int) -> set[PalindromeRecord]
             ext = frozenset(z for z, column in columns if column[node] >= 0)
             records.add(PalindromeRecord(word=w, center=center_of(w), extensions=ext))
     return records
-
-
-def t_map_palindrome_check(word: str, params: QuadraticParams,
-                           lang: FactorLanguage) -> dict:
-    """Report for the palindrome-preservation property of T.
-
-    For any factor p: p is a palindrome iff T(p) is, and both have the same
-    palindromic-extension set.
-    """
-    if not lang.contains(word):
-        raise InvalidInputError(f"{word!r} is not a factor")
-    image = t_map(word, params)
-    report = {
-        "word": word,
-        "t_word": image,
-        "is_pal_p": is_palindrome(word),
-        "is_pal_Tp": is_palindrome(image),
-    }
-    if report["is_pal_p"]:
-        report["ext_p"] = palindromic_extensions(word, lang)
-        report["ext_Tp"] = palindromic_extensions(image, lang)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -136,31 +100,6 @@ def is_central_factor(inner: str, outer: str) -> bool:
         return False
     half = diff // 2
     return outer[half : half + len(inner)] == inner
-
-
-def classify_tower_centers(params: QuadraticParams, depth: int) -> dict:
-    """Observed vs expected centers of the materialized tower words."""
-    if params.is_sturmian:
-        raise UnsupportedVariantError("towers are undefined for b = a-1")
-    tower = uv_tower(params, depth)
-    cycle = _v_centers(params)
-    step = len(cycle)
-    u_expected = center_of("0" * (params.a - 1))  # U^(1)
-    rows = []
-    for n in range(1, tower.materialized_depth + 1):
-        u, v = tower.u_word(n), tower.v_word(n)
-        row = {
-            "n": n,
-            "u_center": center_of(u),
-            "v_center": center_of(v),
-            "u_expected": u_expected,
-            "v_expected": cycle[(n - 1) % step],
-        }
-        if n + step <= tower.materialized_depth:
-            row["v_in_later_v"] = is_central_factor(v, tower.v_word(n + step))
-        rows.append(row)
-        u_expected = center_evolution(u_expected, params)
-    return {"params": (params.a, params.b), "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -367,27 +306,27 @@ def palindromic_complexity(
 
     The oracle reads a given FactorLanguage, or builds one for the subject.
     """
+    fields = ("n", "P", "maximal_count", "two_ext_count", "source")
     if mode == "oracle":
-        counts = language_of(subject).palindrome_counts(n_max)
-    elif mode != "closed_form":
+        return Table(fields, [
+            {"n": n, "P": p, "maximal_count": maximal, "two_ext_count": two_ext,
+             "source": mode}
+            for n, (p, maximal, two_ext)
+            in enumerate(language_of(subject).palindrome_counts(n_max))])
+    if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
-    elif not isinstance(subject, QuadraticParams):
+    if not isinstance(subject, QuadraticParams):
         raise UnsupportedVariantError(
             "closed-form palindromic complexity needs quadratic parameters"
         )
-    else:
-        # one maximal palindrome at each |U^(k)|, one with two extensions at
-        # each |V^(k)|
-        maximal_at, two_ext_at = [0] * (n_max + 1), [0] * (n_max + 1)
-        for v_len, u_len in tower_intervals(subject, n_max + 1):
-            two_ext_at[v_len] = 1
-            if u_len <= n_max:
-                maximal_at[u_len] = 1
-        counts = zip(closed_form_p(subject, n_max), maximal_at, two_ext_at)
-    return Table(("n", "P", "maximal_count", "two_ext_count", "source"), [
-        {"n": n, "P": p, "maximal_count": maximal, "two_ext_count": two_ext,
-         "source": mode}
-        for n, (p, maximal, two_ext) in enumerate(counts)])
+    # one maximal palindrome at each |U^(k)|, mark -1, and one with two
+    # extensions at each |V^(k)|, mark +1; read in the rows, since a
+    # generator of count tuples costs a 5000-row table a tenth more
+    marks = _tower_marks(subject, n_max)
+    return Table(fields, [
+        {"n": n, "P": p, "maximal_count": 1 if mark < 0 else 0,
+         "two_ext_count": 1 if mark > 0 else 0, "source": mode}
+        for n, (p, mark) in enumerate(zip(closed_form_p(subject, n_max), marks))])
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +351,7 @@ def verify_identities(params: QuadraticParams, c: list[int], p: list[int]) -> di
             "need C(0..n_max+3) and P(0..n_max+2) with n_max >= 1, "
             f"got {len(c)} and {len(p)} values")
     delta = [c[n + 1] - c[n] for n in range(0, n_max + 3)]
-    pairs = tower_intervals(params, n_max + 1)  # the k with |V^(k)| <= n_max
-    v_lengths, u_lengths = {v for v, _ in pairs}, {u for _, u in pairs}
+    marks = _tower_marks(params, n_max)
 
     def fail(name, n, expected, actual):
         raise VerificationError(
@@ -431,9 +369,8 @@ def verify_identities(params: QuadraticParams, c: list[int], p: list[int]) -> di
         if lhs != rhs:
             fail("P(n+1)+P(n)=deltaC(n)+2", n, rhs, lhs)
         jump = p[n + 2] - p[n]
-        expected = 1 if n in v_lengths else (-1 if n in u_lengths else 0)
-        if jump != expected:
-            fail("P(n+2)-P(n) tower rule", n, expected, jump)
+        if jump != marks[n]:
+            fail("P(n+2)-P(n) tower rule", n, marks[n], jump)
         if delta[n + 1] - delta[n] != jump:
             fail("delta^2 C(n)=P(n+2)-P(n)", n, jump, delta[n + 1] - delta[n])
     return {

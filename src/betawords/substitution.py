@@ -19,11 +19,6 @@ def letter_index(ch: str) -> int:
     return ord(ch) - ord("0")
 
 
-def word_counts(word: str, alphabet_size: int) -> tuple[int, ...]:
-    """Letter-count vector of a word."""
-    return tuple(word.count(letter(j)) for j in range(alphabet_size))
-
-
 class Substitution(_Frozen):
     """Letter-to-word morphism with a designated axiom letter.
 
@@ -62,21 +57,6 @@ class Substitution(_Frozen):
             raise InvalidInputError("word uses a letter outside the alphabet")
         return word.translate(self._table)
 
-    def incidence_matrix(self) -> list[list[int]]:
-        """M[i][j] = number of occurrences of letter i in phi(j)."""
-        k = self.alphabet_size
-        return [[self.images[j].count(letter(i)) for j in range(k)] for i in range(k)]
-
-    def to_json(self) -> dict:
-        return {
-            "alphabet": self.alphabet_size,
-            "images": list(self.images),
-            "axiom": self.axiom,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Substitution":
-        return cls(obj["alphabet"], tuple(obj["images"]), obj["axiom"])
 
 
 def quadratic_substitution(params: QuadraticParams) -> Substitution:
@@ -138,26 +118,3 @@ def fixed_point_prefix(substitution: Substitution, length: int) -> str:
     """First `length` letters of the fixed point."""
     return FixedPointStream(substitution).prefix(length)
 
-
-def is_primitive(substitution: Substitution) -> bool:
-    """Some small power of the incidence matrix is entrywise positive.
-
-    Powers are taken up to the Wielandt bound (k-1)^2 + 1, which decides
-    primitivity for every k x k nonnegative matrix.
-    """
-    k = substitution.alphabet_size
-    m = substitution.incidence_matrix()
-    power = m
-    for _ in range((k - 1) ** 2 + 1):
-        if all(all(x > 0 for x in row) for row in power):
-            return True
-        power = _matmul(power, m)
-    return False
-
-
-def _matmul(x, y):
-    n = len(x)
-    return [
-        [sum(x[i][t] * y[t][j] for t in range(n)) for j in range(n)]
-        for i in range(n)
-    ]

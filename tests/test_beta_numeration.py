@@ -69,10 +69,6 @@ class TestRenyiExpansion:
         with pytest.raises(InvalidInputError):
             RenyiExpansion.parse("3 1")
 
-    def test_json_roundtrip(self):
-        r = RenyiExpansion((2,), (1, 1, 2))
-        assert RenyiExpansion.from_json(r.to_json()) == r
-
 
 class TestParryCheck:
     def test_quadratic_running_example(self):

@@ -205,7 +205,21 @@ def test_specials_length_past_its_bound_exits_2_before_any_factor(monkeypatch, c
     monkeypatch.setattr(FactorLanguage, "left_special_factors", no_specials)
     code, out = _run_in_process(
         monkeypatch, capsys, "specials", "--a", "3", "--b", "1",
-        "--n", str(cli_module.MAX_SPECIAL_LENGTH + 1))
+        "--n", str(cli_module.MAX_FACTOR_LENGTH + 1))
+    assert (code, out.out) == (2, "")
+    assert out.err == ("usage error: Invalid value for '--n': 100001 "
+                       "is not in the range 0<=x<=100000.\n")
+
+
+def test_palindromes_length_past_its_bound_exits_2_before_any_eertree(
+        monkeypatch, capsys):
+    def no_eertree(*args):
+        raise AssertionError("eertree ran")
+
+    monkeypatch.setattr(FactorLanguage, "eertree", no_eertree)
+    code, out = _run_in_process(
+        monkeypatch, capsys, "palindromes", "--a", "3", "--b", "1",
+        "--n", str(cli_module.MAX_FACTOR_LENGTH + 1))
     assert (code, out.out) == (2, "")
     assert out.err == ("usage error: Invalid value for '--n': 100001 "
                        "is not in the range 0<=x<=100000.\n")

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 from factor_reference import factors, is_left_special
+from lemma_reference import t_map
 
 from betawords import (
     FactorLanguage,
@@ -14,7 +15,6 @@ from betawords import (
     factor_complexity,
     fixed_point_prefix,
     quadratic_substitution,
-    t_map,
     uv_tower,
 )
 
@@ -59,35 +59,37 @@ class TestTMap:
 class TestUVTower:
     def test_figure_one_words(self):
         tower = uv_tower(P31, 4)
-        assert tower.v_word(1) == "0"
-        assert tower.u_word(1) == "00"
-        assert tower.v_word(2) == "0100010"
-        assert tower.u_word(2) == "01000100010"
+        assert tower.v_words[:2] == ["0", "0100010"]
+        assert tower.u_words[:2] == ["00", "01000100010"]
 
     def test_figure_one_lengths(self):
         tower = uv_tower(P31, 3)
         # |V^(3)| = 2b+1 + (a+1)*zeros(V^(2)) + (b+1)*ones(V^(2))
         #         = 3 + 4*5 + 2*2 = 27, matching the materialized T(V^(2))
-        assert [tower.v_length(n) for n in (1, 2, 3)] == [1, 7, 27]
-        assert [tower.u_length(n) for n in (1, 2)] == [2, 11]
+        assert [sum(counts) for counts in tower.v_counts] == [1, 7, 27]
+        assert [sum(counts) for counts in tower.u_counts[:2]] == [2, 11]
 
     def test_length_recurrence_matches_materialized(self):
         tower = uv_tower(P31, 6)
-        for n in range(1, tower.materialized_depth + 1):
-            assert tower.u_length(n) == len(tower.u_word(n))
-            assert tower.v_length(n) == len(tower.v_word(n))
+        for words, counts in ((tower.u_words, tower.u_counts),
+                              (tower.v_words, tower.v_counts)):
+            assert words
+            for word, (zeros, ones) in zip(words, counts):
+                assert (word.count("0"), word.count("1")) == (zeros, ones)
 
     @pytest.mark.parametrize("a,b", [(3, 1), (5, 2), (6, 3)])
     def test_length_interleaving(self, a, b):
         tower = uv_tower(QuadraticParams(a, b), 41)
-        for n in range(1, 41):
-            assert tower.v_length(n) < tower.u_length(n) < tower.v_length(n + 1)
+        u = [sum(counts) for counts in tower.u_counts]
+        v = [sum(counts) for counts in tower.v_counts]
+        for n in range(40):
+            assert v[n] < u[n] < v[n + 1]
 
     def test_prefix_chain(self):
         tower = uv_tower(P31, 5)
-        for n in range(2, tower.materialized_depth + 1):
-            assert tower.v_word(n).startswith(tower.v_word(n - 1))
-            assert tower.u_word(n).startswith(tower.v_word(n))
+        for n in range(1, len(tower.u_words)):
+            assert tower.v_words[n].startswith(tower.v_words[n - 1])
+            assert tower.u_words[n].startswith(tower.v_words[n])
 
     def test_sturmian_rejected(self):
         with pytest.raises(UnsupportedVariantError):
@@ -96,13 +98,12 @@ class TestUVTower:
     def test_materialize_cap(self):
         tower = uv_tower(P31, 20, materialize_cap=100)
         assert all(len(w) <= 100 for w in tower.u_words)
-        assert tower.u_length(20) > 100  # lengths continue past the cap
+        assert sum(tower.u_counts[19]) > 100  # lengths continue past the cap
 
     def test_tower_words_are_factors(self, lang31):
         tower = uv_tower(P31, 5)
-        for n in range(1, tower.materialized_depth + 1):
-            assert lang31.contains(tower.u_word(n))
-            assert lang31.contains(tower.v_word(n))
+        for word in tower.u_words + tower.v_words:
+            assert lang31.contains(word)
 
     def test_depth_zero_is_empty(self):
         tower = uv_tower(P31, 0)
@@ -141,7 +142,7 @@ class TestSpecialFactors:
     def test_u_maximality(self, lang31):
         tower = uv_tower(P31, 4)
         for n in (1, 2, 3):
-            u = tower.u_word(n)
+            u = tower.u_words[n - 1]
             assert is_left_special(lang31, u)
             for z in "01":
                 extended = u + z
@@ -151,7 +152,7 @@ class TestSpecialFactors:
     def test_v_total_bispecial(self, lang31):
         tower = uv_tower(P31, 4)
         for n in (1, 2, 3):
-            v = tower.v_word(n)
+            v = tower.v_words[n - 1]
             assert is_left_special(lang31, v + "0")
             assert is_left_special(lang31, v + "1")
 

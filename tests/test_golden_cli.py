@@ -13,7 +13,6 @@ second.  To print the current digests, run
 import hashlib
 import io
 import json
-import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -170,8 +169,7 @@ def outcome(argv: list[str]) -> tuple[int, str, str]:
 
 @pytest.mark.parametrize("argv, code, out_sha, err_sha", GOLDEN,
                          ids=[" ".join(g[0]) for g in GOLDEN])
-def test_output_is_unchanged(monkeypatch, argv, code, out_sha, err_sha):
-    monkeypatch.delenv("BETAWORDS_PRECISION", raising=False)
+def test_output_is_unchanged(argv, code, out_sha, err_sha):
     assert outcome(argv) == (code, out_sha, err_sha)
 
 
@@ -185,7 +183,6 @@ def test_golden_set_covers_every_subcommand_and_format():
 
 
 if __name__ == "__main__":
-    os.environ.pop("BETAWORDS_PRECISION", None)
     for argv, *_ in GOLDEN:
         code, out_sha, err_sha = outcome(argv)
         shas = ["EMPTY" if s == EMPTY else f'"{s}"' for s in (out_sha, err_sha)]

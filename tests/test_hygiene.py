@@ -5,14 +5,20 @@ module imports mpmath, which is a test dependency only, or any module of
 the tests, such as the reference `mpf_reference`.  A fresh
 `import betawords.cli` loads every layer the benchmark's tracer looks up,
 and neither `dataclasses` nor `csv`, which would add to every command's
-start-up.
+start-up.  Every function and method of the package, but for dunders and
+defs nested in another def, is entered by some command of the golden set
+(`test_golden_cli.GOLDEN`): what no command runs belongs in the tests.
 
 A module-level import must be used somewhere in its module; an import inside
 a function must be used inside that function.  `__init__.py` re-exports on
 purpose and is left out.  Parsed with `ast`, so the check needs no linter.
+To print the defs no golden command enters, with their line counts, run
+
+    PYTHONPATH=src python tests/test_hygiene.py
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -197,16 +203,109 @@ def traced_layers() -> tuple[str, ...]:
     raise AssertionError(f"no LAYERS in {TRACER}")
 
 
+def child_env(*paths: Path) -> dict:
+    """The environment of a child that imports the package these tests
+    import, installed or not, and the modules in `paths`."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), *map(str, paths), os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_import_loads_the_layers_and_neither_dataclasses_nor_csv():
     # a fresh child, as the test process has imported far more
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-        str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     child = subprocess.run(
         [sys.executable, "-c", "import sys, betawords.cli; print(*sys.modules)"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert child.returncode == 0, child.stderr
     loaded = set(child.stdout.split())
     layers = traced_layers()
     assert len(layers) == 6
     assert {f"betawords.{layer}" for layer in layers} <= loaded
     assert loaded & {"dataclasses", "csv", "_csv"} == set()
+
+
+# In a fresh child, so that every def the package runs at import is seen
+# too: the profile is set before test_golden_cli imports betawords.cli.
+ENTERED = """
+import json, sys
+entered = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+
+sys.setprofile(profile)
+import test_golden_cli
+for argv, *_ in test_golden_cli.GOLDEN:
+    test_golden_cli.outcome(argv)
+sys.setprofile(None)
+print(json.dumps(sorted({(c.co_filename, c.co_firstlineno) for c in entered})))
+"""
+
+
+def entered_lines() -> dict[Path, set[int]]:
+    """Per package file, the first lines of the code entered while the
+    golden set runs in a fresh child."""
+    child = subprocess.run([sys.executable, "-c", ENTERED], capture_output=True,
+                           text=True, env=child_env(Path(__file__).resolve().parent))
+    assert child.returncode == 0, child.stderr
+    lines = {}
+    for filename, line in json.loads(child.stdout):
+        lines.setdefault(Path(filename).resolve(), set()).add(line)
+    return lines
+
+
+def unentered_defs(source: str, entered: set[int]) -> list[tuple[str, int, int]]:
+    """(name, first line, lines) of each function and method whose first
+    line, that of its first decorator if any, is not in `entered`; dunders
+    and defs nested in another def are left out."""
+    found = []
+
+    def visit(scope, prefix):
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, FUNCTIONS):
+                first = min([d.lineno for d in node.decorator_list],
+                            default=node.lineno)
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and first not in entered:
+                    found.append((prefix + node.name, first,
+                                  node.end_lineno - first + 1))
+            elif isinstance(node, ast.ClassDef):
+                visit(node, f"{prefix}{node.name}.")
+            else:
+                visit(node, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def unentered_package_defs() -> dict[str, list[tuple[str, int, int]]]:
+    lines = entered_lines()
+    return {path.name: unentered
+            for path in sorted(PACKAGE.glob("*.py"))
+            if (unentered := unentered_defs(path.read_text(),
+                                            lines.get(path.resolve(), set())))}
+
+
+def test_every_def_is_entered_by_a_golden_command():
+    assert unentered_package_defs() == {}
+
+
+def test_check_names_each_def_never_entered():
+    source = ("class A:\n    def __init__(self):\n        pass\n\n"
+              "    @property\n    def used(self):\n        def inner():\n"
+              "            pass\n        return 1\n\n    def dead(self):\n"
+              "        return 2\n\n\nif True:\n    def dead_too():\n"
+              "        return 3\n")
+    assert unentered_defs(source, entered={5}) == [("A.dead", 11, 2),
+                                                   ("dead_too", 16, 2)]
+
+
+if __name__ == "__main__":
+    found = [(name, *entry) for name, unentered in unentered_package_defs().items()
+             for entry in unentered]
+    for module, name, first, lines in found:
+        print(f"{module}:{first} {name}: {lines} lines")
+    print(f"{len(found)} defs, {sum(entry[-1] for entry in found)} lines "
+          "that no golden command enters")

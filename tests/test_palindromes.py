@@ -2,6 +2,8 @@ import random
 
 import pytest
 from factor_reference import complexity, factors
+from lemma_reference import (classify_tower_centers, palindromic_extensions,
+                             t_map, t_map_palindrome_check)
 
 from betawords import (
     EPSILON,
@@ -13,19 +15,15 @@ from betawords import (
     VerificationError,
     center_evolution,
     center_of,
-    classify_tower_centers,
     closed_form_delta_c,
     closed_form_p,
     factor_complexity,
     infinite_branches,
     palindromes_of_length,
     palindromic_complexity,
-    palindromic_extensions,
     parry_substitution,
     quadratic_substitution,
     reversal_closure_probe,
-    t_map,
-    t_map_palindrome_check,
     tower_intervals,
     uv_tower,
     verify_identities,
@@ -119,8 +117,8 @@ class TestExtensions:
         params = QuadraticParams(a, b)
         lang = FactorLanguage(quadratic_substitution(params))
         tower = uv_tower(params, 8)
-        u_words = {tower.u_word(n) for n in range(1, tower.materialized_depth + 1)}
-        v_words = {tower.v_word(n) for n in range(1, tower.materialized_depth + 1)}
+        depth = min(len(tower.u_words), len(tower.v_words))
+        u_words, v_words = set(tower.u_words[:depth]), set(tower.v_words[:depth])
         for n in range(0, 61):
             for record in palindromes_of_length(lang, n):
                 if record.word in u_words:
@@ -368,11 +366,13 @@ class TestIdentities:
         with pytest.raises(InvalidInputError):
             verify_identities(P31, c[:c_len], p[:p_len])
 
-    @pytest.mark.parametrize("a,b", [(a, b) for a in range(3, 7)
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(3, 16)
                                      for b in range(1, a - 1)])
     def test_closed_forms_satisfy_identities_at_large_n(self, a, b):
         # the identities of verify_identities, with both sides read off the
-        # closed forms, far past the lengths the oracle reaches
+        # closed forms, far past the lengths the oracle reaches; and one
+        # maximal palindrome at each |U^(k)|, one with two extensions at
+        # each |V^(k)|, counted as ints (str() of them is hashed downstream)
         params, n_max = QuadraticParams(a, b), 20000
         p = closed_form_p(params, n_max + 2)
         delta = [None] + closed_form_delta_c(params, n_max + 1)
@@ -383,3 +383,9 @@ class TestIdentities:
             assert p[n + 1] + p[n] == delta[n] + 2, n
             assert jump == (1 if n in v_lengths else -1 if n in u_lengths else 0), n
             assert delta[n + 1] - delta[n] == jump, n
+        table = palindromic_complexity(params, n_max, "closed_form")
+        for name, lengths in (("maximal_count", u_lengths),
+                              ("two_ext_count", v_lengths)):
+            column = table.column(name)
+            assert column == [int(n in lengths) for n in range(n_max + 1)], name
+            assert {type(count) for count in column} == {int}, name
