@@ -25,6 +25,7 @@ from .errors import (
     InvalidParamsError,
     PrecisionError,
     UnsupportedVariantError,
+    UsageError,
     VerificationError,
 )
 from .language import FactorLanguage, language_of

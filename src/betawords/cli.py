@@ -1,19 +1,20 @@
-"""Command-line front end.
+"""Command-line front end, parsed with the standard library's argparse.
 
 Exit codes: 0 success, 1 verification summary failure (verify), 2 usage,
 3 precision, 4 verification failure / oracle disagreement.  Every command
 is exact integer arithmetic: `beta-expand` works in Q(beta) and
 `beta-integers` prints exact values of Z[beta], so none loads mpmath.
+Usage errors and help read as they did when the CLI was built on click.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
 from itertools import count
-
-import click
 
 from .beta_numeration import (
     DEFAULT_PRECISION,
@@ -30,6 +31,7 @@ from .errors import (
     InvalidInputError,
     PrecisionError,
     UnsupportedVariantError,
+    UsageError,
     VerificationError,
 )
 from .language import language_of
@@ -53,14 +55,240 @@ MAX_DIGIT_COUNT = 10 ** 6
 # --n of specials and palindromes: at (a, b) = (3, 1) about 0.7 s and 60-85 MB;
 # the windows grow with a, to 2-3.5 s and 260-320 MB at (15, 1)
 MAX_FACTOR_LENGTH = 10 ** 5
+# click's help width on a terminal of 80 columns or more, or on none
+_HELP_WIDTH = 78
+_HELP_ROW = ("--help", "Show this message and exit.")
 
-_FORMAT = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "csv"]),
-    default="text", show_default=True,
-)
-_PRECISION = click.option(
-    "--precision", type=click.IntRange(min=2),
-    default=DEFAULT_PRECISION, show_default=True,
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises UsageError where it would print and exit."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+class _Option:
+    """`--flag VALUE`: an int (within [low, high] if either is given), a
+    string (kind=str) or one of `choices`, with its default and help."""
+
+    def __init__(self, flag, default=None, kind=int, *, low=None, high=None,
+                 choices=(), required=False, help="", dest=None):
+        self.flag, self.default, self.kind = flag, default, kind
+        self.low, self.high, self.choices = low, high, choices
+        self.required, self.help = required, help
+        self.dest = dest or flag[2:].replace("-", "_")
+        self.ranged = low is not None or high is not None
+
+    def convert(self, raw):
+        """The value of `raw`; ValueError in click's words if it has none."""
+        if self.choices:
+            if raw not in self.choices:
+                raise ValueError(f"{raw!r} is not one of "
+                                 f"{', '.join(map(repr, self.choices))}.")
+            return raw
+        if self.kind is str:
+            return raw
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{raw!r} is not a valid integer"
+                             f"{' range' if self.ranged else ''}.") from None
+        if (self.low is not None and value < self.low
+                or self.high is not None and value > self.high):
+            raise ValueError(f"{value} is not in the range {self.range()}.")
+        return value
+
+    def range(self):
+        """The range as click wrote it: x>=1, x<=10, 0<=x<=10."""
+        if self.low is None:
+            return f"x<={self.high}"
+        if self.high is None:
+            return f"x>={self.low}"
+        return f"{self.low}<=x<={self.high}"
+
+    def help_row(self):
+        """The option's two help columns, as click wrote them."""
+        metavar = (f"[{'|'.join(self.choices)}]" if self.choices
+                   else "TEXT" if self.kind is str
+                   else "INTEGER RANGE" if self.ranged else "INTEGER")
+        extra = [f"default: {self.default}"] if self.default is not None else []
+        extra += [self.range()] * self.ranged + ["required"] * self.required
+        bracket = f"[{'; '.join(extra)}]" if extra else ""
+        return f"{self.flag} {metavar}", "  ".join(filter(None, (self.help,
+                                                                  bracket)))
+
+
+class _Command:
+    """A command's function (`callback`, looked up at each call, so that a
+    wrapped one runs) and its options."""
+
+    def __init__(self, callback, options):
+        self.callback, self.options = callback, options
+
+    def parse(self, args, usage):
+        """The callback's keyword arguments from the command's argv, or
+        None once --help has printed the help.  Errors come in click's
+        order: an unknown option, then help, then the options given, by
+        first appearance, then those left out, then extra arguments."""
+        parser = _Parser(prog=usage, add_help=False, allow_abbrev=False)
+        for option in self.options:
+            parser.add_argument(option.flag, dest=option.dest)
+        parser.add_argument("--help", action="store_true")
+        flags = [option.flag for option in self.options]
+        # click takes the token after a flag as its value, whatever it looks
+        # like ("--x -1e3"); argparse would read "-1e3" as an option
+        joined, tokens = [], iter(args)
+        for token in tokens:
+            if token in flags:
+                value = next(tokens, None)
+                if value is None:
+                    parser.error(f"Option {token!r} requires an argument.")
+                token = f"{token}={value}"
+            joined.append(token)
+        values, extra = parser.parse_known_args(joined)
+        end = extra.index("--") if "--" in extra else len(extra)
+        for token in extra[:end]:
+            if token[:1] == "-" and len(token) > 1:
+                parser.error(_no_such("option", token, [*flags, "--help"]))
+        if values.help:
+            _echo(self.help(usage))
+            return None
+        kwargs = {}
+        names = [token.split("=", 1)[0] for token in joined]
+        for option in sorted(self.options, key=lambda option: names.index(
+                option.flag) if option.flag in names else len(names)):
+            raw = getattr(values, option.dest)
+            # argparse takes a value of "--" (from `--a=--`) for its marker
+            # of positional arguments, and stores []
+            raw = "--" if raw == [] else raw
+            if raw is None and option.required:
+                parser.error(f"Missing option {option.flag!r}.")
+            try:
+                kwargs[option.dest] = (option.default if raw is None
+                                       else option.convert(raw))
+            except ValueError as exc:
+                parser.error(_invalid(option.flag, exc))
+        del extra[end : end + 1]
+        if extra:
+            parser.error(f"Got unexpected extra argument{'s' * (len(extra) > 1)} "
+                         f"({' '.join(extra)})")
+        return kwargs
+
+    def help(self, usage):
+        rows = [option.help_row() for option in self.options]
+        return _help(f"{usage} [OPTIONS]", self.callback.__doc__,
+                     ("Options", [*rows, _HELP_ROW]))
+
+
+def _invalid(flag, detail):
+    return f"Invalid value for {flag!r}: {detail}"
+
+
+def _no_such(kind, token, known):
+    """click's words for an unknown option or command, with its guesses."""
+    # loaded only on this error
+    from difflib import get_close_matches
+    if kind == "option":
+        # a short option names its first letter; only long ones get guesses
+        token, known = ((token.split("=", 1)[0], known) if token[:2] == "--"
+                        else (token[:2], []))
+    near = [repr(p) for p in sorted(get_close_matches(token, known))]
+    guess = ("" if not near else f" Did you mean {near[0]}?" if len(near) == 1
+             else f" (Did you mean one of: {', '.join(near)}?)")
+    return f"No such {kind} {token!r}.{guess}"
+
+
+def _help(usage, about, *sections):
+    """Help laid out as click laid it out: the usage line, the description,
+    then each (title, rows) section in two columns."""
+    # loaded only for help
+    import textwrap
+    lines = [f"Usage: {usage}", "",
+             textwrap.fill(about, _HELP_WIDTH, initial_indent="  ",
+                           subsequent_indent="  ")]
+    for title, rows in sections:
+        lines += ["", f"{title}:"]
+        # every term here is under click's cap of 30 columns
+        first = max(len(term) for term, _ in rows) + 2
+        for term, text in rows:
+            wrapped = textwrap.wrap(text, _HELP_WIDTH - first - 2)
+            lines.append(f"  {term:<{first}}{wrapped[0]}" if wrapped
+                         else f"  {term}")
+            lines += [" " * (first + 2) + line for line in wrapped[1:]]
+    return "\n".join(lines)
+
+
+def _short_help(about, limit):
+    """A one-sentence description cut to `limit` characters at a word, with
+    "...", as click listed commands."""
+    if len(about) <= limit:
+        return about
+    words = about.split()
+    while len(" ".join(words)) + 3 > limit:
+        words.pop()
+    return " ".join(words) + "..."
+
+
+def _group_help(prog):
+    commands = main.commands
+    limit = _HELP_WIDTH - 6 - max(map(len, commands))
+    return _help(f"{prog} [OPTIONS] COMMAND [ARGS]...",
+                 "Infinite words of beta-integers: complexity and palindromes.",
+                 ("Options", [_HELP_ROW]),
+                 ("Commands", [(name, _short_help(commands[name].callback.__doc__,
+                                                  limit))
+                               for name in sorted(commands)]))
+
+
+def main(argv=None):
+    """Parse argv (sys.argv[1:] by default) and run the command it names.
+
+    A bad command line raises UsageError; --help prints the help asked for
+    and runs nothing.  `main.commands` maps each command name to its
+    _Command.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    prog = os.path.basename(sys.argv[0])
+    if not args:
+        raise UsageError(_group_help(prog))
+    asked = False
+    while args and args[0][:1] == "-" and args[0] != "-":
+        token = args.pop(0)
+        if token == "--":
+            break
+        if token != "--help":
+            raise UsageError(_no_such("option", token, ["--help"]))
+        asked = True
+    if asked:
+        _echo(_group_help(prog))
+        return
+    if not args:
+        raise UsageError("Missing command.")
+    name, *args = args
+    command = main.commands.get(name)
+    if command is None:
+        raise UsageError(_no_such("command", name, main.commands))
+    kwargs = command.parse(args, f"{prog} {name}")
+    if kwargs is not None:
+        command.callback(**kwargs)
+
+
+main.commands = {}
+
+
+def _command(*options, name=None):
+    """Register the decorated function as command `name` (its own name by
+    default) with these options."""
+    def register(callback):
+        main.commands[name or callback.__name__] = _Command(callback, options)
+        return callback
+    return register
+
+
+_FORMAT = _Option("--format", "text", choices=("text", "json", "csv"),
+                  dest="fmt")
+_PRECISION = _Option(
+    "--precision", DEFAULT_PRECISION, low=2,
     help="Significant digits shown by beta-integers (at most 12); "
          "changes no digit of beta-expand, which is exact.",
 )
@@ -68,14 +296,14 @@ _PRECISION = click.option(
 
 def _params(a, b):
     if a is None or b is None:
-        raise click.UsageError("both --a and --b are required")
+        raise UsageError("both --a and --b are required")
     return QuadraticParams(a, b)
 
 
 def _subject(a, b, digits):
     """Resolve (a, b) or --digits into (substitution, params-or-None, renyi)."""
     if digits is not None and (a is not None or b is not None):
-        raise click.UsageError("give either --a/--b or --digits, not both")
+        raise UsageError("give either --a/--b or --digits, not both")
     if digits is not None:
         renyi = RenyiExpansion.parse(digits)
         return parry_substitution(renyi), None, renyi
@@ -83,28 +311,25 @@ def _subject(a, b, digits):
     return quadratic_substitution(params), params, renyi_of_quadratic(params)
 
 
+def _echo(text, file=None, end="\n"):
+    """Write text and end as one string, then flush, as click.echo did."""
+    file = file or sys.stdout
+    file.write(text + end)
+    file.flush()
+
+
 def _emit(fmt, payload, text_lines, csv_text=None):
     if fmt == "json":
-        click.echo(json.dumps(payload, sort_keys=True))
+        _echo(json.dumps(payload, sort_keys=True))
     elif fmt == "csv":
         if csv_text is None:
-            raise click.UsageError("csv output is not available for this command")
-        click.echo(csv_text, nl=False)
+            raise UsageError("csv output is not available for this command")
+        _echo(csv_text, end="")
     else:
-        for line in text_lines:
-            click.echo(line)
+        _echo("".join(f"{line}\n" for line in text_lines), end="")
 
 
-@click.group()
-def main():
-    """Infinite words of beta-integers: complexity and palindromes."""
-
-
-@main.command()
-@click.option("--a", type=int)
-@click.option("--b", type=int)
-@click.option("--n-max", type=click.IntRange(min=1), default=20, show_default=True)
-@_FORMAT
+@_command(_Option("--a"), _Option("--b"), _Option("--n-max", 20, low=1), _FORMAT)
 def analyze(a, b, n_max, fmt):
     """Combined C(n), Delta C(n), P(n) table with oracle/closed-form agreement."""
     params = _params(a, b)
@@ -146,12 +371,11 @@ def _disagreement(*columns):
         context={"table": table, "n": n, "oracle": got, "closed_form": want})
 
 
-@main.command()
-@click.option("--a-max", type=click.IntRange(min=3), default=6, show_default=True)
-@click.option("--n-max", type=click.IntRange(min=1), default=120, show_default=True)
-@click.option("--digits", type=str, default=None,
-              help='Renyi digits "t1 .. tm (tm+1 .. tm+p)" instead of a grid')
-@_FORMAT
+@_command(
+    _Option("--a-max", 6, low=3), _Option("--n-max", 120, low=1),
+    _Option("--digits", kind=str,
+            help='Renyi digits "t1 .. tm (tm+1 .. tm+p)" instead of a grid'),
+    _FORMAT)
 def verify(a_max, n_max, digits, fmt):
     """Run the invariant suite over the (a, b) grid, or probe one expansion."""
     if digits is not None:
@@ -177,7 +401,7 @@ def verify(a_max, n_max, digits, fmt):
         return
     points = [(a, b) for a in range(3, a_max + 1) for b in range(1, a - 1)]
     if len(points) > 100:
-        raise click.UsageError("grid guard: more than 100 parameter points")
+        raise UsageError("grid guard: more than 100 parameter points")
     failures = []
     results = []
     for a, b in points:
@@ -218,17 +442,13 @@ def verify(a_max, n_max, digits, fmt):
     lines.append(f"passed {payload['passed']}/{len(results)} parameter points")
     _emit(fmt, payload, lines)
     if failures:
-        click.echo(json.dumps({"schema": 1, "failures": failures}, sort_keys=True),
-                   err=True)
+        _echo(json.dumps({"schema": 1, "failures": failures}, sort_keys=True),
+              sys.stderr)
         sys.exit(1)
 
 
-@main.command()
-@click.option("--a", type=int)
-@click.option("--b", type=int)
-@click.option("--digits", type=str, default=None)
-@click.option("--length", type=int, default=100, show_default=True)
-@_FORMAT
+@_command(_Option("--a"), _Option("--b"), _Option("--digits", kind=str),
+          _Option("--length", 100), _FORMAT)
 def word(a, b, digits, length, fmt):
     """Prefix of the fixed point u_beta."""
     sub, _, renyi = _subject(a, b, digits)
@@ -237,12 +457,9 @@ def word(a, b, digits, length, fmt):
     _emit(fmt, payload, [prefix])
 
 
-@main.command()
-@click.option("--a", type=int)
-@click.option("--b", type=int)
-@click.option("--n", type=click.IntRange(min=0, max=MAX_FACTOR_LENGTH), required=True)
-@click.option("--tower-depth", type=click.IntRange(min=0), default=8, show_default=True)
-@_FORMAT
+@_command(_Option("--a"), _Option("--b"),
+          _Option("--n", low=0, high=MAX_FACTOR_LENGTH, required=True),
+          _Option("--tower-depth", 8, low=0), _FORMAT)
 def specials(a, b, n, tower_depth, fmt):
     """Left special factors of length n, plus the U/V towers."""
     params = _params(a, b)
@@ -257,9 +474,9 @@ def specials(a, b, n, tower_depth, fmt):
         if digits and tower_depth * math.log10(params.a + 2) >= digits:
             bound = 10 ** digits
             if tower_depth > sum(u < bound for _, u in tower_intervals(params, bound)):
-                raise click.BadParameter(
-                    f"U/V lengths at this depth exceed {digits} decimal digits",
-                    param_hint="'--tower-depth'")
+                raise UsageError(_invalid(
+                    "--tower-depth",
+                    f"U/V lengths at this depth exceed {digits} decimal digits"))
         tower = uv_tower(params, tower_depth)
         payload.update(tower.lengths_json())
         payload["u_words"] = [w for w in tower.u_words if len(w) <= 64]
@@ -273,12 +490,9 @@ def specials(a, b, n, tower_depth, fmt):
     _emit(fmt, payload, lines)
 
 
-@main.command()
-@click.option("--a", type=int)
-@click.option("--b", type=int)
-@click.option("--n", type=click.IntRange(min=0, max=MAX_FACTOR_LENGTH), required=True)
-@click.option("--branch-budget", type=click.IntRange(min=0), default=2000, show_default=True)
-@_FORMAT
+@_command(_Option("--a"), _Option("--b"),
+          _Option("--n", low=0, high=MAX_FACTOR_LENGTH, required=True),
+          _Option("--branch-budget", 2000, low=0), _FORMAT)
 def palindromes(a, b, n, branch_budget, fmt):
     """Palindromic factors of length n and the infinite branch structure."""
     params = _params(a, b)
@@ -308,9 +522,8 @@ def palindromes(a, b, n, branch_budget, fmt):
     _emit(fmt, payload, lines)
 
 
-@main.command("parry-check")
-@click.option("--digits", type=str, required=True)
-@_FORMAT
+@_command(_Option("--digits", kind=str, required=True), _FORMAT,
+          name="parry-check")
 def parry_check_cmd(digits, fmt):
     """Parry admissibility of a candidate Renyi expansion."""
     renyi = RenyiExpansion.parse(digits)
@@ -323,23 +536,19 @@ def parry_check_cmd(digits, fmt):
         sys.exit(EXIT_VERIFICATION)
 
 
-@main.command("beta-expand")
-@click.option("--a", type=int)
-@click.option("--b", type=int)
-@click.option("--x", type=str, required=True)
-@click.option("--digit-count", type=click.IntRange(max=MAX_DIGIT_COUNT),
-              default=16, show_default=True,
-              help="Digits to print: at least k + 1, the digits of x before "
-                   f"the point, and at most {MAX_DIGIT_COUNT}.")
-@_PRECISION
-@_FORMAT
+@_command(
+    _Option("--a"), _Option("--b"), _Option("--x", kind=str, required=True),
+    _Option("--digit-count", 16, high=MAX_DIGIT_COUNT,
+            help="Digits to print: at least k + 1, the digits of x before "
+                 f"the point, and at most {MAX_DIGIT_COUNT}."),
+    _PRECISION, _FORMAT, name="beta-expand")
 def beta_expand_cmd(a, b, x, digit_count, precision, fmt):
     """Greedy beta-expansion digits of x, exact in Q(beta)."""
     params = _params(a, b)
     try:
         k, digit_seq = beta_expand(x, params, digit_count)
     except DigitCountError as exc:
-        raise click.BadParameter(str(exc), param_hint="'--digit-count'") from None
+        raise UsageError(_invalid("--digit-count", exc)) from None
     rendered = _render_expansion(k, digit_seq)
     payload = {"schema": 1, "a": params.a, "b": params.b, "x": x,
                "exponent": k, "digits": list(digit_seq),
@@ -353,13 +562,8 @@ def _render_expansion(k, digit_seq):
     return "".join(integer) + ("." + "".join(frac) if frac else "")
 
 
-@main.command("beta-integers")
-@click.option("--a", type=int)
-@click.option("--b", type=int)
-@click.option("--digits", type=str, default=None)
-@click.option("--count", type=int, default=10, show_default=True)
-@_PRECISION
-@_FORMAT
+@_command(_Option("--a"), _Option("--b"), _Option("--digits", kind=str),
+          _Option("--count", 10), _PRECISION, _FORMAT, name="beta-integers")
 def beta_integers_cmd(a, b, digits, count, precision, fmt):
     """First beta-integers to min(--precision, 12) significant digits, and gaps."""
     sub, _, renyi = _subject(a, b, digits)
@@ -377,23 +581,26 @@ def beta_integers_cmd(a, b, digits, count, precision, fmt):
 
 def run():
     try:
-        main(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        main()
+    except UsageError as exc:
+        _echo(f"usage error: {exc}", sys.stderr)
         sys.exit(2)
-    except click.exceptions.Abort:
+    except KeyboardInterrupt:
+        _echo("", sys.stderr)
         sys.exit(2)
     except PrecisionError as exc:
-        click.echo(f"precision error: {exc}", err=True)
+        _echo(f"precision error: {exc}", sys.stderr)
         sys.exit(EXIT_PRECISION)
     except VerificationError as exc:
-        click.echo(json.dumps({"schema": 1, "error": str(exc),
-                               "context": exc.context}), err=True)
+        _echo(json.dumps({"schema": 1, "error": str(exc),
+                          "context": exc.context}), sys.stderr)
         sys.exit(EXIT_VERIFICATION)
     except (InvalidInputError, UnsupportedVariantError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", sys.stderr)
         sys.exit(2)
 
 
 if __name__ == "__main__":
+    # the program name help shows, as click showed it for `python -m`
+    sys.argv[0] = "python -m betawords.cli"
     run()

@@ -17,6 +17,10 @@ class DigitCountError(InvalidInputError):
     """Fewer digits asked of a beta-expansion than x has before the point."""
 
 
+class UsageError(BetawordsError):
+    """A command line the CLI cannot parse; `betawords` exits 2."""
+
+
 class UnsupportedVariantError(BetawordsError):
     """Operation requested for a variant outside its domain.
 

@@ -9,6 +9,7 @@ import pytest
 from mpf_reference import beta_integers, beta_of_renyi, unity_defect
 from mpmath import mpf, nstr
 from test_beta_numeration import brute_force_integers
+from test_cli_fuzz import COMMANDS
 
 from betawords import RenyiExpansion
 from betawords import beta_numeration
@@ -320,7 +321,7 @@ def test_beta_expand_digits_do_not_depend_on_the_precision(capsys):
     argv = ["beta-expand", "--a", "3", "--b", "1", "--x", "7.25",
             "--digit-count", "24"]
     for precision in ("2", "5", "10", "64"):
-        cli_module.main([*argv, "--precision", precision], standalone_mode=False)
+        cli_module.main([*argv, "--precision", precision])
         assert capsys.readouterr().out == "20.1112111111111111111111\n", precision
 
 
@@ -350,6 +351,71 @@ class TestTopLevel:
     def test_unknown_command(self):
         result = cli("frobnicate")
         assert result.returncode == 2
+
+
+def _outcome(monkeypatch, capsys, *argv):
+    """Exit code, stdout and stderr of `betawords ARGV` run in process."""
+    monkeypatch.setattr(sys, "argv", ["betawords", *argv])
+    try:
+        cli_module.run()
+        code = 0
+    except SystemExit as stop:
+        code = stop.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# the command line the CLI accepts: each of these is a usage error
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["analyze", "--a"],
+    ["analyze", "--a", "x", "--b", "1"],
+    ["analyze", "--a", "3", "--b", "1", "extra"],
+    ["analyze", "--a", "3", "--b", "1", "--bogus"],
+    # options are never abbreviated
+    ["analyze", "--a", "3", "--b", "1", "--n-m", "3"],
+    # help is --help only
+    ["analyze", "--a", "3", "--b", "1", "-h"],
+    ["-h"],
+    ["analyze", "--a", "3", "--b", "1", "--format", "xml"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_bad_command_line_is_a_usage_error(monkeypatch, capsys, argv):
+    code, out, err = _outcome(monkeypatch, capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def test_option_value_forms(monkeypatch, capsys):
+    spaced = _outcome(monkeypatch, capsys, "analyze", "--a", "4", "--b", "1",
+                      "--n-max", "6")
+    assert spaced[0] == 0 and spaced[1].startswith("n,C,deltaC,P,agree\n")
+    assert _outcome(monkeypatch, capsys, "analyze", "--a=4", "--b=1",
+                    "--n-max=6") == spaced
+    # a repeated option's last value wins
+    assert _outcome(monkeypatch, capsys, "analyze", "--a", "3", "--a", "4",
+                    "--b", "1", "--n-max", "9", "--n-max", "6") == spaced
+
+
+def test_ctrl_c_exits_2(monkeypatch, capsys):
+    def interrupt(params):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, "language_of", interrupt)
+    assert _outcome(monkeypatch, capsys, "analyze", "--a", "3", "--b", "1") \
+        == (2, "", "\n")
+
+
+def test_help_lists_every_command_and_option(monkeypatch, capsys):
+    code, out, err = _outcome(monkeypatch, capsys, "--help")
+    assert (code, err) == (0, "")
+    assert all(name in out for name in COMMANDS)
+    for name, flags in COMMANDS.items():
+        code, out, err = _outcome(monkeypatch, capsys, name, "--help")
+        assert (code, err) == (0, ""), name
+        listed = {line.split()[0] for line in out.splitlines()
+                  if line.startswith("  --")}
+        assert listed == {*flags, "--help"}, name
 
 
 @pytest.mark.parametrize("argv", [
@@ -394,7 +460,7 @@ from betawords import cli
 def run(*args):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main(list(args), standalone_mode=False)
+        cli.main(args)
     return out.getvalue()
 
 def loaded():
@@ -573,8 +639,7 @@ EXACT_DIGITS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "4 1 1 (2 1)"] + [
 
 
 def _beta_integer_payload(capsys, *argv):
-    cli_module.main(["beta-integers", *argv, "--format", "json"],
-                    standalone_mode=False)
+    cli_module.main(["beta-integers", *argv, "--format", "json"])
     return json.loads(capsys.readouterr().out)
 
 

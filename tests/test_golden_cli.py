@@ -144,6 +144,19 @@ GOLDEN = [
     (["beta-integers", "--a", "3", "--b", "1", "--count", "3000", "--precision", "2"], 3,
      EMPTY,
      "ba682aee3bcf5bfe85e95663400b1a3ed13dc2508da02f15129905665ecd4858"),
+    (["analyze", "--a", "3", "--b", "1", "--n-max", "0"], 2,
+     EMPTY,
+     "fef4138848e235568389fc699790814e33b0618052a1fb03b16540e0d6ad7c6d"),
+    (["analyze", "--a", "3", "--b", "1", "--n-m", "3"], 2,
+     EMPTY,
+     "a4f2afd38751811047a58533cc7e9d970c64276d3d017e764a6df5c9d383a6e7"),
+    # help names the program by argv[0], here "betawords"
+    (["--help"], 0,
+     "bdac676c8746ab37b6b874ece13ab8b0fb3902262bb33cdba568943fd27081ed",
+     EMPTY),
+    (["beta-expand", "--help"], 0,
+     "edf014a28c3f44f7b2a62b9f6bf062f3319bb2b5b3c9295d013bd9af0762ab53",
+     EMPTY),
 ]
 
 
@@ -174,7 +187,7 @@ def test_output_is_unchanged(argv, code, out_sha, err_sha):
 
 
 def test_golden_set_covers_every_subcommand_and_format():
-    commands = {g[0][0] for g in GOLDEN}
+    commands = {g[0][0] for g in GOLDEN if g[0][0] != "--help"}
     assert commands == set(cli.main.commands)
     formats = {g[0][g[0].index("--format") + 1] if "--format" in g[0] else "text"
                for g in GOLDEN}
