@@ -1,4 +1,4 @@
-"""Command-line front end, parsed with the standard library's argparse.
+"""Command-line front end, read in one pass over argv as click read it.
 
 Exit codes: 0 success, 1 verification summary failure (verify), 2 usage,
 3 precision, 4 verification failure / oracle disagreement.  Every command
@@ -9,7 +9,6 @@ Usage errors and help read as they did when the CLI was built on click.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -55,16 +54,19 @@ MAX_DIGIT_COUNT = 10 ** 6
 # --n of specials and palindromes: at (a, b) = (3, 1) about 0.7 s and 60-85 MB;
 # the windows grow with a, to 2-3.5 s and 260-320 MB at (15, 1)
 MAX_FACTOR_LENGTH = 10 ** 5
+# --n-max of analyze and verify: analyze at (3, 1) about 2.5 s and 104 MB, at
+# (15, 1) 8.5 s and 490 MB; verify on its default grid 25 s and 290-300 MB
+MAX_TABLE_LENGTH = 10 ** 5
+# --length of word: about 0.5 s and 44 MB
+MAX_WORD_LENGTH = 10 ** 7
+# --branch-budget of palindromes: about 0.4 s and 155 MB
+MAX_BRANCH_BUDGET = 10 ** 7
+# --count of beta-integers: about 2.5 s and 133 MB, since every value is held
+# until all print
+MAX_BETA_INTEGER_COUNT = 10 ** 6
 # click's help width on a terminal of 80 columns or more, or on none
 _HELP_WIDTH = 78
 _HELP_ROW = ("--help", "Show this message and exit.")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that raises UsageError where it would print and exit."""
-
-    def error(self, message):
-        raise UsageError(message)
 
 
 class _Option:
@@ -128,56 +130,64 @@ class _Command:
     def parse(self, args, usage):
         """The callback's keyword arguments from the command's argv, or
         None once --help has printed the help.  Errors come in click's
-        order: an unknown option, then help, then the options given, by
-        first appearance, then those left out, then extra arguments."""
-        parser = _Parser(prog=usage, add_help=False, allow_abbrev=False)
-        for option in self.options:
-            parser.add_argument(option.flag, dest=option.dest)
-        parser.add_argument("--help", action="store_true")
-        flags = [option.flag for option in self.options]
-        # click takes the token after a flag as its value, whatever it looks
-        # like ("--x -1e3"); argparse would read "-1e3" as an option
-        joined, tokens = [], iter(args)
-        for token in tokens:
-            if token in flags:
-                value = next(tokens, None)
-                if value is None:
-                    parser.error(f"Option {token!r} requires an argument.")
-                token = f"{token}={value}"
-            joined.append(token)
-        values, extra = parser.parse_known_args(joined)
-        end = extra.index("--") if "--" in extra else len(extra)
-        for token in extra[:end]:
-            if token[:1] == "-" and len(token) > 1:
-                parser.error(_no_such("option", token, [*flags, "--help"]))
-        if values.help:
+        order: one in reading the tokens, then help, then the options
+        given, by first appearance, then those left out, then extra
+        arguments."""
+        options = {option.flag: option for option in self.options}
+        given, asked, extra = _read(args, options)
+        if asked:
             _echo(self.help(usage))
             return None
         kwargs = {}
-        names = [token.split("=", 1)[0] for token in joined]
-        for option in sorted(self.options, key=lambda option: names.index(
-                option.flag) if option.flag in names else len(names)):
-            raw = getattr(values, option.dest)
-            # argparse takes a value of "--" (from `--a=--`) for its marker
-            # of positional arguments, and stores []
-            raw = "--" if raw == [] else raw
+        left_out = [option for option in self.options if option.flag not in given]
+        for option in [*map(options.get, given), *left_out]:
+            raw = given.get(option.flag)
             if raw is None and option.required:
-                parser.error(f"Missing option {option.flag!r}.")
+                raise UsageError(f"Missing option {option.flag!r}.")
             try:
                 kwargs[option.dest] = (option.default if raw is None
                                        else option.convert(raw))
             except ValueError as exc:
-                parser.error(_invalid(option.flag, exc))
-        del extra[end : end + 1]
+                raise UsageError(_invalid(option.flag, exc)) from None
         if extra:
-            parser.error(f"Got unexpected extra argument{'s' * (len(extra) > 1)} "
-                         f"({' '.join(extra)})")
+            raise UsageError(f"Got unexpected extra argument"
+                             f"{'s' * (len(extra) > 1)} ({' '.join(extra)})")
         return kwargs
 
     def help(self, usage):
         rows = [option.help_row() for option in self.options]
         return _help(f"{usage} [OPTIONS]", self.callback.__doc__,
                      ("Options", [*rows, _HELP_ROW]))
+
+
+def _read(args, options, interspersed=True):
+    """One pass over argv as click read it: the raw value of each flag in
+    `options`, by first appearance, the last value kept; whether --help was
+    given; and the other arguments.  `--` ends the options, and so does the
+    first other argument unless `interspersed`."""
+    given, asked, rest = {}, False, []
+    tokens = iter(args)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token == "--":
+            rest += tokens  # every token left, which ends the loop
+        elif token[:1] != "-" or token == "-":
+            rest.append(token)
+            if not interspersed:
+                rest += tokens
+        elif flag == "--help":
+            if eq:
+                raise UsageError("Option '--help' does not take a value.")
+            asked = True
+        elif flag not in options:
+            raise UsageError(_no_such("option", token, [*options, "--help"]))
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise UsageError(f"Option {flag!r} requires an argument.")
+            given[flag] = value
+    return given, asked, rest
 
 
 def _invalid(flag, detail):
@@ -251,14 +261,7 @@ def main(argv=None):
     prog = os.path.basename(sys.argv[0])
     if not args:
         raise UsageError(_group_help(prog))
-    asked = False
-    while args and args[0][:1] == "-" and args[0] != "-":
-        token = args.pop(0)
-        if token == "--":
-            break
-        if token != "--help":
-            raise UsageError(_no_such("option", token, ["--help"]))
-        asked = True
+    _, asked, args = _read(args, {}, interspersed=False)
     if asked:
         _echo(_group_help(prog))
         return
@@ -329,7 +332,8 @@ def _emit(fmt, payload, text_lines, csv_text=None):
         _echo("".join(f"{line}\n" for line in text_lines), end="")
 
 
-@_command(_Option("--a"), _Option("--b"), _Option("--n-max", 20, low=1), _FORMAT)
+@_command(_Option("--a"), _Option("--b"),
+          _Option("--n-max", 20, low=1, high=MAX_TABLE_LENGTH), _FORMAT)
 def analyze(a, b, n_max, fmt):
     """Combined C(n), Delta C(n), P(n) table with oracle/closed-form agreement."""
     params = _params(a, b)
@@ -372,7 +376,8 @@ def _disagreement(*columns):
 
 
 @_command(
-    _Option("--a-max", 6, low=3), _Option("--n-max", 120, low=1),
+    _Option("--a-max", 6, low=3),
+    _Option("--n-max", 120, low=1, high=MAX_TABLE_LENGTH),
     _Option("--digits", kind=str,
             help='Renyi digits "t1 .. tm (tm+1 .. tm+p)" instead of a grid'),
     _FORMAT)
@@ -448,7 +453,7 @@ def verify(a_max, n_max, digits, fmt):
 
 
 @_command(_Option("--a"), _Option("--b"), _Option("--digits", kind=str),
-          _Option("--length", 100), _FORMAT)
+          _Option("--length", 100, high=MAX_WORD_LENGTH), _FORMAT)
 def word(a, b, digits, length, fmt):
     """Prefix of the fixed point u_beta."""
     sub, _, renyi = _subject(a, b, digits)
@@ -492,7 +497,8 @@ def specials(a, b, n, tower_depth, fmt):
 
 @_command(_Option("--a"), _Option("--b"),
           _Option("--n", low=0, high=MAX_FACTOR_LENGTH, required=True),
-          _Option("--branch-budget", 2000, low=0), _FORMAT)
+          _Option("--branch-budget", 2000, low=0, high=MAX_BRANCH_BUDGET),
+          _FORMAT)
 def palindromes(a, b, n, branch_budget, fmt):
     """Palindromic factors of length n and the infinite branch structure."""
     params = _params(a, b)
@@ -563,7 +569,8 @@ def _render_expansion(k, digit_seq):
 
 
 @_command(_Option("--a"), _Option("--b"), _Option("--digits", kind=str),
-          _Option("--count", 10), _PRECISION, _FORMAT, name="beta-integers")
+          _Option("--count", 10, high=MAX_BETA_INTEGER_COUNT), _PRECISION,
+          _FORMAT, name="beta-integers")
 def beta_integers_cmd(a, b, digits, count, precision, fmt):
     """First beta-integers to min(--precision, 12) significant digits, and gaps."""
     sub, _, renyi = _subject(a, b, digits)

@@ -379,6 +379,16 @@ def _outcome(monkeypatch, capsys, *argv):
     ["analyze", "--a", "3", "--b", "1", "-h"],
     ["-h"],
     ["analyze", "--a", "3", "--b", "1", "--format", "xml"],
+    # each size option has an upper bound
+    ["analyze", "--a", "3", "--b", "1",
+     "--n-max", str(cli_module.MAX_TABLE_LENGTH + 1)],
+    ["verify", "--n-max", str(cli_module.MAX_TABLE_LENGTH + 1)],
+    ["word", "--a", "3", "--b", "1",
+     "--length", str(cli_module.MAX_WORD_LENGTH + 1)],
+    ["palindromes", "--a", "3", "--b", "1", "--n", "2",
+     "--branch-budget", str(cli_module.MAX_BRANCH_BUDGET + 1)],
+    ["beta-integers", "--a", "3", "--b", "1",
+     "--count", str(cli_module.MAX_BETA_INTEGER_COUNT + 1)],
 ], ids=lambda argv: " ".join(argv) or "no command")
 def test_bad_command_line_is_a_usage_error(monkeypatch, capsys, argv):
     code, out, err = _outcome(monkeypatch, capsys, *argv)

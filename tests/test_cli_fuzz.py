@@ -16,7 +16,8 @@ from betawords import cli as cli_module
 
 EXIT_CODES = {0, 1, 2, 3, 4}
 
-JUNK = ["", "x", "-", "--", "1.5", "nan", "()", "-0", " 3 ", "-7"]
+JUNK = ["", "x", "-", "--", "1.5", "nan", "()", "-0", " 3 ", "-7", "--help=1",
+        "--help=", "-x=1"]
 
 
 def ints(low, high):
@@ -73,7 +74,7 @@ COMMANDS = {
 @st.composite
 def argvs(draw):
     """A command and most of its flags, each value junk one time in eight,
-    sometimes with one stray token."""
+    sometimes with one stray token, which may be junk too."""
     command = draw(st.sampled_from([*COMMANDS, "bogus-command"]))
     a, b = draw(PAIRS)
     values = {**VALUES, "--a": st.just(str(a)), "--b": st.just(str(b))}
@@ -83,7 +84,8 @@ def argvs(draw):
             junk = draw(st.integers(0, 7)) == 0
             argv += [flag, draw(st.sampled_from(JUNK) if junk else values[flag])]
     if draw(st.integers(0, 3)) == 0:
-        argv.append(draw(st.sampled_from(["--help", "extra", "--a", "--bogus"])))
+        argv.append(draw(st.sampled_from(["--help", "extra", "--a", "--bogus",
+                                          *JUNK])))
     return argv
 
 

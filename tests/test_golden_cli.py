@@ -146,10 +146,34 @@ GOLDEN = [
      "ba682aee3bcf5bfe85e95663400b1a3ed13dc2508da02f15129905665ecd4858"),
     (["analyze", "--a", "3", "--b", "1", "--n-max", "0"], 2,
      EMPTY,
-     "fef4138848e235568389fc699790814e33b0618052a1fb03b16540e0d6ad7c6d"),
+     "229c75f26a3461caecbfd090668f3f57e830bd9b742a1192cc3be502c2a4367c"),
     (["analyze", "--a", "3", "--b", "1", "--n-m", "3"], 2,
      EMPTY,
      "a4f2afd38751811047a58533cc7e9d970c64276d3d017e764a6df5c9d383a6e7"),
+    # usage errors read as click wrote them: --help takes no value at either
+    # level, `--` ends the options, and an unknown option is reported as soon
+    # as it is read
+    (["--help=3"], 2,
+     EMPTY,
+     "3192866e20e4dd71f62b3ff335c346bb7c994961158b80d67e7d074744636d6a"),
+    (["analyze", "--help=3"], 2,
+     EMPTY,
+     "3192866e20e4dd71f62b3ff335c346bb7c994961158b80d67e7d074744636d6a"),
+    (["analyze", "--a", "3", "--b", "1", "--help="], 2,
+     EMPTY,
+     "3192866e20e4dd71f62b3ff335c346bb7c994961158b80d67e7d074744636d6a"),
+    (["analyze", "--", "--a", "3"], 2,
+     EMPTY,
+     "0d3bd78cae102c49fa13ba82f67d4db608a49d40aef7780fd5d2a56a5f3c2278"),
+    (["analyze", "--bogus", "--a"], 2,
+     EMPTY,
+     "a2c908c551c8ab238757f62ec1a819b3d1c591122af9ec00206d9497b0bd813f"),
+    (["specials", "--", "--n", "2", "--format"], 2,
+     EMPTY,
+     "9871aa3e005e464af179ec53c64aab4b17f825cf73f286b7d270a9f91fbee36d"),
+    (["beta-integers", "--help=1", "--format"], 2,
+     EMPTY,
+     "3192866e20e4dd71f62b3ff335c346bb7c994961158b80d67e7d074744636d6a"),
     # help names the program by argv[0], here "betawords"
     (["--help"], 0,
      "bdac676c8746ab37b6b874ece13ab8b0fb3902262bb33cdba568943fd27081ed",
@@ -187,10 +211,10 @@ def test_output_is_unchanged(argv, code, out_sha, err_sha):
 
 
 def test_golden_set_covers_every_subcommand_and_format():
-    commands = {g[0][0] for g in GOLDEN if g[0][0] != "--help"}
+    commands = {g[0][0] for g in GOLDEN if g[0][0][:1] != "-"}
     assert commands == set(cli.main.commands)
     formats = {g[0][g[0].index("--format") + 1] if "--format" in g[0] else "text"
-               for g in GOLDEN}
+               for g in GOLDEN if g[1] == 0}
     assert formats == {"text", "json", "csv"}
     assert {g[1] for g in GOLDEN} == {0, 2, 3, 4}
 

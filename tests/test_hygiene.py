@@ -4,10 +4,11 @@ attribute a module stores on `self` is read somewhere in that module, and no
 module imports mpmath, which is a test dependency only, or any module of
 the tests, such as the reference `mpf_reference`.  A fresh
 `import betawords.cli` loads every layer the benchmark's tracer looks up,
-and none of `dataclasses`, `csv` or `click`, which would add to every
-command's start-up.  Every function and method of the package, but for dunders and
-defs nested in another def, is entered by some command of the golden set
-(`test_golden_cli.GOLDEN`): what no command runs belongs in the tests.
+and none of `dataclasses`, `csv`, `click`, `argparse` or `gettext`, which
+would add to every command's start-up.  Every function and method of the
+package, but for dunders and defs nested in another def, is entered by some
+command of the golden set (`test_golden_cli.GOLDEN`): what no command runs
+belongs in the tests.
 
 A module-level import must be used somewhere in its module; an import inside
 a function must be used inside that function.  `__init__.py` re-exports on
@@ -224,12 +225,14 @@ def test_cli_import_loads_the_layers_and_neither_dataclasses_nor_csv():
 
 
 def test_cli_import_loads_no_click():
-    # the CLI parses with argparse; click cost every command ~20 ms to start
+    # the CLI reads its argv in one pass of its own; click cost every command
+    # ~20 ms to start, and argparse with the gettext it loads ~2 ms more
     child = subprocess.run(
         [sys.executable, "-c", "import sys, betawords.cli; print(*sys.modules)"],
         capture_output=True, text=True, env=child_env())
     assert child.returncode == 0, child.stderr
-    assert [m for m in child.stdout.split() if m.split(".")[0] == "click"] == []
+    loaded = {m.split(".")[0] for m in child.stdout.split()}
+    assert loaded & {"click", "argparse", "gettext"} == set()
 
 
 # In a fresh child, so that every def the package runs at import is seen
