@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from itertools import count
 
 from .beta_numeration import (
     DEFAULT_PRECISION,
@@ -41,11 +40,7 @@ from .palindromes import (
     reversal_closure_probe,
     verify_identities,
 )
-from .substitution import (
-    fixed_point_prefix,
-    parry_substitution,
-    quadratic_substitution,
-)
+from .substitution import fixed_point_prefix, parry_substitution
 
 EXIT_PRECISION = 3
 EXIT_VERIFICATION = 4
@@ -304,14 +299,12 @@ def _params(a, b):
 
 
 def _subject(a, b, digits):
-    """Resolve (a, b) or --digits into (substitution, params-or-None, renyi)."""
+    """Resolve (a, b) or --digits into (substitution, renyi)."""
     if digits is not None and (a is not None or b is not None):
         raise UsageError("give either --a/--b or --digits, not both")
-    if digits is not None:
-        renyi = RenyiExpansion.parse(digits)
-        return parry_substitution(renyi), None, renyi
-    params = _params(a, b)
-    return quadratic_substitution(params), params, renyi_of_quadratic(params)
+    renyi = (renyi_of_quadratic(_params(a, b)) if digits is None
+             else RenyiExpansion.parse(digits))
+    return parry_substitution(renyi), renyi
 
 
 def _echo(text, file=None, end="\n"):
@@ -337,36 +330,46 @@ def _emit(fmt, payload, text_lines, csv_text=None):
 def analyze(a, b, n_max, fmt):
     """Combined C(n), Delta C(n), P(n) table with oracle/closed-form agreement."""
     params = _params(a, b)
-    lang = language_of(params)
-    sturmian = params.is_sturmian
-    oracle_c = factor_complexity(lang, n_max, "oracle")
-    oracle_p = palindromic_complexity(lang, n_max, "oracle").column("P")[1:]
+    c, p, closed_c, closed_p, _, failure = _check_point(params, n_max)
     table = Table(("n", "C", "deltaC", "P", "agree"), [
-        {"n": r["n"], "C": r["C"], "deltaC": r["deltaC"], "P": p, "agree": ""}
-        for r, p in zip(oracle_c.rows, oracle_p)])
-    failure = None
-    if not sturmian:
-        closed_c = factor_complexity(params, n_max, "closed_form").column("C")
-        closed_p = palindromic_complexity(params, n_max, "closed_form").column("P")[1:]
-        for row, c, p in zip(table.rows, closed_c, closed_p):
-            row["agree"] = "yes" if (row["C"], row["P"]) == (c, p) else "NO"
-        failure = _disagreement(("C", 1, oracle_c.column("C"), closed_c),
-                                ("P", 1, oracle_p, closed_p))
+        {"n": n, "C": c[n], "deltaC": c[n + 1] - c[n], "P": p[n],
+         "agree": "yes" if (c[n], p[n]) == (closed_c[n], closed_p[n]) else "NO"}
+        for n in range(1, n_max + 1)])
     payload = {**table.to_json(), "a": params.a, "b": params.b,
-               "sturmian": sturmian}
+               "sturmian": params.is_sturmian}
     csv_text = table.to_csv()
-    notice = ["# Sturmian boundary b = a-1: oracle-only table, C(n) = n+1"] \
-        if sturmian else []
-    _emit(fmt, payload, notice + csv_text.splitlines(), csv_text)
+    _emit(fmt, payload, csv_text.splitlines(), csv_text)
     if failure:
         raise failure
 
 
+def _check_point(params, n_max):
+    """One point's check, for analyze and verify: the oracle columns
+    C(0..n_max+3) and P(0..n_max+2) of one FactorLanguage, the closed-form
+    columns to n_max, the checks by name and the first failure, a
+    disagreement before a broken identity, or None."""
+    lang = language_of(params)
+    c = [1, *factor_complexity(lang, n_max + 3).column("C")]  # C(0) = 1
+    p = palindromic_complexity(lang, n_max + 2).column("P")
+    closed_c = [1, *factor_complexity(params, n_max, "closed_form").column("C")]
+    closed_p = palindromic_complexity(params, n_max, "closed_form").column("P")
+    checks = {"factor_complexity": c[: n_max + 1] == closed_c,
+              "palindromic_complexity": p[: n_max + 1] == closed_p,
+              "identities": True}
+    failure = _disagreement(("C", c, closed_c), ("P", p, closed_p))
+    try:
+        verify_identities(params, c, p)
+    except VerificationError as exc:
+        checks["identities"], failure = False, failure or exc
+    return c, p, closed_c, closed_p, checks, failure
+
+
 def _disagreement(*columns):
-    """A VerificationError at the first n where a column (table, first n,
-    oracle values, closed-form values) disagrees, C before P; else None."""
-    found = [(n, table, got, want) for table, start, oracle, closed in columns
-             for n, got, want in zip(count(start), oracle, closed) if got != want]
+    """A VerificationError at the first n where a column (table, oracle
+    values, closed-form values, each from n = 0) disagrees, C before P;
+    else None."""
+    found = [(n, table, got, want) for table, oracle, closed in columns
+             for n, (got, want) in enumerate(zip(oracle, closed)) if got != want]
     if not found:
         return None
     n, table, got, want = min(found)
@@ -407,31 +410,14 @@ def verify(a_max, n_max, digits, fmt):
     points = [(a, b) for a in range(3, a_max + 1) for b in range(1, a - 1)]
     if len(points) > 100:
         raise UsageError("grid guard: more than 100 parameter points")
-    failures = []
     results = []
     for a, b in points:
-        params = QuadraticParams(a, b)
-        # oracle columns long enough for the identities; C(0) = 1, the empty word
-        lang = language_of(params)
-        c = [1, *factor_complexity(lang, n_max + 3).column("C")]
-        p = palindromic_complexity(lang, n_max + 2).column("P")
-        oc, op = c[1 : n_max + 1], p[: n_max + 1]
-        cc = factor_complexity(params, n_max, "closed_form").column("C")
-        cp = palindromic_complexity(params, n_max, "closed_form").column("P")
-        point = {"a": a, "b": b, "checks": {"factor_complexity": oc == cc,
-                                            "palindromic_complexity": op == cp}}
-        failure = _disagreement(("C", 1, oc, cc), ("P", 0, op, cp))
-        try:
-            verify_identities(params, c, p)
-            point["checks"]["identities"] = True
-        except VerificationError as exc:
-            point["checks"]["identities"] = False
-            failure = failure or exc
+        *_, checks, failure = _check_point(QuadraticParams(a, b), n_max)
+        results.append({"a": a, "b": b, "checks": checks})
         if failure:
-            point["error"] = {"message": str(failure), "context": failure.context}
-        if not all(point["checks"].values()):
-            failures.append(point)
-        results.append(point)
+            results[-1]["error"] = {"message": str(failure),
+                                    "context": failure.context}
+    failures = [point for point in results if not all(point["checks"].values())]
     payload = {
         "schema": 1, "n_max": n_max,
         "points": results,
@@ -456,7 +442,7 @@ def verify(a_max, n_max, digits, fmt):
           _Option("--length", 100, high=MAX_WORD_LENGTH), _FORMAT)
 def word(a, b, digits, length, fmt):
     """Prefix of the fixed point u_beta."""
-    sub, _, renyi = _subject(a, b, digits)
+    sub, renyi = _subject(a, b, digits)
     prefix = fixed_point_prefix(sub, length)
     payload = {"schema": 1, "digits": str(renyi), "length": length, "word": prefix}
     _emit(fmt, payload, [prefix])
@@ -573,7 +559,7 @@ def _render_expansion(k, digit_seq):
           _FORMAT, name="beta-integers")
 def beta_integers_cmd(a, b, digits, count, precision, fmt):
     """First beta-integers to min(--precision, 12) significant digits, and gaps."""
-    sub, _, renyi = _subject(a, b, digits)
+    sub, renyi = _subject(a, b, digits)
     try:
         shown, letters = beta_integer_decimals(renyi, min(precision, 12), count, sub)
     except PrecisionError:

@@ -36,8 +36,8 @@ def _t_counts(zeros: int, ones: int, params: QuadraticParams) -> tuple[int, int]
 def _tower_counts(params: QuadraticParams):
     """Letter counts of (V^(k), U^(k)) for k = 1, 2, ..., without end.
 
-    |U^(k)| > |V^(k)| for every k: U^(1) = 0^(a-1) outcounts V^(1) = 0^b
-    letter by letter, and T keeps that order.
+    |U^(k)| > |V^(k)| for every k off the boundary b = a-1: U^(1) = 0^(a-1)
+    outcounts V^(1) = 0^b letter by letter, and T keeps that order.
     """
     v, u = (params.b, 0), (params.a - 1, 0)
     while True:
@@ -129,13 +129,13 @@ def tower_intervals(params: QuadraticParams, n_max: int):
 
 
 def _tower_marks(params: QuadraticParams, n_max: int) -> list[int]:
-    """+1 at each |V^(k)|, -1 at each |U^(k)| and 0 elsewhere, for
-    n = 0 .. n_max: the lengths interleave, |V^(k)| < |U^(k)| < |V^(k+1)|."""
+    """+1 at each |V^(k)| plus -1 at each |U^(k)|, for n = 0 .. n_max; on
+    the boundary b = a-1, |V^(k)| = |U^(k)| and the two marks cancel."""
     marks = [0] * (n_max + 1)
     for v_len, u_len in tower_intervals(params, n_max + 1):
-        marks[v_len] = 1
+        marks[v_len] += 1
         if u_len <= n_max:
-            marks[u_len] = -1
+            marks[u_len] -= 1
     return marks
 
 
@@ -145,8 +145,6 @@ def closed_form_delta_c(params: QuadraticParams, n_max: int) -> list[int]:
     Delta C(0) = 1 and Delta^2 C(n) is the mark of n, so Delta C(n) is 1
     plus the marks of 0 .. n-1.
     """
-    if params.is_sturmian:
-        raise UnsupportedVariantError("closed form applies only for a-1 > b")
     return list(accumulate(_tower_marks(params, n_max - 1), initial=1))[1:]
 
 
@@ -182,8 +180,8 @@ def factor_complexity(
     Table of n, C, deltaC and source.
 
     The oracle reads a given FactorLanguage, or builds one for the subject.
-    The closed form needs quadratic non-Sturmian parameters and integrates
-    Delta C from C(1) = 2.
+    The closed form needs quadratic parameters and integrates Delta C from
+    C(1) = 2.
     """
     if mode == "oracle":
         counts = language_of(subject).complexities(n_max + 1)[1:]

@@ -25,8 +25,8 @@ class UnsupportedVariantError(BetawordsError):
     """Operation requested for a variant outside its domain.
 
     Raised e.g. for simple (finite) Renyi expansions where the canonical
-    substitution is not defined here, or for closed-form complexity on the
-    Sturmian boundary b = a-1.
+    substitution is not defined here, or for the U/V towers on the Sturmian
+    boundary b = a-1.
     """
 
 

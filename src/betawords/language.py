@@ -34,7 +34,8 @@ from itertools import accumulate
 
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError
-from .substitution import Substitution, letter, quadratic_substitution
+from .substitution import (Substitution, _check_image_letters, letter,
+                           quadratic_substitution)
 
 _SEPARATOR = " "  # between the windows; no letter of u
 
@@ -53,37 +54,46 @@ class FactorLanguage:
         self.substitution = substitution
         self._phi = phi = {letter(j): image
                            for j, image in enumerate(substitution.images)}
+        # the 2-factors of each image, by substring search: no pass per letter
+        inner = {c: {x + y for x in phi if x in image for y in phi if x + y in image}
+                 for c, image in phi.items()}
         # seeded by phi(axiom), closed under xy -> the 2-factors of phi(xy)
         self.two_factors: set[str] = set()
-        todo = [substitution.images[substitution.axiom]]
-        while todo:
-            word = todo.pop()
-            new = {word[i : i + 2] for i in range(len(word) - 1)} - self.two_factors
+        new = inner[letter(substitution.axiom)]
+        while new:
             self.two_factors |= new
-            todo += [phi[x] + phi[y] for x, y in new]
-        # a letter still one letter long after |alphabet| steps cycles
-        # through single letters and never grows
-        lengths = dict.fromkeys("".join(self.two_factors), 1)
+            new = {f for x, y in new
+                   for f in (*inner[x], *inner[y], phi[x][-1] + phi[y][0])
+                   } - self.two_factors
+        # a letter grows if its image has two letters or more, or is one
+        # letter that grows; one that still does not after |alphabet| steps
+        # cycles through single letters and never grows
+        letters = set("".join(self.two_factors))
+        grows = {c for c in letters if len(phi[c]) > 1}
         for _ in range(substitution.alphabet_size):
-            lengths = {c: sum(lengths[d] for d in phi[c]) for c in lengths}
-        if 1 in lengths.values():
+            grows |= {c for c in letters if phi[c] in grows}
+        if grows != letters:
             raise InvalidInputError("a letter's image never grows")
-        # phi^k(c) and phi^(k-1)(c), each letter c of u
-        self._images, self._previous = {c: c for c in lengths}, None
-        self._reach = 0  # min_c |phi^k(c)|
+        # phi^k(c) and phi^(k-1)(c), each letter c of u, from k = 1
+        self._images = {c: phi[c] for c in letters}
+        self._previous = {c: c for c in letters}
 
     def _grow(self, n: int) -> None:
-        """Raise k until every block phi^k(c) has at least n letters."""
-        while self._reach < n:
-            self._previous = previous = self._images
-            images = self._images = {
+        """Raise k until every block phi^k(c) has at least n letters; each
+        next block's size is checked against the bound, from letter counts,
+        before it is joined."""
+        while min(map(len, self._images.values())) < n:
+            previous = self._images
+            _check_image_letters(max(
+                sum(self._phi[c].count(d) * len(word) for d, word in previous.items())
+                for c in previous))
+            self._previous, self._images = previous, {
                 c: "".join(previous[d] for d in self._phi[c]) for c in previous}
-            self._reach = min(map(len, images.values()))
 
     def _windows(self, n: int) -> list[str]:
         """The junction windows for length n, each block from its last r
         copies of A on: every factor of length at most n lies inside one."""
-        self._grow(max(n, 1))  # k >= 1, so that phi^(k-1) is defined
+        self._grow(n)
         images, cut, blocks = self._images, max(n - 1, 0), []
         for c in sorted(images):
             image = self._phi[c]

@@ -280,8 +280,6 @@ def _clause_ranges(clause, params: QuadraticParams, pairs: list[tuple[int, int]]
 
 def closed_form_p(params: QuadraticParams, n_max: int) -> list[int]:
     """P(n) for 0 <= n <= n_max from the parity-case table."""
-    if params.is_sturmian:
-        raise UnsupportedVariantError("closed form applies only for a-1 > b")
     rules = PARITY_CASES[params.a % 2, params.b % 2]
     pairs = tower_intervals(params, n_max + 1)
     values = [rules.even_default, rules.odd_default] * (n_max // 2 + 1)
@@ -339,12 +337,10 @@ def verify_identities(params: QuadraticParams, c: list[int], p: list[int]) -> di
 
     Verifies, for 1 <= n <= n_max:
       * P(n+1) + P(n) = Delta C(n) + 2
-      * P(n+2) - P(n) = +1 at n = |V^(k)|, -1 at n = |U^(k)|, 0 otherwise
+      * P(n+2) - P(n) = +1 at n = |V^(k)| plus -1 at n = |U^(k)|
       * Delta^2 C(n) = P(n+2) - P(n)
     Raises VerificationError with a context dump on the first violation.
     """
-    if params.is_sturmian:
-        raise UnsupportedVariantError("identity suite requires a-1 > b")
     n_max = len(p) - 3
     if len(c) != n_max + 4 or n_max < 1:
         raise InvalidInputError(

@@ -7,8 +7,21 @@ for the alphabet sizes that occur here.
 
 from __future__ import annotations
 
-from .beta_numeration import QuadraticParams, RenyiExpansion, _Frozen, parry_check
+from .beta_numeration import (QuadraticParams, RenyiExpansion, _Frozen,
+                              parry_check, renyi_of_quadratic)
 from .errors import InvalidInputError, UnsupportedVariantError
+
+
+# The most letters of one image phi^k(c) that the package builds, checked
+# from letter counts before the image is joined: 10^8 letters take 100 MB
+MAX_IMAGE_LETTERS = 10 ** 8
+
+
+def _check_image_letters(letters: int) -> int:
+    if letters > MAX_IMAGE_LETTERS:
+        raise InvalidInputError(f"an image of {letters} letters is past the "
+                                f"bound of {MAX_IMAGE_LETTERS} letters")
+    return letters
 
 
 def letter(index: int) -> str:
@@ -58,14 +71,10 @@ class Substitution(_Frozen):
         return word.translate(self._table)
 
 
-
 def quadratic_substitution(params: QuadraticParams) -> Substitution:
-    """phi(0) = 0^a 1, phi(1) = 0^b 1 over {0, 1} with axiom 0."""
-    return Substitution(
-        alphabet_size=2,
-        images=("0" * params.a + "1", "0" * params.b + "1"),
-        axiom=0,
-    )
+    """phi(0) = 0^a 1, phi(1) = 0^b 1 over {0, 1} with axiom 0: the canonical
+    substitution of a (b)."""
+    return parry_substitution(renyi_of_quadratic(params))
 
 
 def parry_substitution(renyi: RenyiExpansion) -> Substitution:
@@ -82,12 +91,10 @@ def parry_substitution(renyi: RenyiExpansion) -> Substitution:
         raise UnsupportedVariantError(
             "simple Parry expansions have a different canonical substitution"
         )
-    m, p = renyi.m, renyi.p
-    k = m + p
-    images = []
-    for j in range(k - 1):
-        images.append("0" * renyi.digit(j + 1) + letter(j + 1))
-    images.append("0" * renyi.digit(k) + letter(m))
+    k = renyi.m + renyi.p
+    # each image checked against the bound, then built in one allocation
+    images = [letter(j if j < k else renyi.m).rjust(
+        _check_image_letters(renyi.digit(j) + 1), "0") for j in range(1, k + 1)]
     return Substitution(alphabet_size=k, images=tuple(images), axiom=0)
 
 

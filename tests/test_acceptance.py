@@ -134,11 +134,14 @@ def test_criterion_6_sturmian_boundary():
         sub = quadratic_substitution(params)
         c = factor_complexity(sub, 60, "oracle").column("C")
         assert c == [n + 1 for n in range(1, 61)]
+        assert factor_complexity(params, 60, "closed_form").column("C") == c
         p = palindromic_complexity(sub, 60, "oracle").column("P")
         assert all(p[n] == 1 for n in range(0, 61, 2))
         assert all(p[n] == 2 for n in range(1, 61, 2))
+        assert palindromic_complexity(params, 60, "closed_form").column("P") == p
 
-    report(6, "Sturmian boundary (2, 1): C(n) = n+1, P alternates 1/2", body)
+    report(6, "Sturmian boundary (2, 1): C(n) = n+1, P alternates 1/2, "
+              "oracle and closed forms alike", body)
 
 
 def test_criterion_7_reversal_closure():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from test_cli_fuzz import COMMANDS
 from betawords import RenyiExpansion
 from betawords import beta_numeration
 from betawords import cli as cli_module
+from betawords import complexity as complexity_module
 from betawords import palindromes as palindromes_module
 from betawords.language import FactorLanguage
 from betawords.substitution import Substitution
@@ -23,11 +25,17 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
     str(Path(cli_module.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
-def cli(*args):
+def cli(*args, preexec_fn=None):
     return subprocess.run(
         [sys.executable, "-m", "betawords.cli", *args],
-        capture_output=True, text=True, env=CHILD_ENV,
+        capture_output=True, text=True, env=CHILD_ENV, preexec_fn=preexec_fn,
     )
+
+
+def limit_address_space():
+    """In the child: at most 800 MB of address space, so that a command that
+    builds a huge word fails at once instead of using up the host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (800 * 2 ** 20,) * 2)
 
 
 class TestAnalyze:
@@ -50,10 +58,15 @@ class TestAnalyze:
         assert not payload["sturmian"]
         assert [r["C"] for r in payload["rows"]] == [2, 3, 5, 6, 7]
 
-    def test_sturmian_notice(self):
-        result = cli("analyze", "--a", "2", "--b", "1", "--n-max", "5")
-        assert result.returncode == 0
-        assert result.stdout.startswith("# Sturmian boundary")
+    def test_sturmian_rows_agree(self):
+        # the boundary b = a-1 is checked like any other point: C(n) = n+1,
+        # and P(n) is 1 at even n and 2 at odd n
+        for a in (2, 3, 6):
+            result = cli("analyze", "--a", str(a), "--b", str(a - 1),
+                         "--n-max", "30")
+            assert result.returncode == 0, a
+            assert result.stdout.splitlines() == ["n,C,deltaC,P,agree"] + [
+                f"{n},{n + 1},1,{1 + n % 2},yes" for n in range(1, 31)], a
 
     def test_csv_format(self):
         result = cli("analyze", "--a", "4", "--b", "2", "--n-max", "4",
@@ -450,9 +463,13 @@ def test_help_lists_every_command_and_option(monkeypatch, capsys):
     # purely periodic digits: sigma^p(t) = t, so they fail the Parry criterion
     ["beta-integers", "--digits", "(3 1)"],
     ["word", "--digits", "(2 1)"],
+    # images past MAX_IMAGE_LETTERS: phi^2(0) has about 10^10 letters, and
+    # phi(0) 10^10 + 1
+    ["analyze", "--a", "100000", "--b", "1", "--n-max", "3"],
+    ["word", "--digits", "10000000000 (1)", "--length", "5"],
 ])
 def test_outside_input_exits_2_without_traceback(argv):
-    result = cli(*argv)
+    result = cli(*argv, preexec_fn=limit_address_space)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
 
@@ -589,15 +606,22 @@ def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
                             spy(name, getattr(FactorLanguage, name)))
     monkeypatch.setattr(palindromes_module, "palindromes_of_length",
                         lambda lang, n: pytest.fail("per-length palindromes"))
-    monkeypatch.setattr(sys, "argv", ["betawords", "verify", "--a-max", "4",
-                                      "--n-max", "20"])
-    cli_module.run()
-    assert "passed 3/3" in capsys.readouterr().out
-    # one language per point, and one automaton and one eertree over it;
-    # no per-length factor set is built
-    assert len(built) == 3
-    assert sorted(calls) == [(name, i) for name in ("_automaton", "eertree")
-                             for i in range(3)]
+    # verify over three points, then analyze over one, which checks its
+    # point as verify does
+    for argv, points, last in (
+            (["verify", "--a-max", "4", "--n-max", "20"], 3,
+             "passed 3/3 parameter points"),
+            (["analyze", "--a", "4", "--b", "1"], 1, "20,33,1,1,yes")):
+        built.clear()
+        calls.clear()
+        monkeypatch.setattr(sys, "argv", ["betawords", *argv])
+        cli_module.run()
+        assert capsys.readouterr().out.splitlines()[-1] == last
+        # one language per point, and one automaton and one eertree over it;
+        # no per-length factor set is built
+        assert len(built) == points
+        assert sorted(calls) == [(name, i) for name in ("_automaton", "eertree")
+                                 for i in range(points)]
 
 
 def _corrupt(monkeypatch, name, column, index):
@@ -638,6 +662,28 @@ def test_analyze_failure_names_first_disagreement(monkeypatch, capsys):
     dump = json.loads(out.err)
     assert dump["context"] == {"table": "C", "n": 7, "oracle": 9,
                                "closed_form": 10}
+
+
+def test_assigned_tower_marks_fail_on_the_boundary(monkeypatch, capsys):
+    # on b = a-1, |V^(k)| = |U^(k)|: marks assigned in turn, not added,
+    # leave -1 at each length where +1 and -1 should cancel
+    def assigned(params, n_max):
+        marks = [0] * (n_max + 1)
+        for v_len, u_len in complexity_module.tower_intervals(params, n_max + 1):
+            marks[v_len] = 1
+            if u_len <= n_max:
+                marks[u_len] = -1
+        return marks
+
+    monkeypatch.setattr(complexity_module, "_tower_marks", assigned)
+    monkeypatch.setattr(palindromes_module, "_tower_marks", assigned)
+    code, out = _run_in_process(monkeypatch, capsys, "analyze", "--a", "3",
+                                "--b", "2")
+    assert code == 4
+    # Delta C(3) = 1 + the mark of |V^(1)| = |U^(1)| = 2 drops to 0
+    assert json.loads(out.err)["context"] == {"table": "C", "n": 4,
+                                             "oracle": 5, "closed_form": 4}
+    assert out.out.splitlines()[3:5] == ["3,4,1,2,yes", "4,5,1,1,NO"]
 
 
 # beta-integers prints exact values: the strings equal mpmath's nstr of

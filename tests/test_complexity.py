@@ -174,10 +174,11 @@ class TestFactorComplexity:
         assert table.column("C") == [n + 1 for n in range(1, 61)]
 
     def test_sturmian_closed_form_rejected(self):
-        with pytest.raises(UnsupportedVariantError):
-            factor_complexity(QuadraticParams(2, 1), 10, "closed_form")
-        with pytest.raises(UnsupportedVariantError):
-            closed_form_delta_c(QuadraticParams(2, 1), 10)
+        # the closed forms used to refuse b = a-1; now the cancelling marks
+        # give the Sturmian C(n) = n+1 and Delta C(n) = 1 there
+        table = factor_complexity(QuadraticParams(2, 1), 10, "closed_form")
+        assert table.column("C") == [n + 1 for n in range(1, 11)]
+        assert closed_form_delta_c(QuadraticParams(2, 1), 10) == [1] * 10
 
     def test_delta_in_one_two(self):
         for a, b in [(4, 1), (4, 2), (6, 3)]:

@@ -34,13 +34,13 @@ GOLDEN = [
      "92547c90f8fb4cf9b85ac8932597623d3274eb6e05a6d384e2b584c07760e0b1",
      EMPTY),
     (["analyze", "--a", "3", "--b", "2", "--n-max", "6"], 0,
-     "dbcb5d645b171562bf3d9c98bd9ce5615dbc67d4c87aa7b1789af9272bfd608a",
+     "c91df8cf03dd08cb79d6ed3956c5f8a4245552f2b4c4fc37f5db8cc4887206c8",
      EMPTY),
     (["analyze", "--a", "4", "--b", "3", "--n-max", "6", "--format", "csv"], 0,
-     "b9b55a620fab87505d0e037c9e2400f9a98a33bf7e8110201251b4a51053c101",
+     "c91df8cf03dd08cb79d6ed3956c5f8a4245552f2b4c4fc37f5db8cc4887206c8",
      EMPTY),
     (["analyze", "--a", "2", "--b", "1", "--n-max", "5", "--format", "json"], 0,
-     "a92d5c8067312714b24bacf12d09d0edb39f2a0a34da30157cac8e3f3cf40e6a",
+     "8ae349e0e508b1214c0384e43e7470e0c099e352c1aa108808868ad5a9a808e3",
      EMPTY),
     (["analyze", "--a", "3", "--b", "3"], 2,
      EMPTY,

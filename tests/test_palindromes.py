@@ -312,8 +312,9 @@ class TestPalindromicComplexity:
         assert all(p[n] == 2 for n in range(1, 62, 2))
 
     def test_sturmian_closed_form_rejected(self):
-        with pytest.raises(UnsupportedVariantError):
-            palindromic_complexity(QuadraticParams(2, 1), 10, "closed_form")
+        # closed_form_p used to refuse b = a-1; now it gives P = 1, 2, 1, ...
+        closed = palindromic_complexity(QuadraticParams(2, 1), 10, "closed_form")
+        assert closed.column("P") == [1 + n % 2 for n in range(11)]
 
     def test_classification_counts(self):
         oracle = palindromic_complexity(quadratic_substitution(P31), 30, "oracle")
@@ -343,9 +344,29 @@ class TestIdentities:
         assert p[9] - p[7] == 1  # n = 7 = |V^(2)|
 
     def test_sturmian_rejected(self):
-        with pytest.raises(UnsupportedVariantError):
-            verify_identities(QuadraticParams(2, 1),
-                              *oracle_columns(QuadraticParams(2, 1), 10))
+        # verify_identities used to refuse b = a-1; now the identities hold
+        assert verify_identities(QuadraticParams(2, 1),
+                                 *oracle_columns(QuadraticParams(2, 1), 10))["ok"]
+
+    def test_sturmian_boundary_equals_the_oracle(self):
+        # on b = a-1, |V^(k)| = |U^(k)| and their marks cancel: the closed
+        # forms give C(n) = n+1 and P(n) = 1, 2, 1, ..., with no maximal or
+        # two-extension palindrome, and the identities hold
+        n_max = 1000
+        for a in range(2, 16):
+            params = QuadraticParams(a, a - 1)
+            lang = FactorLanguage(quadratic_substitution(params))
+            c = [1, *factor_complexity(lang, n_max + 3).column("C")]
+            oracle_p = palindromic_complexity(lang, n_max + 2)
+            closed_c = factor_complexity(params, n_max, "closed_form")
+            closed_p = palindromic_complexity(params, n_max, "closed_form")
+            assert closed_c.column("C") == c[1 : n_max + 1], a
+            assert closed_c.column("deltaC") == \
+                [c[n + 1] - c[n] for n in range(1, n_max + 1)], a
+            for name in ("P", "maximal_count", "two_ext_count"):
+                assert closed_p.column(name) == \
+                    oracle_p.column(name)[: n_max + 1], (a, name)
+            assert verify_identities(params, c, oracle_p.column("P"))["ok"], a
 
     def test_changed_p_names_the_first_broken_identity(self):
         c, p = oracle_columns(P31, 20)
