@@ -44,7 +44,6 @@ from .palindromes import (
     verify_identities,
 )
 from .substitution import (
-    FixedPointStream,
     Substitution,
     fixed_point_prefix,
     parry_substitution,

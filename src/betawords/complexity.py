@@ -158,14 +158,9 @@ class Table:
         return [row[name] for row in self.rows]
 
     def to_csv(self) -> str:
-        # imported here: csv loads a C extension, a start-up cost to every command
-        import csv
-        import io
-        out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=self.fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(self.rows)
-        return out.getvalue()
+        # the values are ints and short words: none needs quoting
+        lines = [self.fields, *([row[f] for f in self.fields] for row in self.rows)]
+        return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
     def to_json(self) -> dict:
         return {"schema": 1, "rows": self.rows}

@@ -34,7 +34,7 @@ from itertools import accumulate
 
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError
-from .substitution import (Substitution, _check_image_letters, letter,
+from .substitution import (Substitution, _next_images, letter,
                            quadratic_substitution)
 
 _SEPARATOR = " "  # between the windows; no letter of u
@@ -79,16 +79,10 @@ class FactorLanguage:
         self._previous = {c: c for c in letters}
 
     def _grow(self, n: int) -> None:
-        """Raise k until every block phi^k(c) has at least n letters; each
-        next block's size is checked against the bound, from letter counts,
-        before it is joined."""
+        """Raise k until every block phi^k(c) has at least n letters."""
         while min(map(len, self._images.values())) < n:
-            previous = self._images
-            _check_image_letters(max(
-                sum(self._phi[c].count(d) * len(word) for d, word in previous.items())
-                for c in previous))
-            self._previous, self._images = previous, {
-                c: "".join(previous[d] for d in self._phi[c]) for c in previous}
+            self._previous, self._images = self._images, _next_images(
+                self._phi, self._images)
 
     def _windows(self, n: int) -> list[str]:
         """The junction windows for length n, each block from its last r

@@ -7,6 +7,8 @@ for the alphabet sizes that occur here.
 
 from __future__ import annotations
 
+from itertools import chain, islice
+
 from .beta_numeration import (QuadraticParams, RenyiExpansion, _Frozen,
                               parry_check, renyi_of_quadratic)
 from .errors import InvalidInputError, UnsupportedVariantError
@@ -39,7 +41,7 @@ class Substitution(_Frozen):
     long, so the fixed point lim phi^n(axiom) exists and is prefix-stable.
     """
 
-    __slots__ = ("alphabet_size", "images", "axiom", "_table")
+    __slots__ = ("alphabet_size", "images", "axiom")
 
     def __init__(self, alphabet_size: int, images: tuple[str, ...],
                  axiom: int = 0):
@@ -60,15 +62,6 @@ class Substitution(_Frozen):
             raise InvalidInputError(
                 "axiom image must start with the axiom and have length >= 2"
             )
-        self._set(_table={ord(letter(j)): img
-                          for j, img in enumerate(self.images)})
-
-    def apply(self, word: str) -> str:
-        """phi(word), images applied letterwise."""
-        # translate passes unknown characters through, so count them first
-        if sum(word.count(letter(j)) for j in range(self.alphabet_size)) != len(word):
-            raise InvalidInputError("word uses a letter outside the alphabet")
-        return word.translate(self._table)
 
 
 def quadratic_substitution(params: QuadraticParams) -> Substitution:
@@ -98,30 +91,42 @@ def parry_substitution(renyi: RenyiExpansion) -> Substitution:
     return Substitution(alphabet_size=k, images=tuple(images), axiom=0)
 
 
-class FixedPointStream:
-    """Monotonically growing prefix buffer of the fixed point lim phi^n(axiom).
-
-    Applying phi to a prefix of the fixed point yields a longer prefix, so the
-    buffer is extended by repeated image application with truncation; no more
-    than O(L + max image length) letters are ever materialized.
-    """
-
-    def __init__(self, substitution: Substitution):
-        self.substitution = substitution
-        self._buffer = letter(substitution.axiom)
-
-    def prefix(self, length: int) -> str:
-        if length < 0:
-            raise InvalidInputError("length must be nonnegative")
-        while len(self._buffer) < length:
-            grown = self.substitution.apply(self._buffer)
-            if len(grown) <= len(self._buffer):
-                raise InvalidInputError("substitution does not grow from the axiom")
-            self._buffer = grown[: max(length, len(self._buffer))]
-        return self._buffer[:length]
+def _next_images(phi: dict[str, str], images: dict[str, str],
+                 room: int | None = None) -> dict[str, str] | None:
+    """The images phi^(k+1)(c), each joined from the phi^k(d) in `images`,
+    which maps each letter c to phi^k(c); or None if one of them would have
+    more than `room` letters.  Their sizes are read off letter counts first,
+    and one past MAX_IMAGE_LETTERS is an error."""
+    size = max(sum(phi[c].count(d) * len(word) for d, word in images.items())
+               for c in images)
+    if room is not None and size > room:
+        return None
+    _check_image_letters(size)
+    return {c: "".join(images[d] for d in phi[c]) for c in images}
 
 
 def fixed_point_prefix(substitution: Substitution, length: int) -> str:
-    """First `length` letters of the fixed point."""
-    return FixedPointStream(substitution).prefix(length)
+    """First `length` letters of the fixed point u = lim phi^k(axiom).
 
+    u = phi^k(u) for every k, so u is the blocks phi^k(x), one per letter x
+    of u in turn, and those letters are read off the blocks already written:
+    they are ahead of the reading, since the first block, phi^k(axiom),
+    has at least two letters.  k is the first level whose phi^k(axiom) holds
+    the prefix, or else the last whose images all have at most `length`
+    letters (at least 1), so no image is built longer than the prefix and
+    O(length) letters are built in all.
+    """
+    if length < 0:
+        raise InvalidInputError("length must be nonnegative")
+    axiom = letter(substitution.axiom)
+    phi = images = {letter(j): image for j, image in enumerate(substitution.images)}
+    while len(images[axiom]) < length and (
+            grown := _next_images(phi, images, length)) is not None:
+        images = grown
+    blocks = [images[axiom][:length]]
+    # the letters of u after the axiom, whose block is the first
+    size, letters = len(blocks[0]), islice(chain.from_iterable(blocks), 1, None)
+    while size < length:
+        blocks.append(images[next(letters)][: length - size])
+        size += len(blocks[-1])
+    return "".join(blocks)

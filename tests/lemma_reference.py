@@ -1,14 +1,16 @@
 """Checks of the paper's lemmas and of properties of the substitutions, kept
 as a reference for tests.
 
-The map T, w -> 0^b 1 phi(w) 0^b, letter by letter; the palindromic
-extensions of a palindrome, read by membership; the report that T keeps
-palindromes and their extension sets; the observed and expected centers
-of the materialized tower words; the letter counts, incidence matrix and
-primitivity of a substitution.  No command calls them: the package builds
-T-images with `complexity.t_orbit`, reads extensions off the eertree and
-the centers off `palindromes.center_evolution`.  The tests check those
-against these.
+A substitution applied letter by letter, and the fixed-point prefix it
+grows from the axiom; the map T, w -> 0^b 1 phi(w) 0^b, letter by letter;
+the palindromic extensions of a palindrome, read by membership; the report
+that T keeps palindromes and their extension sets; the observed and
+expected centers of the materialized tower words; the letter counts,
+incidence matrix and primitivity of a substitution.  No command calls them:
+the package reads prefixes off the levels phi^k(c) with
+`substitution.fixed_point_prefix`, builds T-images with
+`complexity.t_orbit`, reads extensions off the eertree and the centers off
+`palindromes.center_evolution`.  The tests check those against these.
 """
 
 from __future__ import annotations
@@ -22,11 +24,29 @@ from betawords.palindromes import (_v_centers, center_evolution, center_of,
 from betawords.substitution import Substitution, letter, quadratic_substitution
 
 
+def apply(substitution: Substitution, word: str) -> str:
+    """phi(word), images applied letterwise."""
+    # translate passes unknown characters through, so count them first
+    if sum(word.count(letter(j))
+           for j in range(substitution.alphabet_size)) != len(word):
+        raise InvalidInputError("word uses a letter outside the alphabet")
+    return word.translate({ord(letter(j)): image
+                           for j, image in enumerate(substitution.images)})
+
+
+def reference_prefix(substitution: Substitution, length: int) -> str:
+    """The first `length` letters of the fixed point: phi applied to the
+    whole word from the axiom until it is long enough, then cut."""
+    word = letter(substitution.axiom)
+    while len(word) < length:
+        word = apply(substitution, word)
+    return word[:length]
+
+
 def t_map(word: str, params: QuadraticParams) -> str:
     """The language-preserving map w -> 0^b 1 phi(w) 0^b."""
-    phi = quadratic_substitution(params)
     zeros = "0" * params.b
-    return zeros + "1" + phi.apply(word) + zeros
+    return zeros + "1" + apply(quadratic_substitution(params), word) + zeros
 
 
 def palindromic_extensions(word: str, lang: FactorLanguage) -> frozenset[str]:

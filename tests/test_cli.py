@@ -162,6 +162,15 @@ class TestWord:
         result = cli("word", "--a", "3", "--b", "1", "--digits", "3 (1)")
         assert result.returncode == 2
 
+    def test_long_images_build_no_image_past_the_prefix(self):
+        # u starts with phi^3(0) = phi^2(0)^1000 phi^2(1), and |phi^2(0)| is
+        # 1,001,002: the image phi^3(0), 10^9 letters, is never built
+        result = cli("word", "--a", "1000", "--b", "1", "--length", "10000000",
+                     preexec_fn=limit_address_space)
+        assert (result.returncode, result.stderr) == (0, "")
+        square = ("0" * 1000 + "1") * 1000 + "01"
+        assert result.stdout == (square * 10)[: 10 ** 7] + "\n"
+
 
 class TestSpecials:
     def test_text_output(self):
@@ -328,14 +337,13 @@ def test_digit_count_past_its_bound_exits_2_before_any_digit(monkeypatch, capsys
                        "is not in the range x<=1000000.\n")
 
 
-def test_beta_expand_digits_do_not_depend_on_the_precision(capsys):
-    # the true expansion of 7.25 in base 2 + sqrt(2) is 20.1112 then 1s; at
-    # --precision 2, 5 and 10 mpmath floors used to print other digits
-    argv = ["beta-expand", "--a", "3", "--b", "1", "--x", "7.25",
-            "--digit-count", "24"]
-    for precision in ("2", "5", "10", "64"):
-        cli_module.main([*argv, "--precision", precision])
-        assert capsys.readouterr().out == "20.1112111111111111111111\n", precision
+def test_beta_expand_takes_no_precision(monkeypatch, capsys):
+    # its digits are exact, so a precision has nothing to set
+    code, out = _run_in_process(
+        monkeypatch, capsys, "beta-expand", "--a", "3", "--b", "1", "--x",
+        "7.25", "--precision", "5")
+    assert (code, out.out) == (2, "")
+    assert out.err == "usage error: No such option '--precision'.\n"
 
 
 class TestBetaIntegers:
@@ -451,7 +459,8 @@ def test_help_lists_every_command_and_option(monkeypatch, capsys):
     ["analyze", "--a", "3", "--b", "1", "--n-max", "-5"],
     ["analyze", "--a", "3", "--b", "1", "--n-max", "0"],
     ["verify", "--a-max", "2"],
-    # a digit above floor(beta) = 3 used to come out at precision 0
+    # a digit above floor(beta) = 3 used to come out at precision 0; now
+    # beta-expand takes no --precision
     ["beta-expand", "--a", "3", "--b", "1", "--x", "3", "--precision", "0"],
     ["beta-integers", "--a", "3", "--b", "1", "--precision", "1"],
     # 100 has k = 3, so three digits would drop the place values

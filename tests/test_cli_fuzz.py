@@ -64,8 +64,7 @@ COMMANDS = {
     "specials": ["--a", "--b", "--n", "--tower-depth", "--format"],
     "palindromes": ["--a", "--b", "--n", "--branch-budget", "--format"],
     "parry-check": ["--digits", "--format"],
-    "beta-expand": ["--a", "--b", "--x", "--digit-count", "--precision",
-                    "--format"],
+    "beta-expand": ["--a", "--b", "--x", "--digit-count", "--format"],
     "beta-integers": ["--a", "--b", "--digits", "--count", "--precision",
                       "--format"],
 }

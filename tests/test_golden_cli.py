@@ -123,9 +123,13 @@ GOLDEN = [
     (["beta-expand", "--a", "3", "--b", "1", "--x", "7.25"], 0,
      "3707215ce6b42c4235fc40e7db8198b9169218e90e9b74666fd084866f2ded63",
      EMPTY),
-    (["beta-expand", "--a", "4", "--b", "2", "--x", "100", "--digit-count", "8", "--precision", "30", "--format", "json"], 0,
+    (["beta-expand", "--a", "4", "--b", "2", "--x", "100", "--digit-count", "8", "--format", "json"], 0,
      "6361954725b677cebdd3689420cbb00e2f39e6eddd91a1bc0b87c2551f6bb302",
      EMPTY),
+    # beta-expand takes no --precision: its digits are exact
+    (["beta-expand", "--a", "4", "--b", "2", "--x", "100", "--digit-count", "8", "--precision", "30", "--format", "json"], 2,
+     EMPTY,
+     "ea3d4e1d7349262b87f820fc4b378150a0aa3ddce80cefc7d620894624bace4a"),
     (["beta-integers", "--a", "3", "--b", "1", "--count", "20"], 0,
      "ca96cd301579f98e750d1bb3624d7ab97186a7f6f916ab3b6de0b7fc488bc87f",
      EMPTY),
@@ -179,7 +183,7 @@ GOLDEN = [
      "bdac676c8746ab37b6b874ece13ab8b0fb3902262bb33cdba568943fd27081ed",
      EMPTY),
     (["beta-expand", "--help"], 0,
-     "edf014a28c3f44f7b2a62b9f6bf062f3319bb2b5b3c9295d013bd9af0762ab53",
+     "4c287c21ffb2396398fdf2ef22f21b151e6c8bb31625083ec8f8945211ba1acc",
      EMPTY),
 ]
 

@@ -13,12 +13,15 @@ belongs in the tests.
 A module-level import must be used somewhere in its module; an import inside
 a function must be used inside that function.  `__init__.py` re-exports on
 purpose and is left out.  Parsed with `ast`, so the check needs no linter.
-To print the defs no golden command enters, with their line counts, run
+To print the defs no golden command enters, with their line counts, and the
+names in the benchmark's tracer that name nothing left in the package
+(their metrics read 0), run
 
     PYTHONPATH=src python tests/test_hygiene.py
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -29,6 +32,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "betawords"
 TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+BENCHMARK = PACKAGE.parents[1] / "BENCHMARK.json"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # the tests import each other by module name, so each is a top-level name
@@ -314,6 +318,39 @@ def test_check_names_each_def_never_entered():
                                                    ("dead_too", 16, 2)]
 
 
+def tracer_names_gone(source: str, metrics: set[str]) -> list[str]:
+    """The `<layer>.<name>` strings of a tracer source that name no function,
+    class or method of the package.  The `metrics`, and the counters the
+    source keys by subscript, are names of figures, not of code, and are
+    left out."""
+    tree = ast.parse(source)
+    layers = traced_layers()
+    figures = metrics | {node.slice.value for node in ast.walk(tree)
+                         if isinstance(node, ast.Subscript)
+                         and isinstance(node.slice, ast.Constant)}
+    gone = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+            continue
+        layer, _, path = node.value.partition(".")
+        if layer in layers and path and node.value not in figures:
+            found = importlib.import_module(f"betawords.{layer}")
+            for attr in path.split("."):
+                found = getattr(found, attr, None)
+            if found is None:
+                gone.add(node.value)
+    return sorted(gone)
+
+
+def test_check_names_each_tracer_name_gone_from_the_package():
+    source = ('HOOKS = {"substitution.fixed_point_prefix": f,\n'
+              '         "substitution.Substitution.gone": g}\n'
+              'METRICS = {"substitution.gone_calls": "complexity.gone"}\n'
+              'def f(counters):\n    counters["language.misses"] += 1\n')
+    assert tracer_names_gone(source, {"substitution.gone_calls"}) == [
+        "complexity.gone", "substitution.Substitution.gone"]
+
+
 if __name__ == "__main__":
     found = [(name, *entry) for name, unentered in unentered_package_defs().items()
              for entry in unentered]
@@ -321,3 +358,8 @@ if __name__ == "__main__":
         print(f"{module}:{first} {name}: {lines} lines")
     print(f"{len(found)} defs, {sum(entry[-1] for entry in found)} lines "
           "that no golden command enters")
+    metrics = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    gone = tracer_names_gone(TRACER.read_text(), metrics)
+    for name in gone:
+        print(f"{TRACER.name}: {name}")
+    print(f"{len(gone)} names in {TRACER.name} that name nothing in the package")

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from lemma_reference import incidence_matrix, is_primitive, word_counts
+from lemma_reference import (apply, incidence_matrix, is_primitive,
+                             reference_prefix, word_counts)
 
 from betawords import (
-    FixedPointStream,
     InvalidInputError,
     QuadraticParams,
     RenyiExpansion,
@@ -53,7 +53,7 @@ class TestSubstitutionType:
         for _ in range(50):
             v = "".join(rng.choice("01") for _ in range(rng.randint(0, 8)))
             w = "".join(rng.choice("01") for _ in range(rng.randint(0, 8)))
-            assert sub.apply(v + w) == sub.apply(v) + sub.apply(w)
+            assert apply(sub, v + w) == apply(sub, v) + apply(sub, w)
 
     def test_abelianization(self):
         sub = quadratic_substitution(QuadraticParams(4, 2))
@@ -62,7 +62,7 @@ class TestSubstitutionType:
         for _ in range(30):
             w = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
             before = word_counts(w, 2)
-            after = word_counts(sub.apply(w), 2)
+            after = word_counts(apply(sub, w), 2)
             expected = tuple(
                 sum(matrix[i][j] * before[j] for j in range(2)) for i in range(2)
             )
@@ -111,11 +111,11 @@ def test_apply_equals_letterwise_join(digits):
     rng = random.Random(digits)
     for size in (0, 1, 2, 7, 40, 500):
         word = "".join(rng.choice(letters) for _ in range(size))
-        assert sub.apply(word) == "".join(sub.images[ord(c) - 48] for c in word)
+        assert apply(sub, word) == "".join(sub.images[ord(c) - 48] for c in word)
     # one past the alphabet, "/" (letter index -1) and non-digits
     for bad in (chr(48 + sub.alphabet_size), "/", "a", " ", "\u0660"):
         with pytest.raises(InvalidInputError):
-            sub.apply("0" + bad + "1")
+            apply(sub, "0" + bad + "1")
 
 
 class TestFixedPoint:
@@ -137,13 +137,46 @@ class TestFixedPoint:
         # u = phi(u) on a million-letter prefix
         sub = quadratic_substitution(QuadraticParams(3, 1))
         prefix = fixed_point_prefix(sub, 10 ** 6)
-        reapplied = sub.apply(prefix[: 10 ** 6 // 5])
+        reapplied = apply(sub, prefix[: 10 ** 6 // 5])
         assert reapplied[: 10 ** 6] == prefix[: len(reapplied)][: 10 ** 6]
 
-    def test_stream_buffer_grows_monotonically(self):
-        stream = FixedPointStream(quadratic_substitution(QuadraticParams(4, 1)))
-        first = stream.prefix(10)
-        assert stream.prefix(100)[:10] == first
+    def test_prefix_stability_across_levels(self):
+        # lengths on and next to the image sizes |phi^k(c)|, where the level
+        # whose blocks the prefix reads changes
+        sub = quadratic_substitution(QuadraticParams(4, 1))
+        lengths = sorted({size + d for size in (1, 2, 5, 7, 22, 29, 95, 124, 409)
+                          for d in (-1, 0, 1)})
+        longest = fixed_point_prefix(sub, lengths[-1])
+        for length in lengths:
+            assert fixed_point_prefix(sub, length) == longest[:length]
+
+
+# the five benchmark expansions, a non-minimal one, one whose images
+# start with single letters, and every (a, b) with a <= 8; then images that
+# outgrow the axiom's, so that the prefix reads many blocks off itself:
+# Thue-Morse, and images with a letter that maps to one letter or never grows
+PREFIX_SUBJECTS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "2 1 (1)",
+                   "4 1 1 (2 1)", "3 0 0 (0 1)"] + [
+    f"{a} ({b})" for a in range(2, 9) for b in range(1, a)] + [
+    ("01", "10"), ("01", "0111"), ("012", "12", "2220"), ("0121", "2", "01"),
+    ("001", "1")]
+
+
+@pytest.mark.parametrize("subject", PREFIX_SUBJECTS, ids=str)
+def test_prefix_equals_the_whole_word_reference(subject):
+    sub = (parry_substitution(RenyiExpansion.parse(subject))
+           if isinstance(subject, str) else Substitution(len(subject), subject))
+    reference = reference_prefix(sub, 10 ** 5)
+    # each length on and next to an image size phi^k(c) up to 10^5, where
+    # the level the prefix reads changes
+    sizes, images = {1}, list(sub.images)
+    while max(map(len, images)) <= 10 ** 5:
+        sizes |= set(map(len, images))
+        images = [apply(sub, image) for image in images]
+    lengths = {0, 10 ** 5} | {n + d for n in sizes for d in (-1, 0, 1)
+                              if 0 <= n + d <= 10 ** 5}
+    for length in sorted(lengths):
+        assert fixed_point_prefix(sub, length) == reference[:length], length
 
 
 class TestPrimitivity:
