@@ -1,7 +1,6 @@
 """Infinite words coding beta-integers: factor and palindromic complexity."""
 
 from .beta_numeration import (
-    DEFAULT_PRECISION,
     QuadraticParams,
     RenyiExpansion,
     beta_expand,

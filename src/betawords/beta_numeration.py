@@ -17,8 +17,6 @@ from operator import mul
 from .errors import (DigitCountError, InvalidInputError, InvalidParamsError,
                      PrecisionError)
 
-DEFAULT_PRECISION = 64
-
 
 class _Frozen:
     """Base of the package's immutable value types, in place of frozen
@@ -176,11 +174,6 @@ class QuadraticParams(_Frozen):
         """Boundary case b = a-1: the fixed point is a Sturmian word."""
         return self.b == self.a - 1
 
-    def exact_beta(self) -> tuple[int, int, int, int]:
-        """beta = (u + v*sqrt(D)) / w as the integer quadruple (u, v, D, w)."""
-        a, b = self.a, self.b
-        return (a + 1, 1, (a + 1) ** 2 - 4 * (a - b), 2)
-
 
 def renyi_of_quadratic(params: QuadraticParams) -> RenyiExpansion:
     """d_beta(1) = a b^w."""
@@ -214,7 +207,8 @@ def beta_expand(x, params: QuadraticParams,
         raise InvalidInputError(f"x is not a number: {x!r}") from exc
     if mantissa < 0:
         raise InvalidInputError("x must be nonnegative")
-    (p, _, disc, _), ab = params.exact_beta(), params.a - params.b
+    p, ab = params.a + 1, params.a - params.b
+    disc = p * p - 4 * ab  # D: beta = (p + sqrt(D)) / 2
     # beta < a + 1, so log2 beta^digit_count < places; log2 x is within one
     # of size + exponent log2 10, and 3 < log2 10 < 4
     places = digit_count * p.bit_length()
@@ -302,10 +296,12 @@ def _gap_names(renyi: RenyiExpansion) -> list[str]:
     and Delta_0 = 1 is above the rest.  A non-minimal expansion repeats a
     Delta_k, and so a distance: in `4 1 1 (2 1)` letter 4 is named 2.
     """
+    # imported here: substitution imports this module
+    from .substitution import letter
     d, t = renyi.m + renyi.p, renyi.digit
     # a window of d digits past index k reaches p digits past the preperiod
     tails = [tuple(t(k + i) for i in range(1, d + 1)) for k in range(d)]
-    return [_letter(tails.index(tail, 1) if k else 0) for k, tail in enumerate(tails)]
+    return [letter(tails.index(tail, 1) if k else 0) for k, tail in enumerate(tails)]
 
 
 def _times_beta(coords: tuple, relation: tuple) -> list[int]:
@@ -332,14 +328,15 @@ def _beta_floor(relation: tuple, t1: int, bits: int) -> int:
 _GUARD_BITS = 64  # bits of the fixed point past its error bound
 
 
-def beta_integer_decimals(renyi: RenyiExpansion, digits: int, count: int,
-                          substitution=None) -> tuple[list[str], str]:
+def beta_integer_decimals(renyi: RenyiExpansion, digits: int,
+                          count: int) -> tuple[list[str], str]:
     """First `count` beta-integers as exact decimals, and their gap letters.
 
     The gaps between consecutive beta-integers spell the fixed point of the
-    canonical substitution (Fabre 1995): `substitution`, which a caller that
-    has built it passes, else `parry_substitution(renyi)`.  Each letter k is
-    renamed to the first Delta_j equal to Delta_k (`_gap_names`).
+    canonical substitution (Fabre 1995), `parry_substitution(renyi)`, which
+    rejects digits that fail the Parry criterion and simple expansions.
+    Each letter k is renamed to the first Delta_j equal to Delta_k
+    (`_gap_names`).
 
     Each value reads as mpmath's nstr(value, digits) of the exact value:
     rounded half up to `digits` significant digits, fixed below 10^digits.
@@ -349,19 +346,15 @@ def beta_integer_decimals(renyi: RenyiExpansion, digits: int, count: int,
     two equal decimals, a PrecisionError, come before an integer tie.
     """
     # imported here: substitution imports this module
-    from .substitution import fixed_point_prefix, parry_substitution
-    ok, shift = parry_check(renyi)
-    if not ok:
-        raise InvalidInputError(f"digits fail the Parry criterion at shift {shift}")
+    from .substitution import fixed_point_prefix, letter, parry_substitution
+    substitution = parry_substitution(renyi)
     if count < 2:
         raise InvalidInputError("count must be >= 2")
-    if renyi.is_simple:
-        raise InvalidInputError("simple (finite) expansions are not supported here")
-    word = fixed_point_prefix(substitution or parry_substitution(renyi), count - 1)
-    letters = word.translate({ord(_letter(k)): name
+    word = fixed_point_prefix(substitution, count - 1)
+    letters = word.translate({ord(letter(k)): name
                               for k, name in enumerate(_gap_names(renyi))})
     relation, names = _exact_gaps(renyi)
-    deltas, t1 = {letter: coords for coords, letter in names.items()}, renyi.digit(1)
+    deltas, t1 = {gap: coords for coords, gap in names.items()}, renyi.digit(1)
     # |beta^j 2^K - B_j| <= (t_1 + 3)^j for the powers B_j summed below
     slack = count * max(sum(abs(c) * (t1 + 3) ** j for j, c in enumerate(coords))
                         for coords in deltas.values())
@@ -371,12 +364,12 @@ def beta_integer_decimals(renyi: RenyiExpansion, digits: int, count: int,
         powers = [1 << bits]
         for _ in relation[1:]:
             powers.append(powers[-1] * scaled >> bits)
-        steps = {letter: sum(map(mul, coords, powers))
-                 for letter, coords in deltas.items()}
+        steps = {gap: sum(map(mul, coords, powers))
+                 for gap, coords in deltas.items()}
         # v_1 = 1 exactly, so the loop sets the scale before it is read
         shown, value, exponent, ceiling = ["0.0"], 0, -1, 1 << bits
-        for letter in letters:
-            value += steps[letter]
+        for gap in letters:
+            value += steps[gap]
             while value >= ceiling:
                 exponent, ceiling = exponent + 1, ceiling * 10
                 scale = 2 * 10 ** max(0, digits - 1 - exponent)
@@ -396,7 +389,3 @@ def beta_integer_decimals(renyi: RenyiExpansion, digits: int, count: int,
         else:
             return shown, letters
         bits *= 2
-
-
-def _letter(index: int) -> str:
-    return chr(ord("0") + index)

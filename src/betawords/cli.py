@@ -10,12 +10,10 @@ Usage errors and help read as they did when the CLI was built on click.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 
 from .beta_numeration import (
-    DEFAULT_PRECISION,
     QuadraticParams,
     RenyiExpansion,
     beta_expand,
@@ -23,7 +21,7 @@ from .beta_numeration import (
     parry_check,
     renyi_of_quadratic,
 )
-from .complexity import Table, factor_complexity, tower_intervals, uv_tower
+from .complexity import Table, factor_complexity, uv_tower
 from .errors import (
     DigitCountError,
     InvalidInputError,
@@ -293,13 +291,12 @@ def _params(a, b):
     return QuadraticParams(a, b)
 
 
-def _subject(a, b, digits):
-    """Resolve (a, b) or --digits into (substitution, renyi)."""
+def _renyi(a, b, digits):
+    """Resolve (a, b) or --digits into a Renyi expansion."""
     if digits is not None and (a is not None or b is not None):
         raise UsageError("give either --a/--b or --digits, not both")
-    renyi = (renyi_of_quadratic(_params(a, b)) if digits is None
-             else RenyiExpansion.parse(digits))
-    return parry_substitution(renyi), renyi
+    return (renyi_of_quadratic(_params(a, b)) if digits is None
+            else RenyiExpansion.parse(digits))
 
 
 def _echo(text, file=None, end="\n"):
@@ -437,8 +434,8 @@ def verify(a_max, n_max, digits, fmt):
           _Option("--length", 100, high=MAX_WORD_LENGTH), _FORMAT)
 def word(a, b, digits, length, fmt):
     """Prefix of the fixed point u_beta."""
-    sub, renyi = _subject(a, b, digits)
-    prefix = fixed_point_prefix(sub, length)
+    renyi = _renyi(a, b, digits)
+    prefix = fixed_point_prefix(parry_substitution(renyi), length)
     payload = {"schema": 1, "digits": str(renyi), "length": length, "word": prefix}
     _emit(fmt, payload, [prefix])
 
@@ -454,16 +451,9 @@ def specials(a, b, n, tower_depth, fmt):
                "left_special": left}
     lines = [f"left special ({len(left)}): " + " ".join(left)]
     if not params.is_sturmian:
-        # |U^(k)| < (a+2)^k, so only a depth past that estimate needs the
-        # exact check that its lengths fit Python's limit on decimal digits
-        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if digits and tower_depth * math.log10(params.a + 2) >= digits:
-            bound = 10 ** digits
-            if tower_depth > sum(u < bound for _, u in tower_intervals(params, bound)):
-                raise UsageError(_invalid(
-                    "--tower-depth",
-                    f"U/V lengths at this depth exceed {digits} decimal digits"))
-        tower = uv_tower(params, tower_depth)
+        # only the words of at most 64 letters print; the first word of a
+        # tower is built even when it is longer
+        tower = uv_tower(params, tower_depth, materialize_cap=64)
         payload.update(tower.lengths_json())
         payload["u_words"] = [w for w in tower.u_words if len(w) <= 64]
         payload["v_words"] = [w for w in tower.v_words if len(w) <= 64]
@@ -551,14 +541,14 @@ def _render_expansion(k, digit_seq):
 
 @_command(_Option("--a"), _Option("--b"), _Option("--digits", kind=str),
           _Option("--count", 10, high=MAX_BETA_INTEGER_COUNT),
-          _Option("--precision", DEFAULT_PRECISION, low=2,
+          _Option("--precision", 12, low=2,
                   help="Significant digits shown (at most 12)."),
           _FORMAT, name="beta-integers")
 def beta_integers_cmd(a, b, digits, count, precision, fmt):
     """First beta-integers to min(--precision, 12) significant digits, and gaps."""
-    sub, renyi = _subject(a, b, digits)
+    renyi = _renyi(a, b, digits)
     try:
-        shown, letters = beta_integer_decimals(renyi, min(precision, 12), count, sub)
+        shown, letters = beta_integer_decimals(renyi, min(precision, 12), count)
     except PrecisionError:
         raise PrecisionError(
             f"precision {precision} does not separate consecutive "

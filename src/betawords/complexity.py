@@ -17,6 +17,7 @@ table, here, in `palindromes` and in the CLI, is one `Table`.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, islice, takewhile
 
 from .beta_numeration import QuadraticParams
@@ -80,7 +81,9 @@ class UVTower:
     U^(1) = 0^(a-1), V^(1) = 0^b, and both towers grow by the map T.
     Words are materialized while their length stays within `materialize_cap`,
     U^(1) and V^(1) always; lengths continue exactly as arbitrary-size
-    integers via the letter-count recurrence of T.
+    integers via the letter-count recurrence of T, up to Python's limit on
+    the decimal digits of an int written out, past which the depth is
+    invalid input.
     """
 
     def __init__(self, params: QuadraticParams, depth: int,
@@ -93,9 +96,16 @@ class UVTower:
             raise InvalidInputError("tower depth must be nonnegative")
         self.params, self.depth = params, depth
         self.materialize_cap = materialize_cap
-        counts = list(islice(_tower_counts(params), depth))
-        self.v_counts = [v for v, _ in counts]
-        self.u_counts = [u for _, u in counts]
+        self.v_counts, self.u_counts = [], []
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        bound = 10 ** digits if digits else float("inf")
+        for k, (v, u) in enumerate(islice(_tower_counts(params), depth), 1):
+            # |U^(k)| > |V^(k)|, so U^(k) is the first past the bound
+            if sum(u) >= bound:
+                raise InvalidInputError(
+                    f"|U^({k})| has more than {digits} decimal digits")
+            self.v_counts.append(v)
+            self.u_counts.append(u)
         self.u_words = self._words("0" * (params.a - 1))
         self.v_words = self._words("0" * params.b)
 
@@ -106,15 +116,9 @@ class UVTower:
 
     def lengths_json(self) -> dict:
         """Lengths as decimal strings (they outgrow doubles quickly)."""
-        try:
-            u = [str(z + o) for z, o in self.u_counts]
-            v = [str(z + o) for z, o in self.v_counts]
-        except ValueError as exc:  # past Python's limit on int-to-str digits
-            raise InvalidInputError(
-                f"U/V lengths at depth {self.depth} have too many decimal digits"
-            ) from exc
         return {"schema": 1, "a": self.params.a, "b": self.params.b,
-                "u_lengths": u, "v_lengths": v}
+                "u_lengths": [str(z + o) for z, o in self.u_counts],
+                "v_lengths": [str(z + o) for z, o in self.v_counts]}
 
 
 def uv_tower(params: QuadraticParams, depth: int,

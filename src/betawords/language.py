@@ -57,9 +57,9 @@ class FactorLanguage:
         # the 2-factors of each image, by substring search: no pass per letter
         inner = {c: {x + y for x in phi if x in image for y in phi if x + y in image}
                  for c, image in phi.items()}
-        # seeded by phi(axiom), closed under xy -> the 2-factors of phi(xy)
+        # seeded by phi(0), closed under xy -> the 2-factors of phi(xy)
         self.two_factors: set[str] = set()
-        new = inner[letter(substitution.axiom)]
+        new = inner["0"]
         while new:
             self.two_factors |= new
             new = {f for x, y in new
@@ -70,7 +70,7 @@ class FactorLanguage:
         # cycles through single letters and never grows
         letters = set("".join(self.two_factors))
         grows = {c for c in letters if len(phi[c]) > 1}
-        for _ in range(substitution.alphabet_size):
+        for _ in phi:
             grows |= {c for c in letters if phi[c] in grows}
         if grows != letters:
             raise InvalidInputError("a letter's image never grows")

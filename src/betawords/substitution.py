@@ -35,30 +35,26 @@ def letter_index(ch: str) -> int:
 
 
 class Substitution(_Frozen):
-    """Letter-to-word morphism with a designated axiom letter.
+    """Letter-to-word morphism over the letters 0 .. len(images)-1, image j
+    that of letter j.
 
-    The axiom image must start with the axiom and be at least two letters
-    long, so the fixed point lim phi^n(axiom) exists and is prefix-stable.
+    The image of 0, the axiom, must start with 0 and be at least two letters
+    long, so the fixed point lim phi^n(0) exists and is prefix-stable.
     """
 
-    __slots__ = ("alphabet_size", "images", "axiom")
+    __slots__ = ("images",)
 
-    def __init__(self, alphabet_size: int, images: tuple[str, ...],
-                 axiom: int = 0):
-        self._set(alphabet_size=alphabet_size, images=images, axiom=axiom)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.alphabet_size < 1 or len(self.images) != self.alphabet_size:
+    def __init__(self, images: tuple[str, ...]):
+        self._set(images=images)
+        if not images:
             raise InvalidInputError("need one image per letter")
-        alphabet = {letter(j) for j in range(self.alphabet_size)}
-        for img in self.images:
+        alphabet = {letter(j) for j in range(len(images))}
+        for img in images:
             if len(img) == 0:
                 raise InvalidInputError("images must be non-empty")
             if not set(img) <= alphabet:
                 raise InvalidInputError("image uses a letter outside the alphabet")
-        ax = self.images[self.axiom]
-        if len(ax) < 2 or letter_index(ax[0]) != self.axiom:
+        if len(images[0]) < 2 or letter_index(images[0][0]) != 0:
             raise InvalidInputError(
                 "axiom image must start with the axiom and have length >= 2"
             )
@@ -88,7 +84,7 @@ def parry_substitution(renyi: RenyiExpansion) -> Substitution:
     # each image checked against the bound, then built in one allocation
     images = [letter(j if j < k else renyi.m).rjust(
         _check_image_letters(renyi.digit(j) + 1), "0") for j in range(1, k + 1)]
-    return Substitution(alphabet_size=k, images=tuple(images), axiom=0)
+    return Substitution(tuple(images))
 
 
 def _next_images(phi: dict[str, str], images: dict[str, str],
@@ -106,25 +102,24 @@ def _next_images(phi: dict[str, str], images: dict[str, str],
 
 
 def fixed_point_prefix(substitution: Substitution, length: int) -> str:
-    """First `length` letters of the fixed point u = lim phi^k(axiom).
+    """First `length` letters of the fixed point u = lim phi^k(0).
 
     u = phi^k(u) for every k, so u is the blocks phi^k(x), one per letter x
     of u in turn, and those letters are read off the blocks already written:
-    they are ahead of the reading, since the first block, phi^k(axiom),
-    has at least two letters.  k is the first level whose phi^k(axiom) holds
+    they are ahead of the reading, since the first block, phi^k(0), has at
+    least two letters.  k is the first level whose phi^k(0) holds
     the prefix, or else the last whose images all have at most `length`
     letters (at least 1), so no image is built longer than the prefix and
     O(length) letters are built in all.
     """
     if length < 0:
         raise InvalidInputError("length must be nonnegative")
-    axiom = letter(substitution.axiom)
     phi = images = {letter(j): image for j, image in enumerate(substitution.images)}
-    while len(images[axiom]) < length and (
+    while len(images["0"]) < length and (
             grown := _next_images(phi, images, length)) is not None:
         images = grown
-    blocks = [images[axiom][:length]]
-    # the letters of u after the axiom, whose block is the first
+    blocks = [images["0"][:length]]
+    # the letters of u after its first, whose block is the first
     size, letters = len(blocks[0]), islice(chain.from_iterable(blocks), 1, None)
     while size < length:
         blocks.append(images[next(letters)][: length - size])

@@ -28,7 +28,7 @@ def apply(substitution: Substitution, word: str) -> str:
     """phi(word), images applied letterwise."""
     # translate passes unknown characters through, so count them first
     if sum(word.count(letter(j))
-           for j in range(substitution.alphabet_size)) != len(word):
+           for j in range(len(substitution.images))) != len(word):
         raise InvalidInputError("word uses a letter outside the alphabet")
     return word.translate({ord(letter(j)): image
                            for j, image in enumerate(substitution.images)})
@@ -36,8 +36,8 @@ def apply(substitution: Substitution, word: str) -> str:
 
 def reference_prefix(substitution: Substitution, length: int) -> str:
     """The first `length` letters of the fixed point: phi applied to the
-    whole word from the axiom until it is long enough, then cut."""
-    word = letter(substitution.axiom)
+    whole word from the axiom 0 until it is long enough, then cut."""
+    word = "0"
     while len(word) < length:
         word = apply(substitution, word)
     return word[:length]
@@ -116,7 +116,8 @@ def word_counts(word: str, alphabet_size: int) -> tuple[int, ...]:
 
 def incidence_matrix(substitution: Substitution) -> list[list[int]]:
     """M[i][j] = number of occurrences of letter i in phi(j)."""
-    k, images = substitution.alphabet_size, substitution.images
+    images = substitution.images
+    k = len(images)
     return [[images[j].count(letter(i)) for j in range(k)] for i in range(k)]
 
 
@@ -126,7 +127,7 @@ def is_primitive(substitution: Substitution) -> bool:
     Powers are taken up to the Wielandt bound (k-1)^2 + 1, which decides
     primitivity for every k x k nonnegative matrix.
     """
-    k = substitution.alphabet_size
+    k = len(substitution.images)
     m = incidence_matrix(substitution)
     power = m
     for _ in range((k - 1) ** 2 + 1):

@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
-from betawords.beta_numeration import (DEFAULT_PRECISION, QuadraticParams,
-                                       RenyiExpansion, _beta_floor, _exact_gaps,
-                                       _times_beta, parry_check)
+from betawords.beta_numeration import (QuadraticParams, RenyiExpansion,
+                                       _beta_floor, _exact_gaps, _times_beta,
+                                       parry_check)
 from betawords.errors import InvalidInputError, PrecisionError, VerificationError
+
+DEFAULT_PRECISION = 64
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,16 @@ class BetaValue:
         return float(self.value)
 
 
+def exact_beta(params: QuadraticParams) -> tuple[int, int, int, int]:
+    """beta = (u + v*sqrt(D)) / w as the integer quadruple (u, v, D, w)."""
+    a, b = params.a, params.b
+    return (a + 1, 1, (a + 1) ** 2 - 4 * (a - b), 2)
+
+
 def beta_of(params: QuadraticParams, precision: int = DEFAULT_PRECISION) -> BetaValue:
     """Larger root of x^2 - (a+1)x + (a-b)."""
     from mpmath import mpf, sqrt as mpsqrt, workdps
-    u, v, d, w = params.exact_beta()
+    u, v, d, w = exact_beta(params)
     with workdps(precision):
         value = (mpf(u) + v * mpsqrt(d)) / w
     return BetaValue(value=value, precision=precision)

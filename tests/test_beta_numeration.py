@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpf_reference import (beta_expand as mpf_beta_expand, beta_integers,
                            beta_of, beta_of_renyi, beta_reconstruct,
-                           gap_distances, unity_defect)
+                           exact_beta, gap_distances, unity_defect)
 from mpmath import mpf, workdps
 
 from betawords import (
@@ -120,7 +120,7 @@ class TestQuadraticParams:
 
     def test_exact_triple_consistent(self):
         p = QuadraticParams(5, 2)
-        u, v, d, w = p.exact_beta()
+        u, v, d, w = exact_beta(p)
         with workdps(64):
             val = (u + v * mpf(d) ** mpf("0.5")) / w
             assert abs(val ** 2 - (p.a + 1) * val + (p.a - p.b)) < mpf("1e-58")

@@ -360,6 +360,12 @@ class TestBetaIntegers:
         assert result.returncode == 0
         assert result.stdout.splitlines()[1].startswith("gaps: ")
 
+    def test_precision_defaults_to_the_most_digits_shown(self):
+        result = cli("beta-integers", "--help")
+        assert result.returncode == 0
+        # the help wraps the bracket across two lines
+        assert "[default: 12; x>=2]" in " ".join(result.stdout.split())
+
 
 class TestTopLevel:
     def test_help(self):
@@ -580,13 +586,13 @@ def test_palindromes_builds_one_oracle(monkeypatch, capsys):
                                      ["--digits", "4 1 1 (2 1)"]])
 def test_beta_integers_builds_one_substitution(monkeypatch, capsys, subject):
     built = []
-    real = Substitution.__post_init__
+    real = Substitution.__init__
 
-    def counted(self):
-        built.append(self)
-        real(self)
+    def counted(self, images):
+        built.append(images)
+        real(self, images)
 
-    monkeypatch.setattr(Substitution, "__post_init__", counted)
+    monkeypatch.setattr(Substitution, "__init__", counted)
     monkeypatch.setattr(sys, "argv", ["betawords", "beta-integers", *subject,
                                       "--count", "50"])
     cli_module.run()

@@ -122,10 +122,11 @@ class TestUVTower:
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="no limit on int-to-str conversion")
-    def test_lengths_json_past_the_digit_limit_is_invalid_input(self):
-        # |U^(20000)| of (3, 1) has over 10^4 decimal digits
-        with pytest.raises(InvalidInputError):
-            uv_tower(P31, 20000).lengths_json()
+    def test_depth_past_the_digit_limit_is_invalid_input(self):
+        # |U^(20000)| of (3, 1) has over 10^4 decimal digits; the tower
+        # stops counting at the first length past the limit
+        with pytest.raises(InvalidInputError, match="decimal digits"):
+            uv_tower(P31, 20000)
 
 
 class TestSpecialFactors:

@@ -13,9 +13,10 @@ belongs in the tests.
 A module-level import must be used somewhere in its module; an import inside
 a function must be used inside that function.  `__init__.py` re-exports on
 purpose and is left out.  Parsed with `ast`, so the check needs no linter.
-To print the defs no golden command enters, with their line counts, and the
+To print the defs no golden command enters, with their line counts, the
 names in the benchmark's tracer that name nothing left in the package
-(their metrics read 0), run
+(their metrics read 0), and the line count of each package module and of
+all of them, run
 
     PYTHONPATH=src python tests/test_hygiene.py
 """
@@ -363,3 +364,8 @@ if __name__ == "__main__":
     for name in gone:
         print(f"{TRACER.name}: {name}")
     print(f"{len(gone)} names in {TRACER.name} that name nothing in the package")
+    sizes = {path.name: len(path.read_text().splitlines())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    for name, lines in sizes.items():
+        print(f"{name}: {lines} lines")
+    print(f"{sum(sizes.values())} lines in {PACKAGE.relative_to(PACKAGE.parents[1])}")

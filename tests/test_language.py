@@ -173,7 +173,7 @@ def test_two_letter_factors():
 def test_non_growing_substitution_raises_promptly(images):
     start = time.perf_counter()
     with pytest.raises(InvalidInputError, match="never grows"):
-        FactorLanguage(Substitution(len(images), images))
+        FactorLanguage(Substitution(images))
     assert time.perf_counter() - start < 1.0
 
 

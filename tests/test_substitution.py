@@ -20,15 +20,26 @@ from betawords import substitution as substitution_module
 class TestSubstitutionType:
     def test_images_validated(self):
         with pytest.raises(InvalidInputError):
-            Substitution(2, ("0001",))  # missing image
+            Substitution(())  # no letter
         with pytest.raises(InvalidInputError):
-            Substitution(2, ("0001", ""))  # empty image
+            Substitution(("0001",))  # "1" has no image
         with pytest.raises(InvalidInputError):
-            Substitution(2, ("0021", "01"))  # letter outside alphabet
+            Substitution(("0001", ""))  # empty image
         with pytest.raises(InvalidInputError):
-            Substitution(2, ("1000", "01"))  # axiom image must start with axiom
+            Substitution(("0021", "01"))  # letter outside alphabet
         with pytest.raises(InvalidInputError):
-            Substitution(2, ("0", "01"))  # axiom image too short
+            Substitution(("1000", "01"))  # axiom image must start with axiom
+        with pytest.raises(InvalidInputError):
+            Substitution(("0", "01"))  # axiom image too short
+
+    def test_the_images_fix_the_alphabet_and_the_axiom(self):
+        sub = Substitution(("0001", "01"))
+        assert sub.images == ("0001", "01")
+        assert fixed_point_prefix(sub, 9) == "000100010"  # from axiom 0
+        assert sub == quadratic_substitution(QuadraticParams(3, 1))
+        assert apply(sub, "01") == "000101"  # two letters
+        with pytest.raises(InvalidInputError):
+            apply(sub, "2")
 
     def test_a_long_image_is_checked_without_a_call_per_letter(self, monkeypatch):
         calls = []
@@ -39,13 +50,13 @@ class TestSubstitutionType:
             return real(ch)
 
         monkeypatch.setattr(substitution_module, "letter_index", spy)
-        Substitution(2, ("0" * 10 ** 6 + "1", "0" * 10 ** 6 + "1"))
+        Substitution(("0" * 10 ** 6 + "1", "0" * 10 ** 6 + "1"))
         assert len(calls) <= 2
         # letters past either end of the alphabet, "/" below "0" and "2"
         for image in ("0/1", "0" * 10 ** 6 + "2"):
             with pytest.raises(InvalidInputError,
                                match="^image uses a letter outside the alphabet$"):
-                Substitution(2, (image, "01"))
+                Substitution((image, "01"))
 
     def test_morphism_property(self):
         sub = quadratic_substitution(QuadraticParams(3, 1))
@@ -90,7 +101,6 @@ class TestParrySubstitution:
 
     def test_three_letter_example(self):
         sub = parry_substitution(RenyiExpansion((2, 1), (1,)))
-        assert sub.alphabet_size == 3
         assert sub.images == ("001", "02", "02")
         assert is_primitive(sub)
 
@@ -107,13 +117,13 @@ class TestParrySubstitution:
                                     "3 0 0 (0 1)", "4 2 (1 0 3)"])
 def test_apply_equals_letterwise_join(digits):
     sub = parry_substitution(RenyiExpansion.parse(digits))
-    letters = [chr(48 + j) for j in range(sub.alphabet_size)]
+    letters = [chr(48 + j) for j in range(len(sub.images))]
     rng = random.Random(digits)
     for size in (0, 1, 2, 7, 40, 500):
         word = "".join(rng.choice(letters) for _ in range(size))
         assert apply(sub, word) == "".join(sub.images[ord(c) - 48] for c in word)
     # one past the alphabet, "/" (letter index -1) and non-digits
-    for bad in (chr(48 + sub.alphabet_size), "/", "a", " ", "\u0660"):
+    for bad in (chr(48 + len(sub.images)), "/", "a", " ", "\u0660"):
         with pytest.raises(InvalidInputError):
             apply(sub, "0" + bad + "1")
 
@@ -165,7 +175,7 @@ PREFIX_SUBJECTS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "2 1 (1)",
 @pytest.mark.parametrize("subject", PREFIX_SUBJECTS, ids=str)
 def test_prefix_equals_the_whole_word_reference(subject):
     sub = (parry_substitution(RenyiExpansion.parse(subject))
-           if isinstance(subject, str) else Substitution(len(subject), subject))
+           if isinstance(subject, str) else Substitution(subject))
     reference = reference_prefix(sub, 10 ** 5)
     # each length on and next to an image size phi^k(c) up to 10^5, where
     # the level the prefix reads changes
@@ -184,7 +194,7 @@ class TestPrimitivity:
         assert is_primitive(quadratic_substitution(QuadraticParams(3, 1)))
 
     def test_disconnected_is_not(self):
-        assert not is_primitive(Substitution(2, ("00", "11")))
+        assert not is_primitive(Substitution(("00", "11")))
 
     def test_parry_substitutions_primitive(self):
         for digits in [((3,), (1,)), ((2, 1), (1,)), ((3, 2), (1,)),

@@ -22,9 +22,9 @@ FROZEN = {
     "QuadraticParams(a=3, b=1)": (lambda: QuadraticParams(3, 1), (3, 1)),
     "RenyiExpansion(preperiod=(3, 1), period=(2,))": (
         lambda: RenyiExpansion([3, "1"], (2,)), ((3, 1), (2,))),
-    "Substitution(alphabet_size=2, images=('0001', '01'), axiom=0)": (
+    "Substitution(images=('0001', '01'))": (
         lambda: quadratic_substitution(QuadraticParams(3, 1)),
-        (2, ("0001", "01"), 0)),
+        (("0001", "01"),)),
     "PalindromeRecord(word='010', center='1', extensions=frozenset({'0'}))": (
         lambda: PalindromeRecord(word="010", center="1",
                                  extensions=frozenset("0")),
@@ -63,12 +63,12 @@ def test_frozen_types_refuse_assignment(shown):
 def test_fields_differ_by_value():
     assert QuadraticParams(3, 1) != QuadraticParams(4, 1)
     assert RenyiExpansion((3,), (1,)) != RenyiExpansion((3,), (2,))
-    assert Substitution(2, ("001", "11")) != Substitution(2, ("001", "11"), 1)
+    assert Substitution(("001", "11")) != Substitution(("001", "01"))
 
 
 def test_constructors_take_keywords_and_defaults():
-    sub = Substitution(alphabet_size=2, images=("0001", "01"))
-    assert sub.axiom == 0 and sub == quadratic_substitution(QuadraticParams(3, 1))
+    sub = Substitution(images=("0001", "01"))
+    assert sub == quadratic_substitution(QuadraticParams(3, 1))
     clause = IntervalClause(vc=2, vo=0, uc=2, uo=0, value=3)
     assert (clause.k_min, clause.forbid) == (1, None)
     assert PARITY_CASES[1, 0].odd == (clause,)
