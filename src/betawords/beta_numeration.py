@@ -72,8 +72,6 @@ class RenyiExpansion(_Frozen):
         self._set(preperiod=pre, period=per)
         if len(per) < 1:
             raise InvalidInputError("period must have length >= 1")
-        if len(pre) + len(per) == 0:
-            raise InvalidInputError("empty digit sequence")
         if any(t < 0 for t in pre + per):
             raise InvalidInputError("digits must be nonnegative integers")
         if self.digit(1) < 1:

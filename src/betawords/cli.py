@@ -57,14 +57,18 @@ MAX_BRANCH_BUDGET = 10 ** 7
 # --count of beta-integers: about 2.5 s and 133 MB, since every value is held
 # until all print
 MAX_BETA_INTEGER_COUNT = 10 ** 6
+# --a-max of verify: 91 grid points (16 gives 105); about 0.3 s and 16 MB at
+# the default --n-max, 7.3 s and 46 MB at 4000, 3 min and 520 MB at 10^5
+MAX_A = 15
 # click's help width on a terminal of 80 columns or more, or on none
 _HELP_WIDTH = 78
 _HELP_ROW = ("--help", "Show this message and exit.")
 
 
 class _Option:
-    """`--flag VALUE`: an int (within [low, high] if either is given), a
-    string (kind=str) or one of `choices`, with its default and help."""
+    """`--flag VALUE`: an int (within [low, high] if either is given), one
+    of `choices`, or what `kind` makes of the string, with its default and
+    help."""
 
     def __init__(self, flag, default=None, kind=int, *, low=None, high=None,
                  choices=(), required=False, help="", dest=None):
@@ -81,8 +85,8 @@ class _Option:
                 raise ValueError(f"{raw!r} is not one of "
                                  f"{', '.join(map(repr, self.choices))}.")
             return raw
-        if self.kind is str:
-            return raw
+        if self.kind is not int:
+            return self.kind(raw)
         try:
             value = int(raw)
         except ValueError:
@@ -104,7 +108,7 @@ class _Option:
     def help_row(self):
         """The option's two help columns, as click wrote them."""
         metavar = (f"[{'|'.join(self.choices)}]" if self.choices
-                   else "TEXT" if self.kind is str
+                   else "TEXT" if self.kind is not int
                    else "INTEGER RANGE" if self.ranged else "INTEGER")
         extra = [f"default: {self.default}"] if self.default is not None else []
         extra += [self.range()] * self.ranged + ["required"] * self.required
@@ -140,7 +144,7 @@ class _Command:
             try:
                 kwargs[option.dest] = (option.default if raw is None
                                        else option.convert(raw))
-            except ValueError as exc:
+            except (ValueError, InvalidInputError) as exc:
                 raise UsageError(_invalid(option.flag, exc)) from None
         if extra:
             raise UsageError(f"Got unexpected extra argument"
@@ -281,8 +285,8 @@ def _command(*options, name=None):
     return register
 
 
-_FORMAT = _Option("--format", "text", choices=("text", "json", "csv"),
-                  dest="fmt")
+_FORMAT = _Option("--format", "text", choices=("text", "json"), dest="fmt")
+_DIGITS = _Option("--digits", kind=RenyiExpansion.parse)
 
 
 def _params(a, b):
@@ -295,8 +299,7 @@ def _renyi(a, b, digits):
     """Resolve (a, b) or --digits into a Renyi expansion."""
     if digits is not None and (a is not None or b is not None):
         raise UsageError("give either --a/--b or --digits, not both")
-    return (renyi_of_quadratic(_params(a, b)) if digits is None
-            else RenyiExpansion.parse(digits))
+    return renyi_of_quadratic(_params(a, b)) if digits is None else digits
 
 
 def _echo(text, file=None, end="\n"):
@@ -306,19 +309,19 @@ def _echo(text, file=None, end="\n"):
     file.flush()
 
 
-def _emit(fmt, payload, text_lines, csv_text=None):
+def _emit(fmt, payload, text_lines):
+    """The payload as JSON, or else the text lines (analyze's csv is its
+    text)."""
     if fmt == "json":
         _echo(json.dumps(payload, sort_keys=True))
-    elif fmt == "csv":
-        if csv_text is None:
-            raise UsageError("csv output is not available for this command")
-        _echo(csv_text, end="")
     else:
         _echo("".join(f"{line}\n" for line in text_lines), end="")
 
 
 @_command(_Option("--a"), _Option("--b"),
-          _Option("--n-max", 20, low=1, high=MAX_TABLE_LENGTH), _FORMAT)
+          _Option("--n-max", 20, low=1, high=MAX_TABLE_LENGTH),
+          _Option("--format", "text", choices=("text", "json", "csv"),
+                  dest="fmt"))
 def analyze(a, b, n_max, fmt):
     """Combined C(n), Delta C(n), P(n) table with oracle/closed-form agreement."""
     params = _params(a, b)
@@ -329,8 +332,7 @@ def analyze(a, b, n_max, fmt):
         for n in range(1, n_max + 1)])
     payload = {**table.to_json(), "a": params.a, "b": params.b,
                "sturmian": params.is_sturmian}
-    csv_text = table.to_csv()
-    _emit(fmt, payload, csv_text.splitlines(), csv_text)
+    _emit(fmt, payload, table.to_csv().splitlines())
     if failure:
         raise failure
 
@@ -371,37 +373,34 @@ def _disagreement(*columns):
 
 
 @_command(
-    _Option("--a-max", 6, low=3),
+    _Option("--a-max", 6, low=3, high=MAX_A),
     _Option("--n-max", 120, low=1, high=MAX_TABLE_LENGTH),
-    _Option("--digits", kind=str,
+    _Option("--digits", kind=RenyiExpansion.parse,
             help='Renyi digits "t1 .. tm (tm+1 .. tm+p)" instead of a grid'),
     _FORMAT)
 def verify(a_max, n_max, digits, fmt):
     """Run the invariant suite over the (a, b) grid, or probe one expansion."""
     if digits is not None:
-        renyi = RenyiExpansion.parse(digits)
-        lang = language_of(parry_substitution(renyi))
+        lang = language_of(parry_substitution(digits))
         window = min(n_max, 60)
         probe = reversal_closure_probe(lang, window)
         pal = palindromic_complexity(lang, window).column("P")
         last_pal = max((n for n, c in enumerate(pal) if c > 0), default=0)
         payload = {
-            "schema": 1, "digits": str(renyi), "window": window,
+            "schema": 1, "digits": str(digits), "window": window,
             "reversal_witness": probe["witness"],
             "closed_up_to": probe["closed_up_to"],
             "last_palindrome_length": last_pal,
             "palindrome_counts": pal,
         }
         _emit(fmt, payload, [
-            f"digits: {renyi}",
+            f"digits: {digits}",
             f"reversal witness: {probe['witness']!r} "
             f"(closed up to n={probe['closed_up_to']})",
             f"longest palindrome up to length {window}: {last_pal}",
         ])
         return
     points = [(a, b) for a in range(3, a_max + 1) for b in range(1, a - 1)]
-    if len(points) > 100:
-        raise UsageError("grid guard: more than 100 parameter points")
     results = []
     for a, b in points:
         *_, checks, failure = _check_point(QuadraticParams(a, b), n_max)
@@ -430,7 +429,7 @@ def verify(a_max, n_max, digits, fmt):
         sys.exit(1)
 
 
-@_command(_Option("--a"), _Option("--b"), _Option("--digits", kind=str),
+@_command(_Option("--a"), _Option("--b"), _DIGITS,
           _Option("--length", 100, high=MAX_WORD_LENGTH), _FORMAT)
 def word(a, b, digits, length, fmt):
     """Prefix of the fixed point u_beta."""
@@ -499,14 +498,13 @@ def palindromes(a, b, n, branch_budget, fmt):
     _emit(fmt, payload, lines)
 
 
-@_command(_Option("--digits", kind=str, required=True), _FORMAT,
-          name="parry-check")
+@_command(_Option("--digits", kind=RenyiExpansion.parse, required=True),
+          _FORMAT, name="parry-check")
 def parry_check_cmd(digits, fmt):
     """Parry admissibility of a candidate Renyi expansion."""
-    renyi = RenyiExpansion.parse(digits)
-    ok, shift = parry_check(renyi)
-    payload = {"schema": 1, "digits": str(renyi), "valid": ok,
-               "violating_shift": shift, "minimal": renyi.is_minimal}
+    ok, shift = parry_check(digits)
+    payload = {"schema": 1, "digits": str(digits), "valid": ok,
+               "violating_shift": shift, "minimal": digits.is_minimal}
     lines = ["valid" if ok else f"invalid (shift {shift} not strictly smaller)"]
     _emit(fmt, payload, lines)
     if not ok:
@@ -539,7 +537,7 @@ def _render_expansion(k, digit_seq):
     return "".join(integer) + ("." + "".join(frac) if frac else "")
 
 
-@_command(_Option("--a"), _Option("--b"), _Option("--digits", kind=str),
+@_command(_Option("--a"), _Option("--b"), _DIGITS,
           _Option("--count", 10, high=MAX_BETA_INTEGER_COUNT),
           _Option("--precision", 12, low=2,
                   help="Significant digits shown (at most 12)."),
@@ -547,12 +545,7 @@ def _render_expansion(k, digit_seq):
 def beta_integers_cmd(a, b, digits, count, precision, fmt):
     """First beta-integers to min(--precision, 12) significant digits, and gaps."""
     renyi = _renyi(a, b, digits)
-    try:
-        shown, letters = beta_integer_decimals(renyi, min(precision, 12), count)
-    except PrecisionError:
-        raise PrecisionError(
-            f"precision {precision} does not separate consecutive "
-            "beta-integers; increase --precision") from None
+    shown, letters = beta_integer_decimals(renyi, min(precision, 12), count)
     payload = {"schema": 1, "digits": str(renyi), "count": count,
                "values": shown, "gap_letters": letters}
     lines = [", ".join(shown), f"gaps: {letters}"]

@@ -51,7 +51,6 @@ class FactorLanguage:
     windows for each length asked."""
 
     def __init__(self, substitution: Substitution):
-        self.substitution = substitution
         self._phi = phi = {letter(j): image
                            for j, image in enumerate(substitution.images)}
         # the 2-factors of each image, by substring search: no pass per letter

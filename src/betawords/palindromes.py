@@ -140,17 +140,13 @@ def infinite_branches(params: QuadraticParams,
     lang = language_of(params) if lang is None else lang
     v_tower = list(t_orbit("0" * params.b, params, length_budget))
     cycle = _v_centers(params)
-    plan = [(center, ("V", len(cycle), i + 1 - len(cycle)))
-            for i, center in enumerate(cycle)]
+    # V^(c*k+o) for k >= 1, c = len(cycle), is v_tower[c + o - 1 :: c]
+    plan = [(center, ("V", len(cycle), i + 1 - len(cycle)),
+             v_tower[i :: len(cycle)]) for i, center in enumerate(cycle)]
     if params.a % 2 == 1 and params.b % 2 == 0:
-        plan.append(("0", ("W",)))
+        plan.append(("0", ("W",), list(t_orbit("0", params, length_budget))))
     specs = []
-    for center, generator in plan:
-        if generator == ("W",):
-            factors = list(t_orbit("0", params, length_budget))
-        else:  # V^(c*k+o) for k >= 1
-            _, coef, off = generator
-            factors = v_tower[coef + off - 1 :: coef]
+    for center, generator, factors in plan:
         ok = bool(factors) and all(
             is_palindrome(w) and center_of(w) == center and lang.contains(w)
             and (i == 0 or is_central_factor(factors[i - 1], w))
@@ -331,7 +327,7 @@ def palindromic_complexity(
 # Identity suite
 # ---------------------------------------------------------------------------
 
-def verify_identities(params: QuadraticParams, c: list[int], p: list[int]) -> dict:
+def verify_identities(params: QuadraticParams, c: list[int], p: list[int]) -> None:
     """Check the palindromic/factor-complexity identities on the columns
     c = [C(0) .. C(n_max+3)] and p = [P(0) .. P(n_max+2)], n_max >= 1.
 
@@ -369,9 +365,3 @@ def verify_identities(params: QuadraticParams, c: list[int], p: list[int]) -> di
             fail("P(n+2)-P(n) tower rule", n, marks[n], jump)
         if delta[n + 1] - delta[n] != jump:
             fail("delta^2 C(n)=P(n+2)-P(n)", n, jump, delta[n + 1] - delta[n])
-    return {
-        "params": (params.a, params.b),
-        "n_max": n_max,
-        "checked": 3 * n_max,
-        "ok": True,
-    }

@@ -423,6 +423,50 @@ def test_bad_command_line_is_a_usage_error(monkeypatch, capsys, argv):
     assert err.startswith("usage error: ") and "Traceback" not in err
 
 
+# each input is read once, in its option: a value the option cannot read is
+# a usage error there; a value it reads that the command cannot take exits 2
+DOMAIN_ERRORS = [
+    (["verify", "--a-max", str(cli_module.MAX_A + 1)],
+     "usage error: Invalid value for '--a-max': 16 is not in the range "
+     "3<=x<=15.\n"),
+    (["word", "--digits", "x"],
+     "usage error: Invalid value for '--digits': cannot parse Renyi digits: "
+     "'x'\n"),
+    (["parry-check", "--digits", "0 (1)"],
+     "usage error: Invalid value for '--digits': t_1 = floor(beta) must be "
+     ">= 1\n"),
+    # csv is analyze's alone
+    (["word", "--a", "3", "--b", "1", "--format", "csv"],
+     "usage error: Invalid value for '--format': 'csv' is not one of 'text', "
+     "'json'.\n"),
+    (["--"], "usage error: Missing command.\n"),
+    (["word", "--a", "3", "--b", "1", "--length", "-1"],
+     "error: length must be nonnegative\n"),
+    (["beta-integers", "--a", "3", "--b", "1", "--count", "1"],
+     "error: count must be >= 2\n"),
+    (["beta-expand", "--a", "3", "--b", "1", "--x", "3", "--digit-count", "0"],
+     "error: digit_count must be >= 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", DOMAIN_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in DOMAIN_ERRORS])
+def test_input_outside_its_domain_exits_2(monkeypatch, capsys, argv, err):
+    assert _outcome(monkeypatch, capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no limit on the digits of an int read from a str")
+def test_digits_past_the_int_limit_are_a_usage_error(monkeypatch, capsys):
+    # int's ValueError past its digit limit is the option's to report too
+    digits = "1" * (sys.get_int_max_str_digits() + 1) + " (1)"
+    code, out, err = _outcome(monkeypatch, capsys, "parry-check", "--digits",
+                              digits)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: Invalid value for '--digits': "
+                          "Exceeds the limit")
+
+
 def test_option_value_forms(monkeypatch, capsys):
     spaced = _outcome(monkeypatch, capsys, "analyze", "--a", "4", "--b", "1",
                       "--n-max", "6")
@@ -740,8 +784,21 @@ def test_equal_shown_values_exit_3(monkeypatch, capsys):
                                 "3", "--b", "1", "--count", "20",
                                 "--precision", "2")
     assert code == 3
-    assert out.err == ("precision error: precision 2 does not separate "
-                       "consecutive beta-integers; increase --precision\n")
+    assert out.err == ("precision error: 2 significant digits do not "
+                       "separate consecutive beta-integers\n")
+
+
+def test_equal_shown_values_name_the_digits_shown(monkeypatch, capsys):
+    # at most 12 digits show, so past 12 the message names 12, and a higher
+    # --precision would not separate the values either
+    digits = "3 " + "0 " * 30 + "(1)"
+    for precision in ("12", "64"):
+        code, out = _run_in_process(monkeypatch, capsys, "beta-integers",
+                                    "--digits", digits, "--count", "20",
+                                    "--precision", precision)
+        assert (code, out.out) == (3, "")
+        assert out.err == ("precision error: 12 significant digits do not "
+                           "separate consecutive beta-integers\n")
 
 
 def test_undecided_rounding_retries_with_more_bits(monkeypatch, capsys):

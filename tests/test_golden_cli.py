@@ -51,9 +51,10 @@ GOLDEN = [
     (["verify", "--a-max", "3", "--n-max", "20", "--format", "json"], 0,
      "2d18ab35d42ce12d04d229c886ac0bd5acd76c234b6755fc47c7e37a8691a85e",
      EMPTY),
+    # csv is analyze's alone
     (["verify", "--a-max", "3", "--n-max", "20", "--format", "csv"], 2,
      EMPTY,
-     "12809a63994dcb133d758288ce63a5b4c9f47047b4a35ff36c4f41981b796135"),
+     "cbed48df005525adc712ef4edb492f9150a8f3d5f1180747e6b31bbc3c118f30"),
     (["verify", "--digits", "3 (2 1)", "--n-max", "30"], 0,
      "f73467505f201ae89f16a881d4ed12d46ae3d74d5c85c6e9fe2fc553e610fcd8",
      EMPTY),
@@ -147,7 +148,7 @@ GOLDEN = [
      EMPTY),
     (["beta-integers", "--a", "3", "--b", "1", "--count", "3000", "--precision", "2"], 3,
      EMPTY,
-     "ba682aee3bcf5bfe85e95663400b1a3ed13dc2508da02f15129905665ecd4858"),
+     "ee867be0eb761331e21ade5981a801ed1579a2c53c43c68afebe62e178b2d951"),
     (["analyze", "--a", "3", "--b", "1", "--n-max", "0"], 2,
      EMPTY,
      "229c75f26a3461caecbfd090668f3f57e830bd9b742a1192cc3be502c2a4367c"),
@@ -183,7 +184,7 @@ GOLDEN = [
      "bdac676c8746ab37b6b874ece13ab8b0fb3902262bb33cdba568943fd27081ed",
      EMPTY),
     (["beta-expand", "--help"], 0,
-     "4c287c21ffb2396398fdf2ef22f21b151e6c8bb31625083ec8f8945211ba1acc",
+     "2ce8e7c1544f0bcbd24947857e8f2fb162c5055576b728c0c6673dd8c95a2598",
      EMPTY),
 ]
 

@@ -1,8 +1,9 @@
 """Every name a package module imports is used where it is imported, every
 module-level private function is used in its own module, every private
-attribute a module stores on `self` is read somewhere in that module, and no
-module imports mpmath, which is a test dependency only, or any module of
-the tests, such as the reference `mpf_reference`.  A fresh
+attribute a module stores on `self` is read somewhere in that module and
+every public one somewhere in the package, and no module imports mpmath,
+which is a test dependency only, or any module of the tests, such as the
+reference `mpf_reference`.  A fresh
 `import betawords.cli` loads every layer the benchmark's tracer looks up,
 and none of `dataclasses`, `csv`, `click`, `argparse` or `gettext`, which
 would add to every command's start-up.  Every function and method of the
@@ -76,19 +77,24 @@ def unused_private_functions(source: str) -> list[str]:
             if name not in used]
 
 
-def dead_private_attributes(source: str) -> list[str]:
+def dead_attributes(sources: dict[str, str], private: bool) -> list[str]:
+    """The private (or else public) attributes, dunders left out, that a
+    module of `sources` (name to source) stores on `self` and that no module
+    of them reads, on any object."""
     stored, loaded = {}, set()
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")
-                and not node.attr.startswith("__")):
-            continue
-        if isinstance(node.ctx, ast.Load):
-            loaded.add(node.attr)
-        elif isinstance(node.value, ast.Name) and node.value.id == "self":
-            stored.setdefault(node.attr, node.lineno)
-    return [f"{name} (line {line})" for line, name in
-            sorted((line, name) for name, line in stored.items()
-                   if name not in loaded)]
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_") == private
+                    and not node.attr.startswith("__")):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                stored.setdefault(node.attr, (name, node.lineno))
+    return [f"{name}: {attr} (line {line})" for (name, line), attr in
+            sorted((where, attr) for attr, where in stored.items()
+                   if attr not in loaded)]
 
 
 def mpmath_imports(source: str) -> list[str]:
@@ -136,7 +142,14 @@ def test_no_unused_private_functions(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_dead_private_attributes(path):
-    assert dead_private_attributes(path.read_text()) == []
+    assert dead_attributes({path.name: path.read_text()}, private=True) == []
+
+
+def test_no_dead_public_attributes():
+    # other modules read these, so the whole package is one scope
+    assert dead_attributes({path.name: path.read_text()
+                            for path in PACKAGE.glob("*.py")},
+                           private=False) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
@@ -179,7 +192,19 @@ def test_check_catches_a_private_attribute_never_read():
     source = ("class A:\n    def __init__(self):\n        self._phi = {}\n"
               "        self._cache = None\n\n    def f(self, n):\n"
               "        self._cache = self._phi[n]\n        return n\n")
-    assert dead_private_attributes(source) == ["_cache (line 4)"]
+    assert dead_attributes({"a.py": source}, private=True) == \
+        ["a.py: _cache (line 4)"]
+
+
+def test_check_catches_a_public_attribute_never_read():
+    # b.py reads A.used and stores its own A.dead; A.kept is read on self
+    sources = {
+        "a.py": ("class A:\n    def __init__(self):\n        self.used = 1\n"
+                 "        self.kept, self.dead = 2, 3\n        self._own = 4\n\n"
+                 "    def f(self):\n        return self.kept\n"),
+        "b.py": "def g(a):\n    a.dead = a.used\n    return a\n",
+    }
+    assert dead_attributes(sources, private=False) == ["a.py: dead (line 4)"]
 
 
 def test_check_catches_an_unused_import():

@@ -333,8 +333,8 @@ class TestIdentities:
     @pytest.mark.parametrize("a,b", [(3, 1), (4, 2), (4, 1)])
     def test_verify_passes(self, a, b):
         params = QuadraticParams(a, b)
-        report = verify_identities(params, *oracle_columns(params, 50))
-        assert report["ok"]
+        # raises on a violation
+        assert verify_identities(params, *oracle_columns(params, 50)) is None
 
     def test_spot_checks_31(self, lang31):
         p = [len(palindromes_of_length(lang31, n)) for n in range(12)]
@@ -345,8 +345,8 @@ class TestIdentities:
 
     def test_sturmian_rejected(self):
         # verify_identities used to refuse b = a-1; now the identities hold
-        assert verify_identities(QuadraticParams(2, 1),
-                                 *oracle_columns(QuadraticParams(2, 1), 10))["ok"]
+        verify_identities(QuadraticParams(2, 1),
+                          *oracle_columns(QuadraticParams(2, 1), 10))
 
     def test_sturmian_boundary_equals_the_oracle(self):
         # on b = a-1, |V^(k)| = |U^(k)| and their marks cancel: the closed
@@ -366,7 +366,7 @@ class TestIdentities:
             for name in ("P", "maximal_count", "two_ext_count"):
                 assert closed_p.column(name) == \
                     oracle_p.column(name)[: n_max + 1], (a, name)
-            assert verify_identities(params, c, oracle_p.column("P"))["ok"], a
+            verify_identities(params, c, oracle_p.column("P"))
 
     def test_changed_p_names_the_first_broken_identity(self):
         c, p = oracle_columns(P31, 20)
@@ -379,6 +379,34 @@ class TestIdentities:
         assert caught.value.context == {
             "params": (3, 1), "n": 7, "identity": "P(n+2)-P(n) tower rule",
             "expected": 1, "actual": 2, "C": c[:23], "P": p[:23]}
+
+    @pytest.mark.parametrize("column,k,expected,actual", [
+        # P(2) + P(1) = 1 + 2 against Delta C(1) + 2 = (3 - 2) + 2
+        ("P", 1, 3, 4),
+        ("C", 2, 4, 3),
+    ])
+    def test_changed_p1_or_c2_breaks_the_first_identity(self, column, k,
+                                                        expected, actual):
+        c, p = oracle_columns(P31, 20)
+        {"C": c, "P": p}[column][k] += 1
+        with pytest.raises(VerificationError) as caught:
+            verify_identities(P31, c, p)
+        assert str(caught.value) == ("P(n+1)+P(n)=deltaC(n)+2 violated at "
+                                     f"n=1: expected {expected}, got {actual}")
+
+    @pytest.mark.parametrize("k", [3, 5, 8, 20])
+    def test_changed_c_breaks_the_third_identity_first(self, k):
+        # a raised C(k) raises Delta C(k-1), so Delta^2 C(k-2) is one more
+        # than P(k) - P(k-2), before the first identity fails at n = k-1
+        c, p = oracle_columns(P31, 20)
+        c[k] += 1
+        with pytest.raises(VerificationError) as caught:
+            verify_identities(P31, c, p)
+        context = caught.value.context
+        assert (context["identity"], context["n"]) == \
+            ("delta^2 C(n)=P(n+2)-P(n)", k - 2)
+        assert context["expected"] == p[k] - p[k - 2]
+        assert context["actual"] == context["expected"] + 1
 
     @pytest.mark.parametrize("c_len,p_len", [(24, 22), (23, 23), (4, 3), (0, 0)])
     def test_bad_column_lengths_rejected(self, c_len, p_len):
