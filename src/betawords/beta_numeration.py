@@ -143,10 +143,10 @@ def parry_check(renyi: RenyiExpansion) -> tuple[bool, int | None]:
     """
     m, p = renyi.m, renyi.p
     window = m + 2 * p + 1
-    ref = renyi.digits(window + m + p)
+    ref = renyi.digits(window)
     for j in range(2, m + p + 2):
         shifted = tuple(renyi.digit(j + i) for i in range(window))
-        if shifted >= ref[:window]:
+        if shifted >= ref:
             return False, j
     return True, None
 

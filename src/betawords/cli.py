@@ -382,6 +382,7 @@ def verify(a_max, n_max, digits, fmt):
     """Run the invariant suite over the (a, b) grid, or probe one expansion."""
     if digits is not None:
         lang = language_of(parry_substitution(digits))
+        # where the images grow slowly, windows past 60 have no cost bound
         window = min(n_max, 60)
         probe = reversal_closure_probe(lang, window)
         pal = palindromic_complexity(lang, window).column("P")
@@ -430,7 +431,7 @@ def verify(a_max, n_max, digits, fmt):
 
 
 @_command(_Option("--a"), _Option("--b"), _DIGITS,
-          _Option("--length", 100, high=MAX_WORD_LENGTH), _FORMAT)
+          _Option("--length", 100, low=0, high=MAX_WORD_LENGTH), _FORMAT)
 def word(a, b, digits, length, fmt):
     """Prefix of the fixed point u_beta."""
     renyi = _renyi(a, b, digits)
@@ -450,12 +451,10 @@ def specials(a, b, n, tower_depth, fmt):
                "left_special": left}
     lines = [f"left special ({len(left)}): " + " ".join(left)]
     if not params.is_sturmian:
-        # only the words of at most 64 letters print; the first word of a
-        # tower is built even when it is longer
+        # only the words of at most 64 letters print
         tower = uv_tower(params, tower_depth, materialize_cap=64)
         payload.update(tower.lengths_json())
-        payload["u_words"] = [w for w in tower.u_words if len(w) <= 64]
-        payload["v_words"] = [w for w in tower.v_words if len(w) <= 64]
+        payload["u_words"], payload["v_words"] = tower.u_words, tower.v_words
         lines.append("U lengths: " + " ".join(payload["u_lengths"]))
         lines.append("V lengths: " + " ".join(payload["v_lengths"]))
         for i, w in enumerate(payload["u_words"], start=1):
@@ -513,7 +512,7 @@ def parry_check_cmd(digits, fmt):
 
 @_command(
     _Option("--a"), _Option("--b"), _Option("--x", kind=str, required=True),
-    _Option("--digit-count", 16, high=MAX_DIGIT_COUNT,
+    _Option("--digit-count", 16, low=1, high=MAX_DIGIT_COUNT,
             help="Digits to print: at least k + 1, the digits of x before "
                  f"the point, and at most {MAX_DIGIT_COUNT}."),
     _FORMAT, name="beta-expand")
@@ -538,7 +537,7 @@ def _render_expansion(k, digit_seq):
 
 
 @_command(_Option("--a"), _Option("--b"), _DIGITS,
-          _Option("--count", 10, high=MAX_BETA_INTEGER_COUNT),
+          _Option("--count", 10, low=2, high=MAX_BETA_INTEGER_COUNT),
           _Option("--precision", 12, low=2,
                   help="Significant digits shown (at most 12)."),
           _FORMAT, name="beta-integers")

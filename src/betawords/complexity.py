@@ -79,11 +79,10 @@ class UVTower:
     """Towers U^(n), V^(n) with exact lengths far past materialization.
 
     U^(1) = 0^(a-1), V^(1) = 0^b, and both towers grow by the map T.
-    Words are materialized while their length stays within `materialize_cap`,
-    U^(1) and V^(1) always; lengths continue exactly as arbitrary-size
-    integers via the letter-count recurrence of T, up to Python's limit on
-    the decimal digits of an int written out, past which the depth is
-    invalid input.
+    The words are those `t_orbit` yields within `materialize_cap` letters;
+    lengths continue exactly as arbitrary-size integers via the letter-count
+    recurrence of T, up to Python's limit on the decimal digits of an int
+    written out, past which the depth is invalid input.
     """
 
     def __init__(self, params: QuadraticParams, depth: int,
@@ -94,8 +93,7 @@ class UVTower:
             )
         if depth < 0:
             raise InvalidInputError("tower depth must be nonnegative")
-        self.params, self.depth = params, depth
-        self.materialize_cap = materialize_cap
+        self.params = params
         self.v_counts, self.u_counts = [], []
         digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         bound = 10 ** digits if digits else float("inf")
@@ -106,13 +104,9 @@ class UVTower:
                     f"|U^({k})| has more than {digits} decimal digits")
             self.v_counts.append(v)
             self.u_counts.append(u)
-        self.u_words = self._words("0" * (params.a - 1))
-        self.v_words = self._words("0" * params.b)
-
-    def _words(self, first: str) -> list[str]:
-        # the first word is kept even when it is over the cap
-        cap = max(self.materialize_cap, len(first))
-        return list(islice(t_orbit(first, self.params, cap), self.depth))
+        self.u_words, self.v_words = (
+            list(islice(t_orbit("0" * n, params, materialize_cap), depth))
+            for n in (params.a - 1, params.b))
 
     def lengths_json(self) -> dict:
         """Lengths as decimal strings (they outgrow doubles quickly)."""

@@ -11,10 +11,11 @@ audited side by side.
 Like Delta C in `complexity`, P(n) is read off the one tower recurrence
 there: `tower_intervals` lists the pairs (|V^(k)|, |U^(k)|) once per table,
 each clause turns them into the (lo, hi] ranges of n where it holds, and
-the clauses are painted over the per-parity default.  Its maximal and
-two-extension columns and the identity suite read the tower marks of
-`complexity`.  The branches take their words from the T-orbit builder of
-`complexity`, `t_orbit`, and the P(n) rows are a `complexity.Table`.
+the clauses are painted in order over the per-parity default: since
+|V^(k)| < |U^(k)| < |V^(k+1)|, the ranges of one parity never overlap.  Its
+maximal and two-extension columns and the identity suite read the tower
+marks of `complexity`.  The branches take their words from its T-orbit
+builder, `t_orbit`, and the P(n) rows are a `complexity.Table`.
 """
 
 from __future__ import annotations
@@ -198,18 +199,12 @@ class UptoClause(_Frozen):
 
 
 class IntervalClause(_Frozen):
-    """value applies when |V^(vc*k+vo)| < n <= |U^(uc*k+uo)| for some k.
+    """value applies when |V^(vc*k+vo)| < n <= |U^(uc*k+uo)| for some k > 0."""
 
-    k runs over k >= k_min; a (mod, residue) pair in `forbid` excludes the
-    k with k % mod == residue.
-    """
+    __slots__ = ("vc", "vo", "uc", "uo", "value")
 
-    __slots__ = ("vc", "vo", "uc", "uo", "value", "k_min", "forbid")
-
-    def __init__(self, vc: int, vo: int, uc: int, uo: int, value: int,
-                 k_min: int = 1, forbid: tuple[int, int] | None = None):
-        self._set(vc=vc, vo=vo, uc=uc, uo=uo, value=value, k_min=k_min,
-                  forbid=forbid)
+    def __init__(self, vc: int, vo: int, uc: int, uo: int, value: int):
+        self._set(vc=vc, vo=vo, uc=uc, uo=uo, value=value)
 
 
 class ParityRules(_Frozen):
@@ -241,14 +236,15 @@ PARITY_CASES: dict[tuple[int, int], ParityRules] = {
     (0, 1): ParityRules(
         even=(IntervalClause(3, -1, 3, -1, 2),),
         even_default=1,
-        odd=(IntervalClause(1, 0, 1, 0, 3, forbid=(3, 2)),),
+        # k = 1, 3, 4, 6, 7, ...: every k but 2 mod 3
+        odd=(IntervalClause(3, -2, 3, -2, 3), IntervalClause(3, 0, 3, 0, 3)),
         odd_default=2,
     ),
     # both odd
     (1, 1): ParityRules(
         even=(UptoClause("a-1", 1),),
         even_default=0,
-        odd=(UptoClause("b", 2), IntervalClause(1, 0, 1, 0, 4, k_min=2)),
+        odd=(UptoClause("b", 2), IntervalClause(1, 1, 1, 1, 4)),
         odd_default=3,
     ),
 }
@@ -265,12 +261,10 @@ def _clause_ranges(clause, params: QuadraticParams, pairs: list[tuple[int, int]]
     if isinstance(clause, UptoClause):
         return [(-1, params.a - 1 if clause.bound == "a-1" else params.b)]
     ranges = []
-    for k in range(clause.k_min, (len(pairs) - clause.vo) // clause.vc + 1):
-        v_idx, u_idx = clause.vc * k + clause.vo, clause.uc * k + clause.uo
-        if v_idx < 1 or (clause.forbid and k % clause.forbid[0] == clause.forbid[1]):
-            continue
+    for k in range(1, (len(pairs) - clause.vo) // clause.vc + 1):
+        u_idx = clause.uc * k + clause.uo
         hi = pairs[u_idx - 1][1] if u_idx <= len(pairs) else n_max
-        ranges.append((pairs[v_idx - 1][0], hi))
+        ranges.append((pairs[clause.vc * k + clause.vo - 1][0], hi))
     return ranges
 
 
@@ -281,8 +275,7 @@ def closed_form_p(params: QuadraticParams, n_max: int) -> list[int]:
     values = [rules.even_default, rules.odd_default] * (n_max // 2 + 1)
     del values[n_max + 1:]
     for parity, clauses in ((0, rules.even), (1, rules.odd)):
-        # the last clause first, so the first clause that holds wins
-        for clause in reversed(clauses):
+        for clause in clauses:
             for lo, hi in _clause_ranges(clause, params, pairs, n_max):
                 first = lo + 1 + (lo + 1 - parity) % 2
                 for n in range(first, min(hi, n_max) + 1, 2):

@@ -134,6 +134,15 @@ class TestVerify:
         assert payload["window"] == 60
         assert len(payload["palindrome_counts"]) == 61
 
+    def test_digits_at_the_largest_n_max_stay_in_the_window(self):
+        # the images of 3 0 0 0 (0 1) grow slowly: its oracle for n = 10^5
+        # would read 29 million window letters and pass 1.2 GB
+        result = cli("verify", "--digits", "3 0 0 0 (0 1)", "--n-max",
+                     str(cli_module.MAX_TABLE_LENGTH), "--format", "json",
+                     preexec_fn=limit_address_space)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout)["window"] == 60
+
     def test_digits_probe(self):
         result = cli("verify", "--digits", "2 1 (1)", "--format", "json")
         assert result.returncode == 0
@@ -334,7 +343,7 @@ def test_digit_count_past_its_bound_exits_2_before_any_digit(monkeypatch, capsys
         "--digit-count", str(cli_module.MAX_DIGIT_COUNT + 1))
     assert (code, out.out) == (2, "")
     assert out.err == ("usage error: Invalid value for '--digit-count': 1000001 "
-                       "is not in the range x<=1000000.\n")
+                       "is not in the range 1<=x<=1000000.\n")
 
 
 def test_beta_expand_takes_no_precision(monkeypatch, capsys):
@@ -441,11 +450,14 @@ DOMAIN_ERRORS = [
      "'json'.\n"),
     (["--"], "usage error: Missing command.\n"),
     (["word", "--a", "3", "--b", "1", "--length", "-1"],
-     "error: length must be nonnegative\n"),
+     "usage error: Invalid value for '--length': -1 is not in the range "
+     "0<=x<=10000000.\n"),
     (["beta-integers", "--a", "3", "--b", "1", "--count", "1"],
-     "error: count must be >= 2\n"),
+     "usage error: Invalid value for '--count': 1 is not in the range "
+     "2<=x<=1000000.\n"),
     (["beta-expand", "--a", "3", "--b", "1", "--x", "3", "--digit-count", "0"],
-     "error: digit_count must be >= 1\n"),
+     "usage error: Invalid value for '--digit-count': 0 is not in the range "
+     "1<=x<=1000000.\n"),
 ]
 
 

@@ -184,7 +184,7 @@ GOLDEN = [
      "bdac676c8746ab37b6b874ece13ab8b0fb3902262bb33cdba568943fd27081ed",
      EMPTY),
     (["beta-expand", "--help"], 0,
-     "2ce8e7c1544f0bcbd24947857e8f2fb162c5055576b728c0c6673dd8c95a2598",
+     "acf872da24e6d198350ff77b26ded9df6d81d3eb8847263cde8f17010d2800a0",
      EMPTY),
 ]
 

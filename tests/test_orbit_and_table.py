@@ -90,13 +90,18 @@ class TestTOrbit:
 
 
 class TestUVTowerWords:
-    def test_first_words_kept_under_a_small_cap(self):
-        params = QuadraticParams(7, 3)
-        for cap in range(0, 7):
+    @pytest.mark.parametrize("a,b", [(3, 1), (7, 3)])
+    def test_words_are_the_orbit_within_every_cap(self, a, b):
+        # caps below |V^(1)| = b and |U^(1)| = a-1 keep no word either
+        params = QuadraticParams(a, b)
+        for cap in [*range(0, 12), 64, 300]:
             tower = uv_tower(params, 5, materialize_cap=cap)
-            assert tower.u_words == ["000000"]
-            assert tower.v_words == ["000"]
-            assert sum(tower.u_counts[4]) > 6
+            for words, first in ((tower.u_words, a - 1), (tower.v_words, b)):
+                orbit = t_orbit("0" * first, params, cap)
+                assert words == list(islice(orbit, 5))
+            assert all(len(w) <= cap for w in tower.u_words + tower.v_words)
+            assert sum(tower.u_counts[4]) > 300
+        assert uv_tower(params, 5, materialize_cap=a - 2).u_words == []
 
     def test_words_within_the_cap_and_the_depth(self, built):
         tower = uv_tower(P31, 6, materialize_cap=300)

@@ -28,6 +28,7 @@ from betawords import (
     uv_tower,
     verify_identities,
 )
+from betawords.palindromes import PARITY_CASES, _clause_ranges
 
 P31 = QuadraticParams(3, 1)
 
@@ -315,6 +316,23 @@ class TestPalindromicComplexity:
         # closed_form_p used to refuse b = a-1; now it gives P = 1, 2, 1, ...
         closed = palindromic_complexity(QuadraticParams(2, 1), 10, "closed_form")
         assert closed.column("P") == [1 + n % 2 for n in range(11)]
+
+    def test_clause_ranges_of_one_parity_never_overlap(self):
+        # so closed_form_p may paint the clauses in any order
+        n_max = 10 ** 5
+        for a in range(2, 41):
+            for b in range(1, a):
+                params = QuadraticParams(a, b)
+                rules = PARITY_CASES[a % 2, b % 2]
+                pairs = tower_intervals(params, n_max + 1)
+                for clauses in (rules.even, rules.odd):
+                    ranges = sorted(
+                        (lo, min(hi, n_max)) for clause in clauses
+                        for lo, hi
+                        in _clause_ranges(clause, params, pairs, n_max)
+                        if lo < hi)
+                    assert all(hi <= lo for (_, hi), (lo, _)
+                               in zip(ranges, ranges[1:])), (a, b, ranges)
 
     def test_classification_counts(self):
         oracle = palindromic_complexity(quadratic_substitution(P31), 30, "oracle")

@@ -30,9 +30,8 @@ FROZEN = {
                                  extensions=frozenset("0")),
         ("010", "1", frozenset("0"))),
     "UptoClause(bound='b', value=2)": (lambda: UptoClause("b", 2), ("b", 2)),
-    "IntervalClause(vc=1, vo=0, uc=1, uo=0, value=3, k_min=1, forbid=(3, 2))": (
-        lambda: IntervalClause(1, 0, 1, 0, 3, forbid=(3, 2)),
-        (1, 0, 1, 0, 3, 1, (3, 2))),
+    "IntervalClause(vc=3, vo=-2, uc=3, uo=-2, value=3)": (
+        lambda: IntervalClause(3, -2, 3, -2, 3), (3, -2, 3, -2, 3)),
 }
 
 
@@ -70,10 +69,9 @@ def test_constructors_take_keywords_and_defaults():
     sub = Substitution(images=("0001", "01"))
     assert sub == quadratic_substitution(QuadraticParams(3, 1))
     clause = IntervalClause(vc=2, vo=0, uc=2, uo=0, value=3)
-    assert (clause.k_min, clause.forbid) == (1, None)
     assert PARITY_CASES[1, 0].odd == (clause,)
     tower = UVTower(params=QuadraticParams(3, 1), depth=2)
-    assert tower.materialize_cap == 10 ** 6
+    assert tower.u_words == ["00", "01000100010"]
     assert Table(fields=("n",), rows=[{"n": 1}]).column("n") == [1]
 
 
