@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .language import FactorLanguage, language_of
+from .language import FactorLanguage, language_of, reversal_closure_probe
 from .palindromes import (
     EPSILON,
     BranchSpec,
@@ -39,7 +39,6 @@ from .palindromes import (
     is_palindrome,
     palindromes_of_length,
     palindromic_complexity,
-    reversal_closure_probe,
     verify_identities,
 )
 from .substitution import (

@@ -30,12 +30,11 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .language import language_of
+from .language import language_of, reversal_closure_probe
 from .palindromes import (
     infinite_branches,
     palindromes_of_length,
     palindromic_complexity,
-    reversal_closure_probe,
     verify_identities,
 )
 from .substitution import fixed_point_prefix, parry_substitution

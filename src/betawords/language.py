@@ -22,9 +22,10 @@ strings of the lengths in (len(link(s)), len(s)], and the palindromes from a
 generalized eertree (Rubinchik & Shur 2015), one node per distinct
 palindrome with an edge by z to z w z.
 
-Both keep where an occurrence of each state or node ends.  The left
-specials and `palindromes.reversal_closure_probe` read the automaton, and
-`contains(w)` searches the windows for |w|: the windows are the one text.
+Both keep where an occurrence of each state or node ends, and only this
+module reads them: the left specials and `reversal_closure_probe` read the
+automaton, and `palindrome_extensions` the eertree.  `contains(w)` searches
+the windows for |w|: the windows are the one text.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class FactorLanguage:
 
     def _automaton(self, n: int) -> tuple:
         """Generalized suffix automaton of the junction windows for n: the
-        text as in `eertree` and, per state, its longest string's length, its
+        text as in `_eertree` and, per state, its longest string's length, its
         suffix link (-1 at the root, state 0), its edges (column c holds the
         target by c, or -1) and where in the text an occurrence ends."""
         from array import array  # off the import path of every command
@@ -156,8 +157,8 @@ class FactorLanguage:
         ends = Counter(length[1:])
         return [1, *accumulate(starts[n] - ends[n - 1] for n in range(1, n_max + 1))]
 
-    def eertree(self, n: int) -> tuple[str, list[int], dict[str, list[int]],
-                                       list[int]]:
+    def _eertree(self, n: int) -> tuple[str, list[int], dict[str, list[int]],
+                                        list[int]]:
         """Generalized eertree of the junction windows for n: the windows
         joined into one text and, per node, the palindrome's length, its
         edges (column z holds the node of z w z, or -1) and the index in the
@@ -197,7 +198,7 @@ class FactorLanguage:
         """Oracle (P(n), maximal, two-extension) for 0 <= n <= n_max, from one
         eertree; a palindrome's extensions are the letters 0 and 1 with
         z w z a factor."""
-        _, length, edges, _ = self.eertree(_length(n_max) + 2)
+        _, length, edges, _ = self._eertree(_length(n_max) + 2)
         none = [-1] * len(length)
         counts = [[0, 0, 0] for _ in range(n_max + 1)]
         for size, zero, one in zip(length, edges.get("0", none),
@@ -208,6 +209,15 @@ class FactorLanguage:
                 row[1] += ext == 0
                 row[2] += ext == 2
         return [tuple(row) for row in counts]
+
+    def palindrome_extensions(self, n: int) -> dict[str, frozenset[str]]:
+        """Each palindromic factor of length n, read off the eertree's nodes
+        of that length, with its extensions as in `palindrome_counts`."""
+        text, length, edges, ends = self._eertree(_length(n) + 2)
+        columns = [(z, edges[z]) for z in "01" if z in edges]
+        return {text[end + 1 - n : end + 1]:
+                frozenset(z for z, column in columns if column[node] >= 0)
+                for node, (size, end) in enumerate(zip(length, ends)) if size == n}
 
     def contains(self, word: str) -> bool:
         """Membership: a substring search in the windows for len(word)."""
@@ -232,3 +242,27 @@ def language_of(subject: FactorLanguage | Substitution | QuadraticParams
     if isinstance(subject, QuadraticParams):
         subject = quadratic_substitution(subject)
     return FactorLanguage(subject)
+
+
+def reversal_closure_probe(subject: FactorLanguage | Substitution,
+                           n_max: int) -> dict:
+    """Check reversal-invariance of the factor sets up to n_max.
+
+    Returns {"closed_up_to": n, "witness": w or None}; the witness is the
+    least factor whose reversal is not one, at the first length with one.
+    """
+    # the windows for 1 hold every letter, so the root has an edge by each
+    text, length, link, edges, _ = \
+        language_of(subject)._automaton(max(_length(n_max), 1))
+    best = (n_max + 1, None)
+    for piece in text.split(_SEPARATOR):
+        state = m = 0  # piece[i : i + m] reversed: the longest such factor
+        for i in range(len(piece) - 1, -1, -1):
+            to = edges[piece[i]]
+            while to[state] < 0:
+                state, m = link[state], length[link[state]]
+            state, m = to[state], m + 1
+            # piece[i : i + m + 1], if it fits, is a factor; its reversal is not
+            if m < min(len(piece) - i, n_max, best[0]):
+                best = min(best, (m + 1, piece[i : i + m + 1]))
+    return {"closed_up_to": best[0] - 1, "witness": best[1]}

@@ -1,12 +1,13 @@
 """Palindromic structure of the binary fixed points.
 
-Covers palindromic factors and their extensions, centers, the towers of
-maximal and two-extension palindromes, infinite palindromic branches, and
-the closed-form palindromic complexity.  The centers of the towers, the
-step d with V^(n) central in V^(n+d) and the branch plan all follow from one
-lemma, `center_evolution`: the center of T(p) from the center of p.  Only
-the P(n) clauses remain a per-parity table, so its four cases can be
-audited side by side.
+Covers the palindromic factors, as records of the words and extensions
+that the oracle `language.FactorLanguage` reads off its eertree, centers,
+the towers of maximal and two-extension palindromes, infinite palindromic
+branches, and the closed-form palindromic complexity.  The centers of the
+towers, the step d with V^(n) central in V^(n+d) and the branch plan all
+follow from one lemma, `center_evolution`: the center of T(p) from the
+center of p.  Only the P(n) clauses remain a per-parity table, so its four
+cases can be audited side by side.
 
 Like Delta C in `complexity`, P(n) is read off the one tower recurrence
 there: `tower_intervals` lists the pairs (|V^(k)|, |U^(k)|) once per table,
@@ -23,7 +24,7 @@ from __future__ import annotations
 from .beta_numeration import QuadraticParams, _Frozen
 from .complexity import Table, _tower_marks, t_orbit, tower_intervals
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
-from .language import _SEPARATOR, FactorLanguage, _length, language_of
+from .language import FactorLanguage, language_of
 from .substitution import Substitution
 
 EPSILON = "e"  # center marker for even-length palindromes
@@ -56,17 +57,9 @@ class PalindromeRecord(_Frozen):
 
 
 def palindromes_of_length(lang: FactorLanguage, n: int) -> set[PalindromeRecord]:
-    """All palindromic factors of length n, extension sets included, read
-    off the nodes of length n of the language's eertree."""
-    text, length, edges, ends = lang.eertree(_length(n) + 2)
-    columns = [(z, edges[z]) for z in ("0", "1") if z in edges]
-    records = set()
-    for node, (size, end) in enumerate(zip(length, ends)):
-        if size == n:
-            w = text[end + 1 - n : end + 1]
-            ext = frozenset(z for z, column in columns if column[node] >= 0)
-            records.add(PalindromeRecord(word=w, center=center_of(w), extensions=ext))
-    return records
+    """All palindromic factors of length n, extension sets included."""
+    return {PalindromeRecord(word=w, center=center_of(w), extensions=ext)
+            for w, ext in lang.palindrome_extensions(n).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -155,34 +148,6 @@ def infinite_branches(params: QuadraticParams,
         specs.append(BranchSpec(center=center, generator=generator,
                                 central_factors=factors, verified=ok))
     return specs
-
-
-# ---------------------------------------------------------------------------
-# Reversal closure
-# ---------------------------------------------------------------------------
-
-def reversal_closure_probe(subject: FactorLanguage | Substitution,
-                           n_max: int) -> dict:
-    """Check reversal-invariance of the factor sets up to n_max.
-
-    Returns {"closed_up_to": n, "witness": w or None}; the witness is the
-    least factor whose reversal is not one, at the first length with one.
-    """
-    # the windows for 1 hold every letter, so the root has an edge by each
-    text, length, link, edges, _ = \
-        language_of(subject)._automaton(max(_length(n_max), 1))
-    best = (n_max + 1, None)
-    for piece in text.split(_SEPARATOR):
-        state = m = 0  # piece[i : i + m] reversed: the longest such factor
-        for i in range(len(piece) - 1, -1, -1):
-            to = edges[piece[i]]
-            while to[state] < 0:
-                state, m = link[state], length[link[state]]
-            state, m = to[state], m + 1
-            # piece[i : i + m + 1], if it fits, is a factor; its reversal is not
-            if m < min(len(piece) - i, n_max, best[0]):
-                best = min(best, (m + 1, piece[i : i + m + 1]))
-    return {"closed_up_to": best[0] - 1, "witness": best[1]}
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ MAX_IMAGE_LETTERS = 10 ** 8
 
 def _check_image_letters(letters: int) -> int:
     if letters > MAX_IMAGE_LETTERS:
-        raise InvalidInputError(f"an image of {letters} letters is past the "
-                                f"bound of {MAX_IMAGE_LETTERS} letters")
+        # the size may pass Python's 4300-digit limit on int-to-str
+        raise InvalidInputError(
+            f"an image is past the bound of {MAX_IMAGE_LETTERS} letters")
     return letters
 
 

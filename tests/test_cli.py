@@ -248,7 +248,7 @@ def test_palindromes_length_past_its_bound_exits_2_before_any_eertree(
     def no_eertree(*args):
         raise AssertionError("eertree ran")
 
-    monkeypatch.setattr(FactorLanguage, "eertree", no_eertree)
+    monkeypatch.setattr(FactorLanguage, "_eertree", no_eertree)
     code, out = _run_in_process(
         monkeypatch, capsys, "palindromes", "--a", "3", "--b", "1",
         "--n", str(cli_module.MAX_FACTOR_LENGTH + 1))
@@ -538,6 +538,10 @@ def test_help_lists_every_command_and_option(monkeypatch, capsys):
     # phi(0) 10^10 + 1
     ["analyze", "--a", "100000", "--b", "1", "--n-max", "3"],
     ["word", "--digits", "10000000000 (1)", "--length", "5"],
+    # an image size past Python's 4300-digit limit on int-to-str conversion,
+    # which the message of the image bound must not format
+    ["word", "--a", "9" * 4300, "--b", "1", "--length", "3"],
+    ["analyze", "--a", "9" * 4300, "--b", "1"],
 ])
 def test_outside_input_exits_2_without_traceback(argv):
     result = cli(*argv, preexec_fn=limit_address_space)
@@ -672,7 +676,7 @@ def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
         real_init(self, substitution)
 
     monkeypatch.setattr(FactorLanguage, "__init__", init)
-    for name in ("_automaton", "eertree"):
+    for name in ("_automaton", "_eertree"):
         monkeypatch.setattr(FactorLanguage, name,
                             spy(name, getattr(FactorLanguage, name)))
     monkeypatch.setattr(palindromes_module, "palindromes_of_length",
@@ -691,7 +695,7 @@ def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
         # one language per point, and one automaton and one eertree over it;
         # no per-length factor set is built
         assert len(built) == points
-        assert sorted(calls) == [(name, i) for name in ("_automaton", "eertree")
+        assert sorted(calls) == [(name, i) for name in ("_automaton", "_eertree")
                                  for i in range(points)]
 
 

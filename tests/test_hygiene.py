@@ -3,7 +3,9 @@ module-level private function is used in its own module, every private
 attribute a module stores on `self` is read somewhere in that module and
 every public one somewhere in the package, and no module imports mpmath,
 which is a test dependency only, or any module of the tests, such as the
-reference `mpf_reference`.  A fresh
+reference `mpf_reference`.  Only `language.py` reads the factor oracle's
+insides: no other module imports a private name of it or reads a private
+attribute of `FactorLanguage`, such as its suffix automaton.  A fresh
 `import betawords.cli` loads every layer the benchmark's tracer looks up,
 and none of `dataclasses`, `csv`, `click`, `argparse` or `gettext`, which
 would add to every command's start-up.  Every function and method of the
@@ -126,6 +128,37 @@ def imports_of_tests(source: str) -> list[str]:
     return found
 
 
+def oracle_private_names() -> set[str]:
+    """The private methods of `FactorLanguage` and the private attributes it
+    stores on `self`, dunders left out."""
+    tree = ast.parse((PACKAGE / "language.py").read_text())
+    [oracle] = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "FactorLanguage"]
+    names = set()
+    for node in ast.walk(oracle):
+        if isinstance(node, FUNCTIONS):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "self":
+            names.add(node.attr)
+    return {name for name in names
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def oracle_private_reads(source: str, private: set[str]) -> list[str]:
+    """The private names a module imports from `language`, and its reads
+    of the attributes in `private`, on any object."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.split(".")[-1] == "language":
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr in private:
+            found.append(f".{node.attr} (line {node.lineno})")
+    return found
+
+
 def test_sources_found():
     assert len(SOURCES) >= 6
 
@@ -179,6 +212,25 @@ def test_check_catches_an_import_of_the_tests():
     assert imports_of_tests(source) == ["tests.mpf_reference (line 1)",
                                         "mpf_reference (line 3)",
                                         "test_cli (line 7)"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "language.py"],
+                         ids=lambda p: p.name)
+def test_only_the_language_module_reads_the_oracle_insides(path):
+    assert oracle_private_reads(path.read_text(), oracle_private_names()) == []
+
+
+def test_check_catches_a_read_of_the_oracle_insides():
+    assert {"_automaton", "_eertree", "_windows", "_grow", "_phi", "_images",
+            "_previous"} <= oracle_private_names()
+    source = ("from .language import _SEPARATOR, FactorLanguage, _length\n"
+              "from .substitution import _next_images\n\n\n"
+              "def f(lang: FactorLanguage, n):\n"
+              "    text = lang._automaton(_length(n))[0]\n"
+              "    return text.split(_SEPARATOR), lang.two_factors, n._private\n")
+    assert oracle_private_reads(source, oracle_private_names()) == [
+        "_SEPARATOR (line 1)", "_length (line 1)", "._automaton (line 6)"]
 
 
 def test_check_catches_an_unused_private_function():
