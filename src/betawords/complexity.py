@@ -5,9 +5,9 @@ the intervals (|V^(k)|, |U^(k)|] spanned by the towers of total bispecial
 factors V^(k) and maximal left special factors U^(k), and 1 elsewhere.
 
 The letter counts of both towers come from one recurrence, `_tower_counts`.
-The towers read it directly; both closed forms, this one and P(n) in
-`palindromes`, read it through `tower_intervals`.  Its marks, +1 at each
-|V^(k)| and -1 at each |U^(k)| (`_tower_marks`), are Delta^2 C: Delta C,
+The towers read it directly.  Its marks, +1 at each |V^(k)| and -1 at
+each |U^(k)| (`_tower_marks`), are Delta^2 C and P(n+2) - P(n): Delta C is
+one running sum of them, P(n) in `palindromes` two, one per parity, and
 the identity suite and the closed-form palindrome counts read them.  Every
 tower word, here and in the palindromic branches, comes from one T-orbit
 builder, `t_orbit`, which joins T^k(w) = P_k phi^k(w) S_k from phi^k(0),
@@ -143,6 +143,8 @@ def closed_form_delta_c(params: QuadraticParams, n_max: int) -> list[int]:
     Delta C(0) = 1 and Delta^2 C(n) is the mark of n, so Delta C(n) is 1
     plus the marks of 0 .. n-1.
     """
+    if n_max < 0:
+        raise InvalidInputError("factor length must be nonnegative")
     return list(accumulate(_tower_marks(params, n_max - 1), initial=1))[1:]
 
 
@@ -176,6 +178,8 @@ def factor_complexity(
     The closed form needs quadratic parameters and integrates Delta C from
     C(1) = 2.
     """
+    if n_max < 0:
+        raise InvalidInputError("factor length must be nonnegative")
     if mode == "oracle":
         counts = language_of(subject).complexities(n_max + 1)[1:]
         delta = [after - before for before, after in zip(counts, counts[1:])]

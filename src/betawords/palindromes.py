@@ -2,27 +2,23 @@
 
 Covers the palindromic factors, as records of the words and extensions
 that the oracle `language.FactorLanguage` reads off its eertree, centers,
-the towers of maximal and two-extension palindromes, infinite palindromic
-branches, and the closed-form palindromic complexity.  The centers of the
-towers, the step d with V^(n) central in V^(n+d) and the branch plan all
-follow from one lemma, `center_evolution`: the center of T(p) from the
-center of p.  Only the P(n) clauses remain a per-parity table, so its four
-cases can be audited side by side.
-
-Like Delta C in `complexity`, P(n) is read off the one tower recurrence
-there: `tower_intervals` lists the pairs (|V^(k)|, |U^(k)|) once per table,
-each clause turns them into the (lo, hi] ranges of n where it holds, and
-the clauses are painted in order over the per-parity default: since
-|V^(k)| < |U^(k)| < |V^(k+1)|, the ranges of one parity never overlap.  Its
-maximal and two-extension columns and the identity suite read the tower
-marks of `complexity`.  The branches take their words from its T-orbit
-builder, `t_orbit`, and the P(n) rows are a `complexity.Table`.
+infinite palindromic branches, and the closed-form palindromic complexity.
+The tower centers, the step d with V^(n) central in V^(n+d) and the branch
+plan all follow from one lemma, `center_evolution`: the center of T(p)
+from the center of p.  P(n+2) - P(n) is the tower mark of n in
+`complexity` (`_tower_marks`), so the closed-form P(n) is two running sums
+of the marks, one per parity; the paper's four parity cases are the tests'
+reference (`tests/lemma_reference.py`).  The maximal and two-extension
+columns and the identity suite read the same marks, the branches take
+their words from `complexity.t_orbit`, and the P(n) rows are a `Table`.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .beta_numeration import QuadraticParams, _Frozen
-from .complexity import Table, _tower_marks, t_orbit, tower_intervals
+from .complexity import Table, _tower_marks, t_orbit
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
 from .language import FactorLanguage, language_of
 from .substitution import Substitution
@@ -151,101 +147,21 @@ def infinite_branches(params: QuadraticParams,
 
 
 # ---------------------------------------------------------------------------
-# Closed-form palindromic complexity: the four parity cases as data
+# Closed-form palindromic complexity
 # ---------------------------------------------------------------------------
 
-class UptoClause(_Frozen):
-    """value applies when n <= bound (bound is "a-1" or "b")."""
-
-    __slots__ = ("bound", "value")
-
-    def __init__(self, bound: str, value: int):
-        self._set(bound=bound, value=value)
-
-
-class IntervalClause(_Frozen):
-    """value applies when |V^(vc*k+vo)| < n <= |U^(uc*k+uo)| for some k > 0."""
-
-    __slots__ = ("vc", "vo", "uc", "uo", "value")
-
-    def __init__(self, vc: int, vo: int, uc: int, uo: int, value: int):
-        self._set(vc=vc, vo=vo, uc=uc, uo=uo, value=value)
-
-
-class ParityRules(_Frozen):
-    __slots__ = ("even", "even_default", "odd", "odd_default")
-
-    def __init__(self, even: tuple, even_default: int, odd: tuple,
-                 odd_default: int):
-        self._set(even=even, even_default=even_default, odd=odd,
-                  odd_default=odd_default)
-
-
-# Keyed by (a mod 2, b mod 2).
-PARITY_CASES: dict[tuple[int, int], ParityRules] = {
-    # b even, a odd
-    (1, 0): ParityRules(
-        even=(IntervalClause(2, -1, 2, -1, 2),),
-        even_default=1,
-        odd=(IntervalClause(2, 0, 2, 0, 3),),
-        odd_default=2,
-    ),
-    # both even
-    (0, 0): ParityRules(
-        even=(IntervalClause(2, -1, 2, 0, 2),),
-        even_default=1,
-        odd=(UptoClause("a-1", 2), IntervalClause(2, 0, 2, 1, 2)),
-        odd_default=1,
-    ),
-    # b odd, a even
-    (0, 1): ParityRules(
-        even=(IntervalClause(3, -1, 3, -1, 2),),
-        even_default=1,
-        # k = 1, 3, 4, 6, 7, ...: every k but 2 mod 3
-        odd=(IntervalClause(3, -2, 3, -2, 3), IntervalClause(3, 0, 3, 0, 3)),
-        odd_default=2,
-    ),
-    # both odd
-    (1, 1): ParityRules(
-        even=(UptoClause("a-1", 1),),
-        even_default=0,
-        odd=(UptoClause("b", 2), IntervalClause(1, 1, 1, 1, 4)),
-        odd_default=3,
-    ),
-}
-
-
-def _clause_ranges(clause, params: QuadraticParams, pairs: list[tuple[int, int]],
-                   n_max: int) -> list[tuple[int, int]]:
-    """The ranges (lo, hi] of n on which a clause holds, given the tower pairs
-    (|V^(k)|, |U^(k)|) of every k with |V^(k)| <= n_max.
-
-    A U index past the pairs has |U^(j)| > |V^(j)| > n_max, so it reads as
-    n_max.
-    """
-    if isinstance(clause, UptoClause):
-        return [(-1, params.a - 1 if clause.bound == "a-1" else params.b)]
-    ranges = []
-    for k in range(1, (len(pairs) - clause.vo) // clause.vc + 1):
-        u_idx = clause.uc * k + clause.uo
-        hi = pairs[u_idx - 1][1] if u_idx <= len(pairs) else n_max
-        ranges.append((pairs[clause.vc * k + clause.vo - 1][0], hi))
-    return ranges
-
-
 def closed_form_p(params: QuadraticParams, n_max: int) -> list[int]:
-    """P(n) for 0 <= n <= n_max from the parity-case table."""
-    rules = PARITY_CASES[params.a % 2, params.b % 2]
-    pairs = tower_intervals(params, n_max + 1)
-    values = [rules.even_default, rules.odd_default] * (n_max // 2 + 1)
-    del values[n_max + 1:]
-    for parity, clauses in ((0, rules.even), (1, rules.odd)):
-        for clause in clauses:
-            for lo, hi in _clause_ranges(clause, params, pairs, n_max):
-                first = lo + 1 + (lo + 1 - parity) % 2
-                for n in range(first, min(hi, n_max) + 1, 2):
-                    values[n] = clause.value
-    return values
+    """P(n) for 0 <= n <= n_max: P(n+2) = P(n) + mark(n), summed per parity
+    from P(0) = 1 and P(1) = 2; mark(0) = 0 gives P(2) = 1 (00 is a factor,
+    11 is not)."""
+    if n_max < 0:
+        raise InvalidInputError("factor length must be nonnegative")
+    # each sum runs to n_max + 1, so that it fills its half of the slots
+    marks = _tower_marks(params, n_max - 1)
+    values = [0] * (n_max + 2)
+    values[0::2] = accumulate(marks[0::2], initial=1)
+    values[1::2] = accumulate(marks[1::2], initial=2)
+    return values[:-1]
 
 
 def palindromic_complexity(
@@ -294,6 +210,10 @@ def verify_identities(params: QuadraticParams, c: list[int], p: list[int]) -> No
       * P(n+2) - P(n) = +1 at n = |V^(k)| plus -1 at n = |U^(k)|
       * Delta^2 C(n) = P(n+2) - P(n)
     Raises VerificationError with a context dump on the first violation.
+
+    `closed_form_p` sums the same marks, so from n = 3 on the P-column check
+    of `analyze` and `verify` and the second identity compare the same two
+    sequences; both keep their names in the output.
     """
     n_max = len(p) - 3
     if len(c) != n_max + 4 or n_max < 1:

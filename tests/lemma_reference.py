@@ -6,17 +6,19 @@ grows from the axiom; the map T, w -> 0^b 1 phi(w) 0^b, letter by letter;
 the palindromic extensions of a palindrome, read by membership; the report
 that T keeps palindromes and their extension sets; the observed and
 expected centers of the materialized tower words; the letter counts,
-incidence matrix and primitivity of a substitution.  No command calls them:
-the package reads prefixes off the levels phi^k(c) with
-`substitution.fixed_point_prefix`, builds T-images with
+incidence matrix and primitivity of a substitution; and the paper's
+closed-form P(n), four parity cases of clauses over the tower lengths.  No
+command calls them: the package reads prefixes off the levels phi^k(c)
+with `substitution.fixed_point_prefix`, builds T-images with
 `complexity.t_orbit`, reads extensions off the eertree and the centers off
-`palindromes.center_evolution`.  The tests check those against these.
+`palindromes.center_evolution`, and sums the tower marks for P(n) in
+`palindromes.closed_form_p`.  The tests check those against these.
 """
 
 from __future__ import annotations
 
-from betawords.beta_numeration import QuadraticParams
-from betawords.complexity import uv_tower
+from betawords.beta_numeration import QuadraticParams, _Frozen
+from betawords.complexity import tower_intervals, uv_tower
 from betawords.errors import InvalidInputError, UnsupportedVariantError
 from betawords.language import FactorLanguage
 from betawords.palindromes import (_v_centers, center_evolution, center_of,
@@ -143,3 +145,102 @@ def _matmul(x, y):
         [sum(x[i][t] * y[t][j] for t in range(n)) for j in range(n)]
         for i in range(n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The paper's closed-form palindromic complexity: the four parity cases
+# ---------------------------------------------------------------------------
+
+class UptoClause(_Frozen):
+    """value applies when n <= bound (bound is "a-1" or "b")."""
+
+    __slots__ = ("bound", "value")
+
+    def __init__(self, bound: str, value: int):
+        self._set(bound=bound, value=value)
+
+
+class IntervalClause(_Frozen):
+    """value applies when |V^(vc*k+vo)| < n <= |U^(uc*k+uo)| for some k > 0."""
+
+    __slots__ = ("vc", "vo", "uc", "uo", "value")
+
+    def __init__(self, vc: int, vo: int, uc: int, uo: int, value: int):
+        self._set(vc=vc, vo=vo, uc=uc, uo=uo, value=value)
+
+
+class ParityRules(_Frozen):
+    __slots__ = ("even", "even_default", "odd", "odd_default")
+
+    def __init__(self, even: tuple, even_default: int, odd: tuple,
+                 odd_default: int):
+        self._set(even=even, even_default=even_default, odd=odd,
+                  odd_default=odd_default)
+
+
+# Keyed by (a mod 2, b mod 2).
+PARITY_CASES: dict[tuple[int, int], ParityRules] = {
+    # b even, a odd
+    (1, 0): ParityRules(
+        even=(IntervalClause(2, -1, 2, -1, 2),),
+        even_default=1,
+        odd=(IntervalClause(2, 0, 2, 0, 3),),
+        odd_default=2,
+    ),
+    # both even
+    (0, 0): ParityRules(
+        even=(IntervalClause(2, -1, 2, 0, 2),),
+        even_default=1,
+        odd=(UptoClause("a-1", 2), IntervalClause(2, 0, 2, 1, 2)),
+        odd_default=1,
+    ),
+    # b odd, a even
+    (0, 1): ParityRules(
+        even=(IntervalClause(3, -1, 3, -1, 2),),
+        even_default=1,
+        # k = 1, 3, 4, 6, 7, ...: every k but 2 mod 3
+        odd=(IntervalClause(3, -2, 3, -2, 3), IntervalClause(3, 0, 3, 0, 3)),
+        odd_default=2,
+    ),
+    # both odd
+    (1, 1): ParityRules(
+        even=(UptoClause("a-1", 1),),
+        even_default=0,
+        odd=(UptoClause("b", 2), IntervalClause(1, 1, 1, 1, 4)),
+        odd_default=3,
+    ),
+}
+
+
+def clause_ranges(clause, params: QuadraticParams, pairs: list[tuple[int, int]],
+                   n_max: int) -> list[tuple[int, int]]:
+    """The ranges (lo, hi] of n on which a clause holds, given the tower pairs
+    (|V^(k)|, |U^(k)|) of every k with |V^(k)| <= n_max.
+
+    A U index past the pairs has |U^(j)| > |V^(j)| > n_max, so it reads as
+    n_max.
+    """
+    if isinstance(clause, UptoClause):
+        return [(-1, params.a - 1 if clause.bound == "a-1" else params.b)]
+    ranges = []
+    for k in range(1, (len(pairs) - clause.vo) // clause.vc + 1):
+        u_idx = clause.uc * k + clause.uo
+        hi = pairs[u_idx - 1][1] if u_idx <= len(pairs) else n_max
+        ranges.append((pairs[clause.vc * k + clause.vo - 1][0], hi))
+    return ranges
+
+
+def parity_table_p(params: QuadraticParams, n_max: int) -> list[int]:
+    """P(n) for 0 <= n <= n_max from the parity-case table: each clause is
+    painted over its ranges, on the per-parity default."""
+    rules = PARITY_CASES[params.a % 2, params.b % 2]
+    pairs = tower_intervals(params, n_max + 1)
+    values = [rules.even_default, rules.odd_default] * (n_max // 2 + 1)
+    del values[n_max + 1:]
+    for parity, clauses in ((0, rules.even), (1, rules.odd)):
+        for clause in clauses:
+            for lo, hi in clause_ranges(clause, params, pairs, n_max):
+                first = lo + 1 + (lo + 1 - parity) % 2
+                for n in range(first, min(hi, n_max) + 1, 2):
+                    values[n] = clause.value
+    return values

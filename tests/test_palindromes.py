@@ -2,8 +2,9 @@ import random
 
 import pytest
 from factor_reference import complexity, factors
-from lemma_reference import (classify_tower_centers, palindromic_extensions,
-                             t_map, t_map_palindrome_check)
+from lemma_reference import (PARITY_CASES, classify_tower_centers,
+                             clause_ranges, palindromic_extensions,
+                             parity_table_p, t_map, t_map_palindrome_check)
 
 from betawords import (
     EPSILON,
@@ -28,7 +29,6 @@ from betawords import (
     uv_tower,
     verify_identities,
 )
-from betawords.palindromes import PARITY_CASES, _clause_ranges
 
 P31 = QuadraticParams(3, 1)
 
@@ -318,7 +318,7 @@ class TestPalindromicComplexity:
         assert closed.column("P") == [1 + n % 2 for n in range(11)]
 
     def test_clause_ranges_of_one_parity_never_overlap(self):
-        # so closed_form_p may paint the clauses in any order
+        # so parity_table_p may paint the clauses in any order
         n_max = 10 ** 5
         for a in range(2, 41):
             for b in range(1, a):
@@ -329,10 +329,44 @@ class TestPalindromicComplexity:
                     ranges = sorted(
                         (lo, min(hi, n_max)) for clause in clauses
                         for lo, hi
-                        in _clause_ranges(clause, params, pairs, n_max)
+                        in clause_ranges(clause, params, pairs, n_max)
                         if lo < hi)
                     assert all(hi <= lo for (_, hi), (lo, _)
                                in zip(ranges, ranges[1:])), (a, b, ranges)
+
+    def test_parity_table_equals_running_sums(self):
+        # the paper's four parity cases against the sums of the tower marks,
+        # to n = 10^5 for a <= 10 and 2 * 10^4 above, b = a-1 included
+        for a in range(2, 41):
+            n_max = 10 ** 5 if a <= 10 else 2 * 10 ** 4
+            for b in range(1, a):
+                params = QuadraticParams(a, b)
+                assert closed_form_p(params, n_max) == \
+                    parity_table_p(params, n_max), (a, b)
+
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(3, 7)
+                                     for b in range(1, a - 1)]
+                             + [(a, a - 1) for a in range(2, 7)])
+    def test_shortest_lengths_equal_the_oracle(self, a, b):
+        params = QuadraticParams(a, b)
+        oracle = palindromic_complexity(params, 4).column("P")
+        for n in range(5):
+            assert closed_form_p(params, n) == oracle[: n + 1], n
+            table = palindromic_complexity(params, n, "closed_form")
+            assert table.column("P") == oracle[: n + 1], n
+
+    @pytest.mark.parametrize("mode", ["oracle", "closed_form"])
+    def test_negative_length_rejected(self, mode):
+        # as every per-length reader of the oracle does
+        readers = [lambda n: factor_complexity(P31, n, mode),
+                   lambda n: palindromic_complexity(P31, n, mode)]
+        if mode == "closed_form":
+            readers += [lambda n: closed_form_p(P31, n),
+                        lambda n: closed_form_delta_c(P31, n)]
+        for reader in readers:
+            for n in (-1, -2):
+                with pytest.raises(InvalidInputError, match="nonnegative"):
+                    reader(n)
 
     def test_classification_counts(self):
         oracle = palindromic_complexity(quadratic_substitution(P31), 30, "oracle")

@@ -15,7 +15,6 @@ from betawords import (
     UVTower,
     quadratic_substitution,
 )
-from betawords.palindromes import PARITY_CASES, IntervalClause, UptoClause
 
 # repr -> (a new value, its fields in order)
 FROZEN = {
@@ -29,9 +28,6 @@ FROZEN = {
         lambda: PalindromeRecord(word="010", center="1",
                                  extensions=frozenset("0")),
         ("010", "1", frozenset("0"))),
-    "UptoClause(bound='b', value=2)": (lambda: UptoClause("b", 2), ("b", 2)),
-    "IntervalClause(vc=3, vo=-2, uc=3, uo=-2, value=3)": (
-        lambda: IntervalClause(3, -2, 3, -2, 3), (3, -2, 3, -2, 3)),
 }
 
 
@@ -68,8 +64,6 @@ def test_fields_differ_by_value():
 def test_constructors_take_keywords_and_defaults():
     sub = Substitution(images=("0001", "01"))
     assert sub == quadratic_substitution(QuadraticParams(3, 1))
-    clause = IntervalClause(vc=2, vo=0, uc=2, uo=0, value=3)
-    assert PARITY_CASES[1, 0].odd == (clause,)
     tower = UVTower(params=QuadraticParams(3, 1), depth=2)
     assert tower.u_words == ["00", "01000100010"]
     assert Table(fields=("n",), rows=[{"n": 1}]).column("n") == [1]
