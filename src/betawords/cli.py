@@ -43,15 +43,17 @@ EXIT_PRECISION = 3
 EXIT_VERIFICATION = 4
 # 10^6 digits take about a second and 100 MB
 MAX_DIGIT_COUNT = 10 ** 6
-# --n of specials and palindromes: at (a, b) = (3, 1) about 0.7 s and 60-85 MB;
-# the windows grow with a, to 2-3.5 s and 260-320 MB at (15, 1)
+# --n of specials and palindromes: at (a, b) = (3, 1) about 0.7 s and 55-80 MB;
+# the windows grow with a, to 2.7-3.7 s and 250-300 MB at (15, 1), and past
+# the window bound the command exits 2
 MAX_FACTOR_LENGTH = 10 ** 5
 # --n-max of analyze and verify: analyze at (3, 1) about 2.5 s and 104 MB, at
 # (15, 1) 8.5 s and 490 MB; verify on its default grid 25 s and 290-300 MB
 MAX_TABLE_LENGTH = 10 ** 5
 # --length of word: about 0.1 s and 43 MB, whatever the images' sizes
 MAX_WORD_LENGTH = 10 ** 7
-# --branch-budget of palindromes: about 0.4 s and 155 MB
+# --branch-budget of palindromes: 0.3 s and 116 MB at (6, 1), at most 361 MB
+# over a <= 15; at (14, 1) the images of the windows pass the image bound
 MAX_BRANCH_BUDGET = 10 ** 7
 # --count of beta-integers: about 2.5 s and 133 MB, since every value is held
 # until all print

@@ -15,7 +15,10 @@ factor up to length n, and all their substrings are factors.  A block needs
 only a suffix: if phi(c) = x^t v, then phi^k(c) = A^t phi^(k-1)(v) with
 A = phi^(k-1)(x), and a factor of at most n letters that starts before the
 last r = min(t, 1 + ceil((n-1)/|A|)) copies of A recurs |A| letters on, so
-the block's window is its suffix from those r copies.  The tables are read
+the block's window is its suffix A^r phi^(k-1)(v).  Every window is joined
+from the images phi^(k-1)(d), and no block phi^k(c) is built whole: a block
+window starts with ceil((n-1)/|A|) copies of A or more, or is the whole
+block, so the first n-1 letters of phi^k(c) are its own.  The tables are read
 off two structures built once over these windows: C(n) from a
 generalized suffix automaton (Blumer et al. 1985), whose state s holds the
 strings of the lengths in (len(link(s)), len(s)], and the palindromes from a
@@ -39,12 +42,23 @@ from .substitution import (Substitution, _next_images, letter,
                            quadratic_substitution)
 
 _SEPARATOR = " "  # between the windows; no letter of u
+# the most window letters the automaton or the eertree reads, at about 150
+# bytes a letter; (39, 1) at n = 10^5 + 4 reads 7.9 million
+MAX_WINDOW_LETTERS = 10 ** 7
 
 
 def _length(n: int) -> int:
     if n < 0:
         raise InvalidInputError("factor length must be nonnegative")
     return n
+
+
+def _text(windows: list[str]) -> str:
+    """The windows joined into one text, checked against the bound first."""
+    if sum(map(len, windows)) > MAX_WINDOW_LETTERS:
+        raise InvalidInputError(
+            f"the windows are past the bound of {MAX_WINDOW_LETTERS} letters")
+    return _SEPARATOR + _SEPARATOR.join(windows)
 
 
 class FactorLanguage:
@@ -74,28 +88,24 @@ class FactorLanguage:
             grows |= {c for c in letters if phi[c] in grows}
         if grows != letters:
             raise InvalidInputError("a letter's image never grows")
-        # phi^k(c) and phi^(k-1)(c), each letter c of u, from k = 1
-        self._images = {c: phi[c] for c in letters}
-        self._previous = {c: c for c in letters}
-
-    def _grow(self, n: int) -> None:
-        """Raise k until every block phi^k(c) has at least n letters."""
-        while min(map(len, self._images.values())) < n:
-            self._previous, self._images = self._images, _next_images(
-                self._phi, self._images)
+        # phi^(k-1)(c), each letter c of u, from k = 1
+        self._images = {c: c for c in letters}
 
     def _windows(self, n: int) -> list[str]:
-        """The junction windows for length n, each block from its last r
-        copies of A on: every factor of length at most n lies inside one."""
-        self._grow(n)
-        images, cut, blocks = self._images, max(n - 1, 0), []
+        """The junction windows for length n, joined from phi^(k-1) once
+        every block phi^k(c) has n letters: each factor up to n lies in one."""
+        phi, cut = self._phi, max(n - 1, 0)
+        while min(sum(phi[c].count(d) * len(word) for d, word in self._images.items())
+                  for c in self._images) < n:
+            self._images = _next_images(phi, self._images)
+        images, blocks = self._images, {}
         for c in sorted(images):
-            image = self._phi[c]
+            image = phi[c]
             run = len(image) - len(image.lstrip(image[0]))  # t
-            size = len(self._previous[image[0]])  # |A|; -cut // size = -ceil(cut/|A|)
-            blocks.append(images[c][max(run - 1 + -cut // size, 0) * size:])
-        return blocks + [images[x][len(images[x]) - cut:] + images[y][:cut]
-                         for x, y in sorted(self.two_factors)]
+            size = len(images[image[0]])  # |A|; -cut // size = -ceil(cut/|A|)
+            blocks[c] = "".join(images[d] for d in image[max(run - 1 + -cut // size, 0):])
+        return [*blocks.values()] + [blocks[x][len(blocks[x]) - cut:] + blocks[y][:cut]
+                                     for x, y in sorted(self.two_factors)]
 
     def _automaton(self, n: int) -> tuple:
         """Generalized suffix automaton of the junction windows for n: the
@@ -103,7 +113,7 @@ class FactorLanguage:
         suffix link (-1 at the root, state 0), its edges (column c holds the
         target by c, or -1) and where in the text an occurrence ends."""
         from array import array  # off the import path of every command
-        text = _SEPARATOR + _SEPARATOR.join(self._windows(n))
+        text = _text(self._windows(n))
         edges = {c: [-1] for c in self._images}
         columns = list(edges.values())
         length, link, ends, last = [0], [-1], array("l", [0]), 0
@@ -167,7 +177,7 @@ class FactorLanguage:
         exactly the palindromic factors of u up to that length."""
         # text[0] and the separators match no letter, so no palindrome
         # reaches from one window into the next
-        text = _SEPARATOR + _SEPARATOR.join(self._windows(n))
+        text = _text(self._windows(n))
         edges = {c: [-1, -1] for c in self._images}
         columns = list(edges.values())
         length, link, ends, last = [-1, 0], [0, 0], [0, 0], 1

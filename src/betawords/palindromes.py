@@ -187,14 +187,14 @@ def palindromic_complexity(
         raise UnsupportedVariantError(
             "closed-form palindromic complexity needs quadratic parameters"
         )
-    # one maximal palindrome at each |U^(k)|, mark -1, and one with two
-    # extensions at each |V^(k)|, mark +1; read in the rows, since a
-    # generator of count tuples costs a 5000-row table a tenth more
-    marks = _tower_marks(subject, n_max)
+    if n_max < 0:
+        raise InvalidInputError("factor length must be nonnegative")
+    # P(n+2) - P(n) is +1 at |V^(k)| (two extensions), -1 at |U^(k)| (maximal)
+    p = closed_form_p(subject, n_max + 2)
     return Table(fields, [
-        {"n": n, "P": p, "maximal_count": 1 if mark < 0 else 0,
-         "two_ext_count": 1 if mark > 0 else 0, "source": mode}
-        for n, (p, mark) in enumerate(zip(closed_form_p(subject, n_max), marks))])
+        {"n": n, "P": now, "maximal_count": 1 if later < now else 0,
+         "two_ext_count": 1 if later > now else 0, "source": mode}
+        for n, (now, later) in enumerate(zip(p, p[2:]))])
 
 
 # ---------------------------------------------------------------------------

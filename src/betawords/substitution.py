@@ -90,16 +90,16 @@ def parry_substitution(renyi: RenyiExpansion) -> Substitution:
 
 def _next_images(phi: dict[str, str], images: dict[str, str],
                  room: int | None = None) -> dict[str, str] | None:
-    """The images phi^(k+1)(c), each joined from the phi^k(d) in `images`,
-    which maps each letter c to phi^k(c); or None if one of them would have
-    more than `room` letters.  Their sizes are read off letter counts first,
-    and one past MAX_IMAGE_LETTERS is an error."""
+    """The images phi^(k+1)(c), each phi(c) with every letter d replaced by
+    phi^k(d) from `images` in one pass in C (str.translate); or None if one
+    of them would have more than `room` letters.  Their sizes are read off
+    letter counts first, and one past MAX_IMAGE_LETTERS is an error."""
     size = max(sum(phi[c].count(d) * len(word) for d, word in images.items())
                for c in images)
     if room is not None and size > room:
         return None
     _check_image_letters(size)
-    return {c: "".join(images[d] for d in phi[c]) for c in images}
+    return {c: phi[c].translate(str.maketrans(images)) for c in images}
 
 
 def fixed_point_prefix(substitution: Substitution, length: int) -> str:

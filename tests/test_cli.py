@@ -278,6 +278,22 @@ class TestPalindromes:
         assert [(s["verified"], s["materialized"])
                 for s in json.loads(result.stdout)["branches"]] == [(False, 0)]
 
+    def test_large_a_builds_no_whole_block(self):
+        # the branch words, up to the default budget of 2000 letters, need
+        # blocks phi^3(c); phi^3(0) has about 1.25 * 10^8 letters, past the
+        # image bound, but the windows are joined from phi^2
+        result = cli("palindromes", "--a", "500", "--b", "1", "--n", "2",
+                     preexec_fn=limit_address_space)
+        assert (result.returncode, result.stderr) == (0, "")
+
+    def test_largest_branch_budget_at_a_15(self):
+        result = cli("palindromes", "--a", "15", "--b", "1", "--n", "5",
+                     "--branch-budget", "10000000", "--format", "json",
+                     preexec_fn=limit_address_space)
+        assert (result.returncode, result.stderr) == (0, "")
+        branches = json.loads(result.stdout)["branches"]
+        assert branches and all(s["verified"] for s in branches)
+
 
 class TestParryCheck:
     def test_valid(self):
@@ -534,14 +550,19 @@ def test_help_lists_every_command_and_option(monkeypatch, capsys):
     # purely periodic digits: sigma^p(t) = t, so they fail the Parry criterion
     ["beta-integers", "--digits", "(3 1)"],
     ["word", "--digits", "(2 1)"],
-    # images past MAX_IMAGE_LETTERS: phi^2(0) has about 10^10 letters, and
-    # phi(0) 10^10 + 1
-    ["analyze", "--a", "100000", "--b", "1", "--n-max", "3"],
+    # images past MAX_IMAGE_LETTERS: the windows for n = 30003 are joined
+    # from phi^2, and phi^2(0) has about 4 * 10^8 letters; phi(0) has 10^10 + 1
+    ["analyze", "--a", "20000", "--b", "1", "--n-max", "30000"],
     ["word", "--digits", "10000000000 (1)", "--length", "5"],
     # an image size past Python's 4300-digit limit on int-to-str conversion,
     # which the message of the image bound must not format
     ["word", "--a", "9" * 4300, "--b", "1", "--length", "3"],
     ["analyze", "--a", "9" * 4300, "--b", "1"],
+    # windows past MAX_WINDOW_LETTERS: each holds copies of phi^(k-1)(0),
+    # 27 million letters at (300, 1) for n = 10^5 + 3 and 25 million at
+    # (5000, 1) for n = 5004, for the automaton and the eertree
+    ["analyze", "--a", "300", "--b", "1", "--n-max", "100000"],
+    ["palindromes", "--a", "5000", "--b", "1", "--n", "5002"],
 ])
 def test_outside_input_exits_2_without_traceback(argv):
     result = cli(*argv, preexec_fn=limit_address_space)

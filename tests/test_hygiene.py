@@ -222,8 +222,8 @@ def test_only_the_language_module_reads_the_oracle_insides(path):
 
 
 def test_check_catches_a_read_of_the_oracle_insides():
-    assert {"_automaton", "_eertree", "_windows", "_grow", "_phi", "_images",
-            "_previous"} <= oracle_private_names()
+    assert {"_automaton", "_eertree", "_windows", "_phi", "_images"
+            } <= oracle_private_names()
     source = ("from .language import _SEPARATOR, FactorLanguage, _length\n"
               "from .substitution import _next_images\n\n\n"
               "def f(lang: FactorLanguage, n):\n"

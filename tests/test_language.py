@@ -129,28 +129,34 @@ def test_contains_matches_factor_sets(subject):
 
 
 class WholeBlocks(FactorLanguage):
-    """The oracle with each whole block phi^k(c) in its windows, the
-    reference for the blocks cut to a suffix."""
+    """The oracle with each whole block phi^k(c) in its windows, joined from
+    the images phi^(k-1): the reference for the blocks cut to a suffix."""
 
     def _windows(self, n):
-        self._grow(n)
+        super()._windows(n)  # grows the images phi^(k-1) for n
         images, cut = self._images, max(n - 1, 0)
-        return [images[c] for c in sorted(images)] + [
-            images[x][len(images[x]) - cut:] + images[y][:cut]
+        whole = {c: "".join(images[d] for d in self._phi[c]) for c in sorted(images)}
+        return [*whole.values()] + [
+            whole[x][len(whole[x]) - cut:] + whole[y][:cut]
             for x, y in sorted(self.two_factors)]
 
 
-# every (a, b) with a <= 12, the Sturmian b = a - 1 included, and expansions
-# whose images start with runs of other lengths (t = 0 and t = 1 included)
+# every (a, b) with a <= 12, the Sturmian b = a - 1 included, expansions
+# whose images start with runs of other lengths (t = 0 and t = 1 included),
+# and two with large a
 CUT_SUBJECTS = [f"{a},{b}" for a in range(2, 13) for b in range(1, a)] \
-    + ["3 1 (2)", "3 (2 1)", "4 1 1 (2 1)", "3 0 0 (0 1)"]
+    + ["3 1 (2)", "3 (2 1)", "4 1 1 (2 1)", "3 0 0 (0 1)", "200,1", "60,7"]
+# at large a, n one past a block size |phi^k(c)|, where A = phi^(k-1)(0) is
+# far longer than n; at (200, 1), n = 201 is the last whose palindromes, read
+# at n + 2, keep the whole blocks phi^2(c) of 40,405 letters
+CUT_LENGTHS = {"200,1": (3, 201), "60,7": (9, 62, 436)}
 
 
 @pytest.mark.parametrize("subject", CUT_SUBJECTS)
 def test_cut_blocks_read_as_whole_blocks(subject):
     sub = substitution_of(subject)
     cut, whole = FactorLanguage(sub), WholeBlocks(sub)
-    for n in (1, 2, 3, 5, 13, 40, 121, 500):
+    for n in CUT_LENGTHS.get(subject, (1, 2, 3, 5, 13, 40, 121, 500)):
         assert cut.complexities(n) == whole.complexities(n), n
         assert cut.palindrome_counts(n) == whole.palindrome_counts(n), n
         words = sorted(factors(cut, n))
