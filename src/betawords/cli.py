@@ -52,8 +52,8 @@ MAX_FACTOR_LENGTH = 10 ** 5
 MAX_TABLE_LENGTH = 10 ** 5
 # --length of word: about 0.1 s and 43 MB, whatever the images' sizes
 MAX_WORD_LENGTH = 10 ** 7
-# --branch-budget of palindromes: 0.3 s and 116 MB at (6, 1), at most 361 MB
-# over a <= 15; at (14, 1) the images of the windows pass the image bound
+# --branch-budget of palindromes: the words are found in one prefix of u, 0.1 s
+# and 28 MB at (6, 1), at most 0.2 s and 52 MB over a <= 15
 MAX_BRANCH_BUDGET = 10 ** 7
 # --count of beta-integers: about 2.5 s and 133 MB, since every value is held
 # until all print
@@ -486,7 +486,7 @@ def palindromes(a, b, n, branch_budget, fmt):
     lines += [f"  {r.word}  center={r.center} ext={''.join(sorted(r.extensions)) or '-'}"
               for r in records]
     if not params.is_sturmian:
-        branches = infinite_branches(params, branch_budget, lang)
+        branches = infinite_branches(params, branch_budget)
         payload["branches"] = [
             {"center": s.center, "generator": list(s.generator),
              "verified": s.verified,

@@ -27,8 +27,7 @@ palindrome with an edge by z to z w z.
 
 Both keep where an occurrence of each state or node ends, and only this
 module reads them: the left specials and `reversal_closure_probe` read the
-automaton, and `palindrome_extensions` the eertree.  `contains(w)` searches
-the windows for |w|: the windows are the one text.
+automaton, and `palindrome_extensions` the eertree.
 """
 
 from __future__ import annotations
@@ -43,8 +42,10 @@ from .substitution import (Substitution, _next_images, letter,
 
 _SEPARATOR = " "  # between the windows; no letter of u
 # the most window letters the automaton or the eertree reads, at about 150
-# bytes a letter; (39, 1) at n = 10^5 + 4 reads 7.9 million
+# bytes a letter; (39, 1) at n = 10^5 + 4 reads 7.9 million.  Every image
+# lies in a window, so the images grow under the same bound
 MAX_WINDOW_LETTERS = 10 ** 7
+_PAST_BOUND = f"the windows are past the bound of {MAX_WINDOW_LETTERS} letters"
 
 
 def _length(n: int) -> int:
@@ -56,8 +57,7 @@ def _length(n: int) -> int:
 def _text(windows: list[str]) -> str:
     """The windows joined into one text, checked against the bound first."""
     if sum(map(len, windows)) > MAX_WINDOW_LETTERS:
-        raise InvalidInputError(
-            f"the windows are past the bound of {MAX_WINDOW_LETTERS} letters")
+        raise InvalidInputError(_PAST_BOUND)
     return _SEPARATOR + _SEPARATOR.join(windows)
 
 
@@ -92,12 +92,14 @@ class FactorLanguage:
         self._images = {c: c for c in letters}
 
     def _windows(self, n: int) -> list[str]:
-        """The junction windows for length n, joined from phi^(k-1) once
+        """Junction windows for n from phi^(k-1), grown under the bound until
         every block phi^k(c) has n letters: each factor up to n lies in one."""
         phi, cut = self._phi, max(n - 1, 0)
         while min(sum(phi[c].count(d) * len(word) for d, word in self._images.items())
                   for c in self._images) < n:
-            self._images = _next_images(phi, self._images)
+            if (grown := _next_images(phi, self._images, MAX_WINDOW_LETTERS)) is None:
+                raise InvalidInputError(_PAST_BOUND)
+            self._images = grown
         images, blocks = self._images, {}
         for c in sorted(images):
             image = phi[c]
@@ -228,10 +230,6 @@ class FactorLanguage:
         return {text[end + 1 - n : end + 1]:
                 frozenset(z for z, column in columns if column[node] >= 0)
                 for node, (size, end) in enumerate(zip(length, ends)) if size == n}
-
-    def contains(self, word: str) -> bool:
-        """Membership: a substring search in the windows for len(word)."""
-        return any(word in piece for piece in self._windows(len(word)))
 
     def left_special_factors(self, n: int) -> set[str]:
         """Factors of length n with at least two left extensions: in the

@@ -2,7 +2,8 @@
 
 Covers the palindromic factors, as records of the words and extensions
 that the oracle `language.FactorLanguage` reads off its eertree, centers,
-infinite palindromic branches, and the closed-form palindromic complexity.
+infinite palindromic branches, witnessed where they occur in the fixed
+point, and the closed-form palindromic complexity.
 The tower centers, the step d with V^(n) central in V^(n+d) and the branch
 plan all follow from one lemma, `center_evolution`: the center of T(p)
 from the center of p.  P(n+2) - P(n) is the tower mark of n in
@@ -21,7 +22,7 @@ from .beta_numeration import QuadraticParams, _Frozen
 from .complexity import Table, _tower_marks, t_orbit
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
 from .language import FactorLanguage, language_of
-from .substitution import Substitution
+from .substitution import Substitution, fixed_point_prefix, quadratic_substitution
 
 EPSILON = "e"  # center marker for even-length palindromes
 
@@ -112,38 +113,44 @@ class BranchSpec:
 
 
 def infinite_branches(params: QuadraticParams,
-                      length_budget: int = 10 ** 4,
-                      lang: FactorLanguage | None = None) -> list[BranchSpec]:
-    """Branch specs for the applicable parity case, membership-verified.
+                      length_budget: int = 10 ** 4) -> list[BranchSpec]:
+    """Branch specs for the applicable parity case, each word witnessed in u.
 
     Central factors are materialized while their length is within the
-    budget, each tower once per call, and each is checked to be a
-    palindromic factor, in `lang`, the language of the parameters'
-    substitution, or a new one, with the declared center and a central
-    factor of its successor.  A branch with no central factor within the
-    budget is not verified.
+    budget, each tower once per call.  Each is checked to be a palindrome
+    with the declared center, a central factor of its successor and a
+    factor, where it occurs in u: u = phi(u), and both images start with 0^b
+    and end with 0^b 1, so w at p >= 1 puts T(w) at |phi(u[:p])| - b - 1.
+    A branch with no central factor within the budget is not verified.
     """
     if params.is_sturmian:
         raise UnsupportedVariantError("branch analysis requires a-1 > b")
     if length_budget < 0:
         raise InvalidInputError("length budget must be >= 0")
-    lang = language_of(params) if lang is None else lang
-    v_tower = list(t_orbit("0" * params.b, params, length_budget))
+    towers = [list(t_orbit("0" * params.b, params, length_budget))]
+    if params.a % 2 == 1 and params.b % 2 == 0:  # the W tower
+        towers.append(list(t_orbit("0", params, length_budget)))
+    # V^(1) = 0^b and W^(1) = 0 sit at 1, so the k-th word of either tower
+    # sits at z + o, the letters of u before it: phi(u[:p]) less its 0^b 1
+    places, z, o = [], 1, 0
+    while len(places) < max(map(len, towers)):
+        places.append(z + o)
+        z, o = params.a * z + params.b * (o - 1), z + o - 1
     cycle = _v_centers(params)
-    # V^(c*k+o) for k >= 1, c = len(cycle), is v_tower[c + o - 1 :: c]
+    # V^(c*k+o) for k >= 1, c = len(cycle), is towers[0][c + o - 1 :: c]
     plan = [(center, ("V", len(cycle), i + 1 - len(cycle)),
-             v_tower[i :: len(cycle)]) for i, center in enumerate(cycle)]
-    if params.a % 2 == 1 and params.b % 2 == 0:
-        plan.append(("0", ("W",), list(t_orbit("0", params, length_budget))))
-    specs = []
-    for center, generator, factors in plan:
-        ok = bool(factors) and all(
-            is_palindrome(w) and center_of(w) == center and lang.contains(w)
-            and (i == 0 or is_central_factor(factors[i - 1], w))
-            for i, w in enumerate(factors))
-        specs.append(BranchSpec(center=center, generator=generator,
-                                central_factors=factors, verified=ok))
-    return specs
+             towers[0][i :: len(cycle)], places[i :: len(cycle)])
+            for i, center in enumerate(cycle)]
+    plan += [("0", ("W",), tower, places) for tower in towers[1:]]
+    u = fixed_point_prefix(quadratic_substitution(params), max(
+        (p + len(w) for tower in towers for w, p in zip(tower, places)), default=0))
+    return [BranchSpec(center=center, generator=generator, central_factors=factors,
+                       verified=bool(factors) and all(
+                           is_palindrome(w) and center_of(w) == center
+                           and u.startswith(w, p)
+                           and (i == 0 or is_central_factor(factors[i - 1], w))
+                           for i, (w, p) in enumerate(zip(factors, at))))
+            for center, generator, factors, at in plan]
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,9 @@ from .beta_numeration import (QuadraticParams, RenyiExpansion, _Frozen,
 from .errors import InvalidInputError, UnsupportedVariantError
 
 
-# The most letters of one image phi^k(c) that the package builds, checked
-# from letter counts before the image is joined: 10^8 letters take 100 MB
+# The most letters of an image phi(c) of a Parry substitution, checked on
+# the digits before it is built: 10^8 letters take 100 MB
 MAX_IMAGE_LETTERS = 10 ** 8
-
-
-def _check_image_letters(letters: int) -> int:
-    if letters > MAX_IMAGE_LETTERS:
-        # the size may pass Python's 4300-digit limit on int-to-str
-        raise InvalidInputError(
-            f"an image is past the bound of {MAX_IMAGE_LETTERS} letters")
-    return letters
 
 
 def letter(index: int) -> str:
@@ -82,23 +74,26 @@ def parry_substitution(renyi: RenyiExpansion) -> Substitution:
             "simple Parry expansions have a different canonical substitution"
         )
     k = renyi.m + renyi.p
-    # each image checked against the bound, then built in one allocation
-    images = [letter(j if j < k else renyi.m).rjust(
-        _check_image_letters(renyi.digit(j) + 1), "0") for j in range(1, k + 1)]
+    # each image checked against the bound, then built in one allocation; the
+    # message names no digit, which may pass Python's limit on int-to-str
+    digits = renyi.digits(k)
+    if max(digits) >= MAX_IMAGE_LETTERS:
+        raise InvalidInputError(
+            f"an image is past the bound of {MAX_IMAGE_LETTERS} letters")
+    images = [letter(j if j < k else renyi.m).rjust(t + 1, "0")
+              for j, t in enumerate(digits, start=1)]
     return Substitution(tuple(images))
 
 
 def _next_images(phi: dict[str, str], images: dict[str, str],
-                 room: int | None = None) -> dict[str, str] | None:
+                 room: int) -> dict[str, str] | None:
     """The images phi^(k+1)(c), each phi(c) with every letter d replaced by
     phi^k(d) from `images` in one pass in C (str.translate); or None if one
-    of them would have more than `room` letters.  Their sizes are read off
-    letter counts first, and one past MAX_IMAGE_LETTERS is an error."""
-    size = max(sum(phi[c].count(d) * len(word) for d, word in images.items())
-               for c in images)
-    if room is not None and size > room:
+    of them would have more than `room` letters, read off letter counts
+    before any is built."""
+    if max(sum(phi[c].count(d) * len(word) for d, word in images.items())
+           for c in images) > room:
         return None
-    _check_image_letters(size)
     return {c: phi[c].translate(str.maketrans(images)) for c in images}
 
 

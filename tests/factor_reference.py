@@ -3,11 +3,12 @@
 These are the readers the package used before every per-length question
 read the suffix automaton: the set of length-n factors as the length-n
 substrings of the junction windows for n, C(n) as its size, the left
-special factors from the set for n + 1, and the reversal-closure probe
-that checks each factor set against its reversals.  No command calls them;
-tests compare the automaton readers with them, and use the factor sets
-where they need every factor of one length.  `factors` reads the windows
-themselves, so the tests that compare it with prefix scans check the
+special factors from the set for n + 1, the reversal-closure probe that
+checks each factor set against its reversals, and membership, a substring
+search in the windows for the word's length.  No command calls them; tests
+compare the automaton readers with them, and use the factor sets where they
+need every factor of one length.  `factors` and `contains` read the windows
+themselves, so the tests that compare them with prefix scans check the
 window cover as well.
 """
 
@@ -25,6 +26,11 @@ def factors(lang: FactorLanguage, n: int) -> frozenset[str]:
         raise InvalidInputError("factor length must be nonnegative")
     return frozenset(piece[i : i + n] for piece in lang._windows(n)
                      for i in range(len(piece) - n + 1))
+
+
+def contains(lang: FactorLanguage, word: str) -> bool:
+    """Membership: a substring search in the junction windows for len(word)."""
+    return any(word in piece for piece in lang._windows(len(word)))
 
 
 def complexity(lang: FactorLanguage, n: int) -> int:

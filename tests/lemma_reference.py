@@ -17,6 +17,8 @@ with `substitution.fixed_point_prefix`, builds T-images with
 
 from __future__ import annotations
 
+from factor_reference import contains
+
 from betawords.beta_numeration import QuadraticParams, _Frozen
 from betawords.complexity import tower_intervals, uv_tower
 from betawords.errors import InvalidInputError, UnsupportedVariantError
@@ -55,10 +57,10 @@ def palindromic_extensions(word: str, lang: FactorLanguage) -> frozenset[str]:
     """Letters z with z word z in the language."""
     if not is_palindrome(word):
         raise InvalidInputError(f"{word!r} is not a palindrome")
-    if not lang.contains(word):
+    if not contains(lang, word):
         raise InvalidInputError(f"{word!r} is not a factor")
     return frozenset(
-        z for z in ("0", "1") if lang.contains(z + word + z)
+        z for z in ("0", "1") if contains(lang, z + word + z)
     )
 
 
@@ -69,7 +71,7 @@ def t_map_palindrome_check(word: str, params: QuadraticParams,
     For any factor p: p is a palindrome iff T(p) is, and both have the same
     palindromic-extension set.
     """
-    if not lang.contains(word):
+    if not contains(lang, word):
         raise InvalidInputError(f"{word!r} is not a factor")
     image = t_map(word, params)
     report = {

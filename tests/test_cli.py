@@ -32,10 +32,11 @@ def cli(*args, preexec_fn=None):
     )
 
 
-def limit_address_space():
-    """In the child: at most 800 MB of address space, so that a command that
-    builds a huge word fails at once instead of using up the host's memory."""
-    resource.setrlimit(resource.RLIMIT_AS, (800 * 2 ** 20,) * 2)
+def limit_address_space(megabytes=800):
+    """In the child: at most 800 MB of address space, or `megabytes`, so that
+    a command that builds a huge word fails at once instead of using up the
+    host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (megabytes * 2 ** 20,) * 2)
 
 
 class TestAnalyze:
@@ -90,6 +91,15 @@ class TestAnalyze:
         second = cli("analyze", "--a", "4", "--b", "1", "--n-max", "15",
                      "--format", "json")
         assert first.stdout == second.stdout
+
+    def test_images_past_the_window_bound_are_never_built(self):
+        # phi^2(0) of (9999, 1) has about 10^8 letters: the oracle refuses it
+        # from letter counts, where joining the windows first took 400 MB
+        result = cli("analyze", "--a", "9999", "--b", "1", "--n-max", "10000",
+                     preexec_fn=lambda: limit_address_space(256))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "the windows are past the bound" in result.stderr
 
 
 class TestVerify:
@@ -279,15 +289,19 @@ class TestPalindromes:
                 for s in json.loads(result.stdout)["branches"]] == [(False, 0)]
 
     def test_large_a_builds_no_whole_block(self):
-        # the branch words, up to the default budget of 2000 letters, need
-        # blocks phi^3(c); phi^3(0) has about 1.25 * 10^8 letters, past the
-        # image bound, but the windows are joined from phi^2
+        # the palindromes of length 2, read at n + 2 = 4, need blocks
+        # phi^2(c), joined from phi(c); the branch words, up to the default
+        # budget of 2000 letters, are found in a prefix of u, with no windows
         result = cli("palindromes", "--a", "500", "--b", "1", "--n", "2",
                      preexec_fn=limit_address_space)
         assert (result.returncode, result.stderr) == (0, "")
 
-    def test_largest_branch_budget_at_a_15(self):
-        result = cli("palindromes", "--a", "15", "--b", "1", "--n", "5",
+    # searched in the windows for their lengths, the branch words at (14, 1)
+    # needed an image phi^(k-1)(0) past 10^8 letters; each is now found where
+    # it occurs in one prefix of u
+    @pytest.mark.parametrize("a", [14, 15])
+    def test_largest_branch_budget(self, a):
+        result = cli("palindromes", "--a", str(a), "--b", "1", "--n", "5",
                      "--branch-budget", "10000000", "--format", "json",
                      preexec_fn=limit_address_space)
         assert (result.returncode, result.stderr) == (0, "")
@@ -550,9 +564,10 @@ def test_help_lists_every_command_and_option(monkeypatch, capsys):
     # purely periodic digits: sigma^p(t) = t, so they fail the Parry criterion
     ["beta-integers", "--digits", "(3 1)"],
     ["word", "--digits", "(2 1)"],
-    # images past MAX_IMAGE_LETTERS: the windows for n = 30003 are joined
-    # from phi^2, and phi^2(0) has about 4 * 10^8 letters; phi(0) has 10^10 + 1
+    # the windows for n = 30003 are joined from phi^2, and phi^2(0) has about
+    # 4 * 10^8 letters, past MAX_WINDOW_LETTERS, so it is never built
     ["analyze", "--a", "20000", "--b", "1", "--n-max", "30000"],
+    # phi(0) has 10^10 + 1 letters, past MAX_IMAGE_LETTERS
     ["word", "--digits", "10000000000 (1)", "--length", "5"],
     # an image size past Python's 4300-digit limit on int-to-str conversion,
     # which the message of the image bound must not format

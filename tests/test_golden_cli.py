@@ -45,6 +45,10 @@ GOLDEN = [
     (["analyze", "--a", "3", "--b", "3"], 2,
      EMPTY,
      "2a9f919faf3a2a59d816006ba3e3183f65eed2613f0bbc62d118f7ccc1334280"),
+    # the window bound, reached from the images' letter counts
+    (["analyze", "--a", "300", "--b", "1", "--n-max", "100000"], 2,
+     EMPTY,
+     "26e2673817c0b4293177ecb110934b555d1ceb61a4c60e53ce4b4af4838bb9bc"),
     (["verify", "--a-max", "4", "--n-max", "30"], 0,
      "b43774af86de8874d73df9c2cd83b0d95c9c1e2ed12e844dba5f11c57cbaca32",
      EMPTY),

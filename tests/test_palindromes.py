@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from factor_reference import complexity, factors
+from factor_reference import complexity, contains, factors
 from lemma_reference import (PARITY_CASES, classify_tower_centers,
                              clause_ranges, palindromic_extensions,
                              parity_table_p, t_map, t_map_palindrome_check)
 
+import betawords.palindromes as palindromes_module
 from betawords import (
     EPSILON,
     FactorLanguage,
@@ -20,15 +21,18 @@ from betawords import (
     closed_form_p,
     factor_complexity,
     infinite_branches,
+    is_palindrome,
     palindromes_of_length,
     palindromic_complexity,
     parry_substitution,
     quadratic_substitution,
     reversal_closure_probe,
+    t_orbit,
     tower_intervals,
     uv_tower,
     verify_identities,
 )
+from betawords.palindromes import is_central_factor
 
 P31 = QuadraticParams(3, 1)
 
@@ -253,6 +257,53 @@ class TestBranches:
         with pytest.raises(InvalidInputError):
             infinite_branches(P31, -1)
 
+    @pytest.mark.parametrize("a,b", [(3, 1), (5, 2)])
+    def test_branches_build_no_factor_language(self, monkeypatch, a, b):
+        built = []
+        real = FactorLanguage.__init__
+        monkeypatch.setattr(FactorLanguage, "__init__",
+                            lambda self, *args: built.append(args) or real(self, *args))
+        specs = infinite_branches(QuadraticParams(a, b), 2000)
+        assert specs and all(s.verified for s in specs)
+        assert built == []
+
+    def test_word_that_is_no_factor_fails_its_branch(self, monkeypatch):
+        # the longest V word of (3, 1) with its first and last letters
+        # flipped: still a palindrome with center 0 and the word before it at
+        # its center, but it starts with 11, so it is no factor
+        def flipped(word, params, cap):
+            words = list(t_orbit(word, params, cap))
+            words[-1] = "1" + words[-1][1:-1] + "1"
+            return iter(words)
+
+        monkeypatch.setattr(palindromes_module, "t_orbit", flipped)
+        [spec] = infinite_branches(P31, 2000)
+        *_, before, w = spec.central_factors
+        assert w.startswith("11") and is_palindrome(w) and center_of(w) == "0"
+        assert is_central_factor(before, w)
+        assert not contains(FactorLanguage(quadratic_substitution(P31)), w)
+        assert not spec.verified
+
+    @pytest.mark.parametrize("a,b", [(5, 2), (7, 2)])
+    def test_w_branch_kept_at_budget_zero(self, a, b):
+        specs = infinite_branches(QuadraticParams(a, b), 0)
+        assert [s.generator[0] for s in specs] == ["V", "V", "W"]
+        assert not any(s.verified or s.central_factors for s in specs)
+
+    @pytest.mark.parametrize("a", range(3, 13))
+    def test_verified_equals_membership_reference(self, a):
+        for b in range(1, a - 1):
+            params = QuadraticParams(a, b)
+            lang = FactorLanguage(quadratic_substitution(params))
+            for budget in (0, 2, 2000):
+                for spec in infinite_branches(params, budget):
+                    words = spec.central_factors
+                    assert spec.verified == (bool(words) and all(
+                        is_palindrome(w) and center_of(w) == spec.center
+                        and contains(lang, w)
+                        and (i == 0 or is_central_factor(words[i - 1], w))
+                        for i, w in enumerate(words))), (a, b, budget)
+
 
 class TestReversalClosure:
     def test_quadratic_closed(self):
@@ -265,7 +316,7 @@ class TestReversalClosure:
         assert probe["witness"] is not None
         lang = FactorLanguage(sub)
         w = probe["witness"]
-        assert lang.contains(w) and not lang.contains(w[::-1])
+        assert contains(lang, w) and not contains(lang, w[::-1])
 
     def test_palindromes_die_out_for_three_letters(self):
         sub = parry_substitution(RenyiExpansion((2, 1), (1,)))
