@@ -383,7 +383,7 @@ def verify(a_max, n_max, digits, fmt):
     """Run the invariant suite over the (a, b) grid, or probe one expansion."""
     if digits is not None:
         lang = language_of(parry_substitution(digits))
-        # where the images grow slowly, windows past 60 have no cost bound
+        # slow-growing digits at the largest --n-max pass the window bound
         window = min(n_max, 60)
         probe = reversal_closure_probe(lang, window)
         pal = palindromic_complexity(lang, window).column("P")

@@ -9,21 +9,23 @@ min_c |phi^k(c)|, with no heuristic and no stabilization check.
 
 A factor of length at most n lies inside one block phi^k(c) or crosses one
 junction, with at most n-1 letters on each side.  So the junction windows
-for n, which are the blocks phi^k(c) and, for each xy in L2, the last n-1
-letters of phi^k(x) followed by the first n-1 of phi^k(y), hold every
-factor up to length n, and all their substrings are factors.  A block needs
-only a suffix: if phi(c) = x^t v, then phi^k(c) = A^t phi^(k-1)(v) with
+for n, the blocks phi^k(c) and, for each xy in L2, the last n-1 letters of
+phi^k(x) followed by the first n-1 of phi^k(y), hold every factor up to
+length n, and all their substrings are factors.  A block needs only a
+suffix: if phi(c) = x^t v, then phi^k(c) = A^t phi^(k-1)(v) with
 A = phi^(k-1)(x), and a factor of at most n letters that starts before the
 last r = min(t, 1 + ceil((n-1)/|A|)) copies of A recurs |A| letters on, so
-the block's window is its suffix A^r phi^(k-1)(v).  Every window is joined
-from the images phi^(k-1)(d), and no block phi^k(c) is built whole: a block
-window starts with ceil((n-1)/|A|) copies of A or more, or is the whole
-block, so the first n-1 letters of phi^k(c) are its own.  The tables are read
-off two structures built once over these windows: C(n) from a
-generalized suffix automaton (Blumer et al. 1985), whose state s holds the
-strings of the lengths in (len(link(s)), len(s)], and the palindromes from a
-generalized eertree (Rubinchik & Shur 2015), one node per distinct
-palindrome with an edge by z to z w z.
+the block's window is its suffix A^r phi^(k-1)(v).  It starts with
+ceil((n-1)/|A|) copies of A or more, or is the whole block, so the first
+n-1 letters of phi^k(c) are its own and a junction has 2(n-1) letters.  So
+the window letters are counted off the sizes |phi^(k-1)(d)| and checked
+against the bound before any image grows; then every window is joined
+from the images phi^(k-1)(d), with no block phi^k(c) built whole.  The
+tables are read off two structures built once over these windows: C(n)
+from a generalized suffix automaton (Blumer et al. 1985), whose state s
+holds the strings of the lengths in (len(link(s)), len(s)], and the
+palindromes from a generalized eertree (Rubinchik & Shur 2015), one node
+per distinct palindrome with an edge by z to z w z.
 
 Both keep where an occurrence of each state or node ends, and only this
 module reads them: the left specials and `reversal_closure_probe` read the
@@ -37,13 +39,13 @@ from itertools import accumulate
 
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError
-from .substitution import (Substitution, _next_images, letter,
+from .substitution import (Substitution, _next_images, _next_sizes, letter,
                            quadratic_substitution)
 
 _SEPARATOR = " "  # between the windows; no letter of u
 # the most window letters the automaton or the eertree reads, at about 150
-# bytes a letter; (39, 1) at n = 10^5 + 4 reads 7.9 million.  Every image
-# lies in a window, so the images grow under the same bound
+# bytes a letter; (39, 1) at n = 10^5 + 4 reads 7.9 million.  Checked once,
+# on the count, so neither an image nor a window is built past it
 MAX_WINDOW_LETTERS = 10 ** 7
 _PAST_BOUND = f"the windows are past the bound of {MAX_WINDOW_LETTERS} letters"
 
@@ -55,9 +57,7 @@ def _length(n: int) -> int:
 
 
 def _text(windows: list[str]) -> str:
-    """The windows joined into one text, checked against the bound first."""
-    if sum(map(len, windows)) > MAX_WINDOW_LETTERS:
-        raise InvalidInputError(_PAST_BOUND)
+    """The windows joined into one text, each after a separator."""
     return _SEPARATOR + _SEPARATOR.join(windows)
 
 
@@ -89,23 +89,26 @@ class FactorLanguage:
         if grows != letters:
             raise InvalidInputError("a letter's image never grows")
         # phi^(k-1)(c), each letter c of u, from k = 1
-        self._images = {c: c for c in letters}
+        self._images = {c: c for c in sorted(letters)}
 
     def _windows(self, n: int) -> list[str]:
-        """Junction windows for n from phi^(k-1), grown under the bound until
-        every block phi^k(c) has n letters: each factor up to n lies in one."""
+        """Junction windows for n at the first k with every |phi^k(c)| >= n,
+        their letters bounded by count before any image grows or is joined."""
         phi, cut = self._phi, max(n - 1, 0)
-        while min(sum(phi[c].count(d) * len(word) for d, word in self._images.items())
-                  for c in self._images) < n:
-            if (grown := _next_images(phi, self._images, MAX_WINDOW_LETTERS)) is None:
-                raise InvalidInputError(_PAST_BOUND)
-            self._images = grown
-        images, blocks = self._images, {}
-        for c in sorted(images):
+        sizes, levels = {c: len(image) for c, image in self._images.items()}, 0
+        while min((grown := _next_sizes(phi, sizes)).values()) < n:
+            sizes, levels = grown, levels + 1
+        tails = {}  # phi(c) = x^t v from copy t - r = t-1 + -cut // |A| of A, or 0
+        for c in sizes:
             image = phi[c]
             run = len(image) - len(image.lstrip(image[0]))  # t
-            size = len(images[image[0]])  # |A|; -cut // size = -ceil(cut/|A|)
-            blocks[c] = "".join(images[d] for d in image[max(run - 1 + -cut // size, 0):])
+            tails[c] = image[max(run - 1 + -cut // sizes[image[0]], 0):]  # |A|
+        if sum(_next_sizes(tails, sizes).values()) \
+                + 2 * cut * len(self.two_factors) > MAX_WINDOW_LETTERS:
+            raise InvalidInputError(_PAST_BOUND)
+        for _ in range(levels):
+            self._images = _next_images(phi, self._images)
+        blocks = _next_images(tails, self._images)
         return [*blocks.values()] + [blocks[x][len(blocks[x]) - cut:] + blocks[y][:cut]
                                      for x, y in sorted(self.two_factors)]
 
@@ -169,8 +172,7 @@ class FactorLanguage:
         ends = Counter(length[1:])
         return [1, *accumulate(starts[n] - ends[n - 1] for n in range(1, n_max + 1))]
 
-    def _eertree(self, n: int) -> tuple[str, list[int], dict[str, list[int]],
-                                        list[int]]:
+    def _eertree(self, n: int) -> tuple:
         """Generalized eertree of the junction windows for n: the windows
         joined into one text and, per node, the palindrome's length, its
         edges (column z holds the node of z w z, or -1) and the index in the

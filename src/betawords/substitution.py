@@ -85,15 +85,13 @@ def parry_substitution(renyi: RenyiExpansion) -> Substitution:
     return Substitution(tuple(images))
 
 
-def _next_images(phi: dict[str, str], images: dict[str, str],
-                 room: int) -> dict[str, str] | None:
-    """The images phi^(k+1)(c), each phi(c) with every letter d replaced by
-    phi^k(d) from `images` in one pass in C (str.translate); or None if one
-    of them would have more than `room` letters, read off letter counts
-    before any is built."""
-    if max(sum(phi[c].count(d) * len(word) for d, word in images.items())
-           for c in images) > room:
-        return None
+def _next_sizes(phi: dict[str, str], sizes: dict[str, int]) -> dict[str, int]:
+    """|phi^(k+1)(c)| = sum over d of |phi(c)|_d |phi^k(d)|: no image built."""
+    return {c: sum(phi[c].count(d) * s for d, s in sizes.items()) for c in sizes}
+
+
+def _next_images(phi: dict[str, str], images: dict[str, str]) -> dict[str, str]:
+    """phi^(k+1)(c): phi(c) with each d replaced by phi^k(d), by str.translate."""
     return {c: phi[c].translate(str.maketrans(images)) for c in images}
 
 
@@ -103,17 +101,17 @@ def fixed_point_prefix(substitution: Substitution, length: int) -> str:
     u = phi^k(u) for every k, so u is the blocks phi^k(x), one per letter x
     of u in turn, and those letters are read off the blocks already written:
     they are ahead of the reading, since the first block, phi^k(0), has at
-    least two letters.  k is the first level whose phi^k(0) holds
-    the prefix, or else the last whose images all have at most `length`
-    letters (at least 1), so no image is built longer than the prefix and
-    O(length) letters are built in all.
+    least two letters.  k is the first level whose phi^k(0) holds the
+    prefix, or else the last whose images all have at most `length` letters
+    by `_next_sizes` (at least 1), so no image is built longer than the
+    prefix and O(length) letters are built in all.
     """
     if length < 0:
         raise InvalidInputError("length must be nonnegative")
     phi = images = {letter(j): image for j, image in enumerate(substitution.images)}
-    while len(images["0"]) < length and (
-            grown := _next_images(phi, images, length)) is not None:
-        images = grown
+    while len(images["0"]) < length and max(_next_sizes(
+            phi, {c: len(image) for c, image in images.items()}).values()) <= length:
+        images = _next_images(phi, images)
     blocks = [images["0"][:length]]
     # the letters of u after its first, whose block is the first
     size, letters = len(blocks[0]), islice(chain.from_iterable(blocks), 1, None)

@@ -145,8 +145,9 @@ class TestVerify:
         assert len(payload["palindrome_counts"]) == 61
 
     def test_digits_at_the_largest_n_max_stay_in_the_window(self):
-        # the images of 3 0 0 0 (0 1) grow slowly: its oracle for n = 10^5
-        # would read 29 million window letters and pass 1.2 GB
+        # the images of 3 0 0 0 (0 1) grow slowly: its windows for n = 10^5 + 2
+        # hold 29.4 million letters, past the window bound, so a window tied
+        # to --n-max would exit 2 on valid digits
         result = cli("verify", "--digits", "3 0 0 0 (0 1)", "--n-max",
                      str(cli_module.MAX_TABLE_LENGTH), "--format", "json",
                      preexec_fn=limit_address_space)
@@ -583,6 +584,20 @@ def test_outside_input_exits_2_without_traceback(argv):
     result = cli(*argv, preexec_fn=limit_address_space)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
+
+
+# the images fit under the window bound but the windows do not: about 27
+# million letters, joined from phi^2 (9 million letters for phi^2(0)), are
+# refused from letter counts before any image grows or window is joined
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--a", "3000", "--b", "1", "--n-max", "3005"],
+    ["specials", "--a", "3100", "--b", "1", "--n", "3105"],
+])
+def test_windows_past_the_bound_exit_2_in_little_memory(argv):
+    result = cli(*argv, preexec_fn=lambda: limit_address_space(44))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "the windows are past the bound" in result.stderr
 
 
 # mpmath is no runtime dependency: a fresh interpreter imports the package

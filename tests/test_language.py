@@ -7,6 +7,7 @@ from factor_reference import complexity, contains, factors, left_special_factors
 from factor_reference import reversal_closure_probe as reference_probe
 from hypothesis import assume, given, settings, strategies as st
 
+from betawords import language
 from betawords import (
     FactorLanguage,
     InvalidInputError,
@@ -150,13 +151,14 @@ CUT_SUBJECTS = [f"{a},{b}" for a in range(2, 13) for b in range(1, a)] \
 # far longer than n; at (200, 1), n = 201 is the last whose palindromes, read
 # at n + 2, keep the whole blocks phi^2(c) of 40,405 letters
 CUT_LENGTHS = {"200,1": (3, 201), "60,7": (9, 62, 436)}
+CUT_DEFAULT_LENGTHS = (1, 2, 3, 5, 13, 40, 121, 500)
 
 
 @pytest.mark.parametrize("subject", CUT_SUBJECTS)
 def test_cut_blocks_read_as_whole_blocks(subject):
     sub = substitution_of(subject)
     cut, whole = FactorLanguage(sub), WholeBlocks(sub)
-    for n in CUT_LENGTHS.get(subject, (1, 2, 3, 5, 13, 40, 121, 500)):
+    for n in CUT_LENGTHS.get(subject, CUT_DEFAULT_LENGTHS):
         assert cut.complexities(n) == whole.complexities(n), n
         assert cut.palindrome_counts(n) == whole.palindrome_counts(n), n
         words = sorted(factors(cut, n))
@@ -165,6 +167,40 @@ def test_cut_blocks_read_as_whole_blocks(subject):
         for w in words[:3] + words[-3:]:
             for v in (w, w[:-1] + "0", w[:-1] + "1", "1" + w[1:], w[::-1]):
                 assert contains(cut, v) == contains(whole, v), (n, v)
+
+
+# the count checked against the bound is the joined windows' letters: at that
+# many letters the oracle answers, and at one less it refuses
+BOUND_CASES = [(s, CUT_LENGTHS.get(s, CUT_DEFAULT_LENGTHS)) for s in CUT_SUBJECTS] \
+    + [(f"{a},{b}", (1, 2, 41, 1000)) for a in range(3, 7) for b in range(1, a - 1)]
+
+
+@pytest.mark.parametrize("subject, lengths", BOUND_CASES)
+def test_window_bound_counts_the_joined_windows(subject, lengths):
+    sub = substitution_of(subject)
+    for n in lengths:
+        windows = FactorLanguage(sub)._windows(n)
+        letters = sum(map(len, windows))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(language, "MAX_WINDOW_LETTERS", letters)
+            assert FactorLanguage(sub)._windows(n) == windows, n
+            patch.setattr(language, "MAX_WINDOW_LETTERS", letters - 1)
+            with pytest.raises(InvalidInputError, match="past the bound"):
+                FactorLanguage(sub)._windows(n)
+
+
+def test_windows_past_the_bound_grow_no_image(monkeypatch):
+    # the windows for 3009 at (3000, 1) are joined from phi^2, whose image of
+    # 0 has about 9 million letters, and hold about 27 million: refused from
+    # letter counts before any image grows
+    grown, step = [], language._next_images
+    monkeypatch.setattr(language, "_next_images",
+                        lambda *args: grown.append(args) or step(*args))
+    lang = FactorLanguage(quadratic_substitution(QuadraticParams(3000, 1)))
+    with pytest.raises(InvalidInputError, match="the windows are past the bound"):
+        lang._windows(3009)
+    assert grown == []
+    assert lang._images == {"0": "0", "1": "1"}
 
 
 def test_two_letter_factors():
