@@ -23,7 +23,7 @@ from itertools import accumulate, islice, takewhile
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError, UnsupportedVariantError
 from .language import FactorLanguage, language_of
-from .substitution import Substitution
+from .substitution import Substitution, _next_images
 
 DEFAULT_MATERIALIZE_CAP = 10 ** 6
 
@@ -50,29 +50,30 @@ def t_orbit(word: str, params: QuadraticParams, cap: int):
     """w, T(w), T^2(w), ... while the words have at most `cap` letters.
 
     T^k(w) = P_k phi^k(w) S_k, where P_(k+1) = P_k phi^k(0^b 1) and
-    S_(k+1) = phi^k(0^b) S_k, with phi^(k+1)(0) = phi^k(0)^a phi^k(1) and
-    phi^(k+1)(1) = phi^k(0)^b phi^k(1).  So each image is joined from a few
-    words (`_t_image`), with no pass over the previous one.  The letter
-    counts of each image are checked before it is built, so no word over
+    S_(k+1) = phi^k(0^b) S_k, and phi^(k+1)(0), phi^(k+1)(1) come from
+    phi^k(0), phi^k(1) by the one phi-step, `_next_images`.  So each image
+    is joined from a few words (`_t_image`), with no pass over the previous
+    one.  Its letter counts are checked before it is built, so no word over
     the cap is materialized.
     """
     counts = (word.count("0"), word.count("1"))
     if sum(counts) != len(word):
         raise InvalidInputError("word uses a letter outside the alphabet")
-    image, zero, one, prefix, suffix = word, "0", "1", "", ""
+    phi = {"0": "0" * params.a + "1", "1": "0" * params.b + "1"}
+    image, images, prefix, suffix = word, {"0": "0", "1": "1"}, "", ""
     while sum(counts) <= cap:
         yield image
         counts = _t_counts(*counts, params)
         if sum(counts) <= cap:
-            zeros = zero * params.b
-            prefix, suffix = prefix + zeros + one, zeros + suffix
-            zero, one = zero * params.a + one, zeros + one
-            image = _t_image(word, zero, one, prefix, suffix)
+            zeros = images["0"] * params.b
+            prefix, suffix = prefix + zeros + images["1"], zeros + suffix
+            images = _next_images(phi, images)
+            image = _t_image(word, images, prefix, suffix)
 
 
-def _t_image(first: str, zero: str, one: str, prefix: str, suffix: str) -> str:
-    """P_k phi^k(first) S_k, given phi^k(0), phi^k(1), P_k and S_k."""
-    return "".join([prefix, *(zero if c == "0" else one for c in first), suffix])
+def _t_image(first: str, images: dict[str, str], prefix: str, suffix: str) -> str:
+    """P_k phi^k(first) S_k, given the images phi^k(c), P_k and S_k."""
+    return "".join([prefix, *map(images.get, first), suffix])
 
 
 class UVTower:

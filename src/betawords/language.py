@@ -19,13 +19,13 @@ the block's window is its suffix A^r phi^(k-1)(v).  It starts with
 ceil((n-1)/|A|) copies of A or more, or is the whole block, so the first
 n-1 letters of phi^k(c) are its own and a junction has 2(n-1) letters.  So
 the window letters are counted off the sizes |phi^(k-1)(d)| and checked
-against the bound before any image grows; then every window is joined
-from the images phi^(k-1)(d), with no block phi^k(c) built whole.  The
-tables are read off two structures built once over these windows: C(n)
-from a generalized suffix automaton (Blumer et al. 1985), whose state s
-holds the strings of the lengths in (len(link(s)), len(s)], and the
-palindromes from a generalized eertree (Rubinchik & Shur 2015), one node
-per distinct palindrome with an edge by z to z w z.
+against the bound before any image grows; then every window is joined from
+the images phi^(k-1)(d), grown anew in each call, with no block phi^k(c)
+built whole.  The tables are read off two structures built once over these
+windows: C(n) from a generalized suffix automaton (Blumer et al. 1985),
+whose state s holds the strings of the lengths in (len(link(s)), len(s)],
+and the palindromes from a generalized eertree (Rubinchik & Shur 2015),
+one node per distinct palindrome with an edge by z to z w z.
 
 Both keep where an occurrence of each state or node ends, and only this
 module reads them: the left specials and `reversal_closure_probe` read the
@@ -62,8 +62,8 @@ def _text(windows: list[str]) -> str:
 
 
 class FactorLanguage:
-    """The language of a substitution fixed point, read off the junction
-    windows for each length asked."""
+    """The language of a substitution fixed point, read off junction windows
+    that depend on the length asked alone: no reader changes the oracle."""
 
     def __init__(self, substitution: Substitution):
         self._phi = phi = {letter(j): image
@@ -88,14 +88,13 @@ class FactorLanguage:
             grows |= {c for c in letters if phi[c] in grows}
         if grows != letters:
             raise InvalidInputError("a letter's image never grows")
-        # phi^(k-1)(c), each letter c of u, from k = 1
-        self._images = {c: c for c in sorted(letters)}
+        self._letters = sorted(letters)
 
     def _windows(self, n: int) -> list[str]:
         """Junction windows for n at the first k with every |phi^k(c)| >= n,
-        their letters bounded by count before any image grows or is joined."""
+        counted against the bound, then joined from phi^(k-1) grown anew."""
         phi, cut = self._phi, max(n - 1, 0)
-        sizes, levels = {c: len(image) for c, image in self._images.items()}, 0
+        sizes, levels = dict.fromkeys(self._letters, 1), 0  # |phi^(k-1)(c)|
         while min((grown := _next_sizes(phi, sizes)).values()) < n:
             sizes, levels = grown, levels + 1
         tails = {}  # phi(c) = x^t v from copy t - r = t-1 + -cut // |A| of A, or 0
@@ -106,9 +105,10 @@ class FactorLanguage:
         if sum(_next_sizes(tails, sizes).values()) \
                 + 2 * cut * len(self.two_factors) > MAX_WINDOW_LETTERS:
             raise InvalidInputError(_PAST_BOUND)
+        images = {c: c for c in sizes}
         for _ in range(levels):
-            self._images = _next_images(phi, self._images)
-        blocks = _next_images(tails, self._images)
+            images = _next_images(phi, images)
+        blocks = _next_images(tails, images)
         return [*blocks.values()] + [blocks[x][len(blocks[x]) - cut:] + blocks[y][:cut]
                                      for x, y in sorted(self.two_factors)]
 
@@ -119,7 +119,7 @@ class FactorLanguage:
         target by c, or -1) and where in the text an occurrence ends."""
         from array import array  # off the import path of every command
         text = _text(self._windows(n))
-        edges = {c: [-1] for c in self._images}
+        edges = {c: [-1] for c in self._letters}
         columns = list(edges.values())
         length, link, ends, last = [0], [-1], array("l", [0]), 0
         for i, c in enumerate(text):
@@ -182,7 +182,7 @@ class FactorLanguage:
         # text[0] and the separators match no letter, so no palindrome
         # reaches from one window into the next
         text = _text(self._windows(n))
-        edges = {c: [-1, -1] for c in self._images}
+        edges = {c: [-1, -1] for c in self._letters}
         columns = list(edges.values())
         length, link, ends, last = [-1, 0], [0, 0], [0, 0], 1
         for i, c in enumerate(text):
@@ -246,7 +246,7 @@ class FactorLanguage:
 
 def language_of(subject: FactorLanguage | Substitution | QuadraticParams
                 ) -> FactorLanguage:
-    """The oracle for a subject: a FactorLanguage as given, else a new one."""
+    """The oracle for a subject, as given or new: no reader changes it."""
     if isinstance(subject, FactorLanguage):
         return subject
     if isinstance(subject, QuadraticParams):

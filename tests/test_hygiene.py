@@ -1,7 +1,9 @@
 """Every name a package module imports is used where it is imported, every
 module-level private function is used in its own module, every private
 attribute a module stores on `self` is read somewhere in that module and
-every public one somewhere in the package, and no module imports mpmath,
+every public one somewhere in the package, no method but `__init__` stores
+on `self`, so that no call leaves state for the next (such as a hidden
+cache), and no module imports mpmath,
 which is a test dependency only, or any module of the tests, such as the
 reference `mpf_reference`.  Only `language.py` reads the factor oracle's
 insides: no other module imports a private name of it or reads a private
@@ -99,6 +101,29 @@ def dead_attributes(sources: dict[str, str], private: bool) -> list[str]:
                    if attr not in loaded)]
 
 
+def stores_on_self(source: str) -> list[str]:
+    """The stores and deletes, in any method of a class but `__init__`, on an
+    attribute of `self` or on an item or attribute of one.  A write through
+    a call, such as `object.__setattr__(self, ...)`, is not one."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, FUNCTIONS) or method.name == "__init__":
+                continue
+            for node in ast.walk(method):
+                if not isinstance(node, (ast.Attribute, ast.Subscript)) \
+                        or isinstance(node.ctx, ast.Load):
+                    continue
+                root = node
+                while isinstance(root, (ast.Attribute, ast.Subscript)):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id == "self":
+                    found.append((node.lineno, f"{cls.name}.{method.name}"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
 def mpmath_imports(source: str) -> list[str]:
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -178,6 +203,24 @@ def test_no_dead_private_attributes(path):
     assert dead_attributes({path.name: path.read_text()}, private=True) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_method_but_init_stores_on_self(path):
+    assert stores_on_self(path.read_text()) == []
+
+
+def test_check_catches_a_store_on_self_outside_init():
+    # __init__ and a write through object.__setattr__ pass; a store on
+    # another object is not one on self
+    source = ("class A:\n    def __init__(self):\n        self._phi = {}\n\n"
+              "    def f(self, n, other):\n"
+              "        object.__setattr__(self, 'n', n)\n"
+              "        self._cache = other.x = self._phi[n]\n"
+              "        self._phi[n] += 1\n        del self.n\n"
+              "        self._phi.copy().clear()\n        return n\n")
+    assert stores_on_self(source) == ["A.f (line 7)", "A.f (line 8)",
+                                      "A.f (line 9)"]
+
+
 def test_no_dead_public_attributes():
     # other modules read these, so the whole package is one scope
     assert dead_attributes({path.name: path.read_text()
@@ -222,7 +265,7 @@ def test_only_the_language_module_reads_the_oracle_insides(path):
 
 
 def test_check_catches_a_read_of_the_oracle_insides():
-    assert {"_automaton", "_eertree", "_windows", "_phi", "_images"
+    assert {"_automaton", "_eertree", "_windows", "_phi", "_letters"
             } <= oracle_private_names()
     source = ("from .language import _SEPARATOR, FactorLanguage, _length\n"
               "from .substitution import _next_images\n\n\n"

@@ -1,5 +1,6 @@
 """The factor oracle against independent scans of long fixed-point prefixes."""
 
+import copy
 import time
 
 import pytest
@@ -130,13 +131,18 @@ def test_contains_matches_factor_sets(subject):
 
 
 class WholeBlocks(FactorLanguage):
-    """The oracle with each whole block phi^k(c) in its windows, joined from
-    the images phi^(k-1): the reference for the blocks cut to a suffix."""
+    """The oracle with each whole block phi^k(c) in its windows, grown letter
+    by letter from the identity: the reference for the blocks cut to a
+    suffix."""
 
     def _windows(self, n):
-        super()._windows(n)  # grows the images phi^(k-1) for n
-        images, cut = self._images, max(n - 1, 0)
-        whole = {c: "".join(images[d] for d in self._phi[c]) for c in sorted(images)}
+        whole, cut = {c: c for c in self._letters}, max(n - 1, 0)
+        # phi^k(c), the phi^(k-1)(d) of each letter d of phi(c) joined, from
+        # k = 1 to the first k with every block of n letters or more
+        while True:
+            whole = {c: "".join(whole[d] for d in self._phi[c]) for c in whole}
+            if min(map(len, whole.values())) >= n:
+                break
         return [*whole.values()] + [
             whole[x][len(whole[x]) - cut:] + whole[y][:cut]
             for x, y in sorted(self.two_factors)]
@@ -200,7 +206,48 @@ def test_windows_past_the_bound_grow_no_image(monkeypatch):
     with pytest.raises(InvalidInputError, match="the windows are past the bound"):
         lang._windows(3009)
     assert grown == []
-    assert lang._images == {"0": "0", "1": "1"}
+
+
+@pytest.mark.parametrize("subject", CUT_SUBJECTS)
+def test_windows_do_not_depend_on_the_lengths_asked_before(subject):
+    # from the longest length down, on one oracle, which no call changes
+    sub = substitution_of(subject)
+    lang = FactorLanguage(sub)
+    before = copy.deepcopy(vars(lang))
+    for n in sorted({0, *CUT_LENGTHS.get(subject, CUT_DEFAULT_LENGTHS)},
+                    reverse=True):
+        assert lang._windows(n) == FactorLanguage(sub)._windows(n), n
+        assert vars(lang) == before, n
+
+
+@pytest.mark.parametrize("subject", ["3,1", "15,1", "3 (2 1)", "3 0 0 (0 1)"])
+def test_no_reader_changes_the_oracle(subject):
+    lang = FactorLanguage(substitution_of(subject))
+    before = copy.deepcopy(vars(lang))
+    readers = [lang.complexities, lang.palindrome_counts,
+               lang.palindrome_extensions, lang.left_special_factors,
+               lambda n: reversal_closure_probe(lang, n),
+               lambda n: palindromes_of_length(lang, n)]
+    for n in (40, 3, 0):
+        for reader in readers:
+            reader(n)
+            assert vars(lang) == before, (reader, n)
+
+
+def test_short_readers_after_a_long_table_read_their_own_windows(monkeypatch):
+    # after the table at n = 10^4, the readers of lengths 6 and 7 read the
+    # windows a fresh oracle reads for them, not those for 10^4
+    sub = quadratic_substitution(QuadraticParams(15, 1))
+    lang = FactorLanguage(sub)
+    lang.complexities(10 ** 4)
+    read, join = [], language._text
+    monkeypatch.setattr(language, "_text",
+                        lambda windows: read.append(windows) or join(windows))
+    after = lang.left_special_factors(6), lang.palindrome_extensions(7)
+    fresh = FactorLanguage(sub)
+    assert after == (fresh.left_special_factors(6),
+                     fresh.palindrome_extensions(7))
+    assert len(read) == 4 and read[:2] == read[2:]
 
 
 def test_two_letter_factors():
