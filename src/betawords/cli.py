@@ -43,12 +43,11 @@ EXIT_PRECISION = 3
 EXIT_VERIFICATION = 4
 # 10^6 digits take about a second and 100 MB
 MAX_DIGIT_COUNT = 10 ** 6
-# --n of specials and palindromes: at (a, b) = (3, 1) about 0.7 s and 55-80 MB;
-# the windows grow with a, to 2.7-3.7 s and 250-300 MB at (15, 1), and past
-# the window bound the command exits 2
+# --n of specials and palindromes: at (a, b) = (3, 1) about 0.4-0.6 s and
+# 56-80 MB, at (15, 1) 0.6-0.8 s and 72-105 MB, at (41, 1) 0.7-1.3 s and 118 MB
 MAX_FACTOR_LENGTH = 10 ** 5
-# --n-max of analyze and verify: analyze at (3, 1) about 2.5 s and 104 MB, at
-# (15, 1) 8.5 s and 490 MB; verify on its default grid 25 s and 290-300 MB
+# --n-max of analyze and verify: analyze at (3, 1) about 2.6 s and 103 MB, at
+# (15, 1) 2.1-2.5 s and 144 MB; verify on its default grid 14 s and 177 MB
 MAX_TABLE_LENGTH = 10 ** 5
 # --length of word: about 0.1 s and 43 MB, whatever the images' sizes
 MAX_WORD_LENGTH = 10 ** 7
@@ -59,7 +58,7 @@ MAX_BRANCH_BUDGET = 10 ** 7
 # until all print
 MAX_BETA_INTEGER_COUNT = 10 ** 6
 # --a-max of verify: 91 grid points (16 gives 105); about 0.3 s and 16 MB at
-# the default --n-max, 7.3 s and 46 MB at 4000, 3 min and 520 MB at 10^5
+# the default --n-max, 4 s and 24 MB at 4000, 2 min and 186 MB at 10^5
 MAX_A = 15
 # click's help width on a terminal of 80 columns or more, or on none
 _HELP_WIDTH = 78

@@ -11,17 +11,15 @@ A factor of length at most n lies inside one block phi^k(c) or crosses one
 junction, with at most n-1 letters on each side.  So the junction windows
 for n, the blocks phi^k(c) and, for each xy in L2, the last n-1 letters of
 phi^k(x) followed by the first n-1 of phi^k(y), hold every factor up to
-length n, and all their substrings are factors.  A block needs only a
-suffix: if phi(c) = x^t v, then phi^k(c) = A^t phi^(k-1)(v) with
-A = phi^(k-1)(x), and a factor of at most n letters that starts before the
-last r = min(t, 1 + ceil((n-1)/|A|)) copies of A recurs |A| letters on, so
-the block's window is its suffix A^r phi^(k-1)(v).  It starts with
-ceil((n-1)/|A|) copies of A or more, or is the whole block, so the first
-n-1 letters of phi^k(c) are its own and a junction has 2(n-1) letters.  So
-the window letters are counted off the sizes |phi^(k-1)(d)| and checked
-against the bound before any image grows; then every window is joined from
-the images phi^(k-1)(d), grown anew in each call, with no block phi^k(c)
-built whole.  The tables are read off two structures built once over these
+length n, and all their substrings are factors.  No block is built whole:
+in a run X^t, a factor of at most n letters that starts before the last
+r = min(t, 1 + ceil((n-1)/|X|)) copies of X recurs |X| letters on, and
+those copies hold n-1 letters more than one copy, or the whole run.  So the
+cut block B_c, each run d^t of phi(c) joined as r copies of B_d one level
+down, has the factors up to length n and the first and last n-1 letters of
+phi^k(c), and |B_c| >= n just when |phi^k(c)| >= n.  The cut sizes are
+counted level by level and checked against the bound before any block is
+joined.  The tables are read off two structures built once over these
 windows: C(n) from a generalized suffix automaton (Blumer et al. 1985),
 whose state s holds the strings of the lengths in (len(link(s)), len(s)],
 and the palindromes from a generalized eertree (Rubinchik & Shur 2015),
@@ -34,18 +32,18 @@ automaton, and `palindrome_extensions` the eertree.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import accumulate
 
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError
-from .substitution import (Substitution, _next_images, _next_sizes, letter,
-                           quadratic_substitution)
+from .substitution import Substitution, letter, quadratic_substitution
 
 _SEPARATOR = " "  # between the windows; no letter of u
 # the most window letters the automaton or the eertree reads, at about 150
-# bytes a letter; (39, 1) at n = 10^5 + 4 reads 7.9 million.  Checked once,
-# on the count, so neither an image nor a window is built past it
+# bytes a letter; (10^5, 1) at n = 10^5 + 4 reads 1.7 million.  Checked
+# once, on the cut sizes, so no block is joined past it
 MAX_WINDOW_LETTERS = 10 ** 7
 _PAST_BOUND = f"the windows are past the bound of {MAX_WINDOW_LETTERS} letters"
 
@@ -66,49 +64,51 @@ class FactorLanguage:
     that depend on the length asked alone: no reader changes the oracle."""
 
     def __init__(self, substitution: Substitution):
-        self._phi = phi = {letter(j): image
-                           for j, image in enumerate(substitution.images)}
-        # the 2-factors of each image, by substring search: no pass per letter
-        inner = {c: {x + y for x in phi if x in image for y in phi if x + y in image}
-                 for c, image in phi.items()}
+        letters = [letter(j) for j in range(len(substitution.images))]
+        # each image read once, as its runs (d, t) of d^t: one letter class a
+        # run, so no mark is pushed per letter and no run string is built
+        run = re.compile("|".join(f"{re.escape(c)}+" for c in letters))
+        self._runs = runs = {
+            c: [(image[m.start()], m.end() - m.start()) for m in run.finditer(image)]
+            for c, image in zip(letters, substitution.images)}
+        # the 2-factors of each image: two runs in turn, or one run of d^t, t > 1
+        inner = {c: {x + y for (x, _), (y, _) in zip(rs, rs[1:])}
+                 | {d + d for d, t in rs if t > 1} for c, rs in runs.items()}
         # seeded by phi(0), closed under xy -> the 2-factors of phi(xy)
         self.two_factors: set[str] = set()
         new = inner["0"]
         while new:
             self.two_factors |= new
             new = {f for x, y in new
-                   for f in (*inner[x], *inner[y], phi[x][-1] + phi[y][0])
+                   for f in (*inner[x], *inner[y], runs[x][-1][0] + runs[y][0][0])
                    } - self.two_factors
         # a letter grows if its image has two letters or more, or is one
         # letter that grows; one that still does not after |alphabet| steps
         # cycles through single letters and never grows
         letters = set("".join(self.two_factors))
-        grows = {c for c in letters if len(phi[c]) > 1}
-        for _ in phi:
-            grows |= {c for c in letters if phi[c] in grows}
+        grows = {c for c in letters if sum(t for _, t in runs[c]) > 1}
+        for _ in runs:
+            grows |= {c for c in letters if runs[c][0][0] in grows}
         if grows != letters:
             raise InvalidInputError("a letter's image never grows")
         self._letters = sorted(letters)
 
     def _windows(self, n: int) -> list[str]:
-        """Junction windows for n at the first k with every |phi^k(c)| >= n,
-        counted against the bound, then joined from phi^(k-1) grown anew."""
-        phi, cut = self._phi, max(n - 1, 0)
-        sizes, levels = dict.fromkeys(self._letters, 1), 0  # |phi^(k-1)(c)|
-        while min((grown := _next_sizes(phi, sizes)).values()) < n:
-            sizes, levels = grown, levels + 1
-        tails = {}  # phi(c) = x^t v from copy t - r = t-1 + -cut // |A| of A, or 0
-        for c in sizes:
-            image = phi[c]
-            run = len(image) - len(image.lstrip(image[0]))  # t
-            tails[c] = image[max(run - 1 + -cut // sizes[image[0]], 0):]  # |A|
-        if sum(_next_sizes(tails, sizes).values()) \
-                + 2 * cut * len(self.two_factors) > MAX_WINDOW_LETTERS:
+        """Junction windows for n, read off the cut blocks B_c at the first
+        level with every |B_c| >= n, once their sizes pass the bound check."""
+        cut, plans = max(n - 1, 0), []
+        sizes = dict.fromkeys(self._letters, 1)  # |B_c| at level 0, B_c = c
+        # a level up, each run d^t of phi(c) as r = min(t, 1 + ceil(cut/|B_d|)) B_d
+        while min(sizes.values()) < n:
+            plan = {c: [(d, min(t, 1 - -cut // sizes[d])) for d, t in self._runs[c]]
+                    for c in sizes}
+            sizes = {c: sum(r * sizes[d] for d, r in plan[c]) for c in sizes}
+            plans.append(plan)
+        if sum(sizes.values()) + 2 * cut * len(self.two_factors) > MAX_WINDOW_LETTERS:
             raise InvalidInputError(_PAST_BOUND)
-        images = {c: c for c in sizes}
-        for _ in range(levels):
-            images = _next_images(phi, images)
-        blocks = _next_images(tails, images)
+        blocks = {c: c for c in sizes}
+        for plan in plans:
+            blocks = {c: "".join(blocks[d] * r for d, r in plan[c]) for c in plan}
         return [*blocks.values()] + [blocks[x][len(blocks[x]) - cut:] + blocks[y][:cut]
                                      for x, y in sorted(self.two_factors)]
 

@@ -7,6 +7,7 @@ for the alphabet sizes that occur here.
 
 from __future__ import annotations
 
+import re
 from itertools import chain, islice
 
 from .beta_numeration import (QuadraticParams, RenyiExpansion, _Frozen,
@@ -41,11 +42,11 @@ class Substitution(_Frozen):
         self._set(images=images)
         if not images:
             raise InvalidInputError("need one image per letter")
-        alphabet = {letter(j) for j in range(len(images))}
+        alphabet = re.compile(f"[0-{re.escape(letter(len(images) - 1))}]*")
         for img in images:
             if len(img) == 0:
                 raise InvalidInputError("images must be non-empty")
-            if not set(img) <= alphabet:
+            if not alphabet.fullmatch(img):
                 raise InvalidInputError("image uses a letter outside the alphabet")
         if len(images[0]) < 2 or letter_index(images[0][0]) != 0:
             raise InvalidInputError(

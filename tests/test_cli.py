@@ -12,7 +12,7 @@ from mpmath import mpf, nstr
 from test_beta_numeration import brute_force_integers
 from test_cli_fuzz import COMMANDS
 
-from betawords import RenyiExpansion
+from betawords import QuadraticParams, RenyiExpansion
 from betawords import beta_numeration
 from betawords import cli as cli_module
 from betawords import complexity as complexity_module
@@ -37,6 +37,17 @@ def limit_address_space(megabytes=800):
     a command that builds a huge word fails at once instead of using up the
     host's memory."""
     resource.setrlimit(resource.RLIMIT_AS, (megabytes * 2 ** 20,) * 2)
+
+
+def assert_rows_agree(argv, megabytes):
+    """`analyze` exits 0 under `megabytes` of address space, with a row for
+    each n up to its --n-max (20 by default) and agree = yes on every one."""
+    result = cli(*argv, preexec_fn=lambda: limit_address_space(megabytes))
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.splitlines()
+    n_max = int(argv[argv.index("--n-max") + 1]) if "--n-max" in argv else 20
+    assert rows[0] == "n,C,deltaC,P,agree" and len(rows) == n_max + 1
+    assert all(row.endswith(",yes") for row in rows[1:])
 
 
 class TestAnalyze:
@@ -93,13 +104,11 @@ class TestAnalyze:
         assert first.stdout == second.stdout
 
     def test_images_past_the_window_bound_are_never_built(self):
-        # phi^2(0) of (9999, 1) has about 10^8 letters: the oracle refuses it
-        # from letter counts, where joining the windows first took 400 MB
-        result = cli("analyze", "--a", "9999", "--b", "1", "--n-max", "10000",
-                     preexec_fn=lambda: limit_address_space(256))
-        assert result.returncode == 2
-        assert "Traceback" not in result.stderr
-        assert "the windows are past the bound" in result.stderr
+        # phi^2(0) of (9999, 1) has about 10^8 letters, past the window
+        # bound, but its runs are cut to the copies that hold n-1 letters
+        # more than one copy: the windows hold 170 K letters
+        assert_rows_agree(["analyze", "--a", "9999", "--b", "1",
+                           "--n-max", "10000"], 256)
 
 
 class TestVerify:
@@ -565,20 +574,19 @@ def test_help_lists_every_command_and_option(monkeypatch, capsys):
     # purely periodic digits: sigma^p(t) = t, so they fail the Parry criterion
     ["beta-integers", "--digits", "(3 1)"],
     ["word", "--digits", "(2 1)"],
-    # the windows for n = 30003 are joined from phi^2, and phi^2(0) has about
-    # 4 * 10^8 letters, past MAX_WINDOW_LETTERS, so it is never built
-    ["analyze", "--a", "20000", "--b", "1", "--n-max", "30000"],
+    # windows past MAX_WINDOW_LETTERS, refused from the cut sizes: a chain of
+    # single-letter images grows slowly, so the 60-letter window of
+    # `verify --digits` needs 6.4 billion letters here
+    ["verify", "--digits", "2" + " 0" * 24 + " (1)"],
     # phi(0) has 10^10 + 1 letters, past MAX_IMAGE_LETTERS
     ["word", "--digits", "10000000000 (1)", "--length", "5"],
     # an image size past Python's 4300-digit limit on int-to-str conversion,
     # which the message of the image bound must not format
     ["word", "--a", "9" * 4300, "--b", "1", "--length", "3"],
     ["analyze", "--a", "9" * 4300, "--b", "1"],
-    # windows past MAX_WINDOW_LETTERS: each holds copies of phi^(k-1)(0),
-    # 27 million letters at (300, 1) for n = 10^5 + 3 and 25 million at
-    # (5000, 1) for n = 5004, for the automaton and the eertree
-    ["analyze", "--a", "300", "--b", "1", "--n-max", "100000"],
-    ["palindromes", "--a", "5000", "--b", "1", "--n", "5002"],
+    # 75 and 537 million window letters for n = 60
+    ["verify", "--digits", "3" + " 0" * 16 + " (0 1)"],
+    ["verify", "--digits", "2" + " 0" * 20 + " (1 1)", "--format", "json"],
 ])
 def test_outside_input_exits_2_without_traceback(argv):
     result = cli(*argv, preexec_fn=limit_address_space)
@@ -586,18 +594,57 @@ def test_outside_input_exits_2_without_traceback(argv):
     assert "Traceback" not in result.stderr
 
 
-# the images fit under the window bound but the windows do not: about 27
-# million letters, joined from phi^2 (9 million letters for phi^2(0)), are
-# refused from letter counts before any image grows or window is joined
+# the images fit under the window bound but the windows do not: 403 and 19
+# million letters for n = 60, refused from the cut sizes before any block is
+# joined
 @pytest.mark.parametrize("argv", [
-    ["analyze", "--a", "3000", "--b", "1", "--n-max", "3005"],
-    ["specials", "--a", "3100", "--b", "1", "--n", "3105"],
+    ["verify", "--digits", "2" + " 0" * 20 + " (1)"],
+    ["verify", "--digits", "3" + " 0" * 14 + " (0 1)", "--format", "json"],
 ])
 def test_windows_past_the_bound_exit_2_in_little_memory(argv):
     result = cli(*argv, preexec_fn=lambda: limit_address_space(44))
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert "the windows are past the bound" in result.stderr
+
+
+# once refused at the window bound: the windows copied phi^(k-1)(0) whole,
+# 27 million letters at (3000, 1) for n = 3006 and at (300, 1) for
+# n = 10^5 + 3.  Each run of phi(c) is now cut, at every level, to the
+# copies that hold n-1 letters more than one copy, so the windows of a
+# quadratic input hold at most 1.7 million letters
+@pytest.mark.parametrize("argv, megabytes", [
+    (["analyze", "--a", "3000", "--b", "1", "--n-max", "3005"], 44),
+    (["analyze", "--a", "20000", "--b", "1", "--n-max", "30000"], 800),
+    (["analyze", "--a", "300", "--b", "1", "--n-max", "100000"], 800),
+    # phi(0) has 10^8 letters, read once, as its two runs
+    (["analyze", "--a", "99999999", "--b", "1"], 256),
+])
+def test_windows_of_large_a_answer_under_the_memory_limit(argv, megabytes):
+    assert_rows_agree(argv, megabytes)
+
+
+# the left special factors of length n are C(n+1) - C(n) = Delta C(n+1) in
+# number; (41, 1) at n = 10^5 took 925 MB when the windows copied
+# phi^(k-1)(0) whole, and (3100, 1) at n = 3105 was refused
+@pytest.mark.parametrize("a, n, megabytes", [(3100, 3105, 44), (41, 100000, 400)])
+def test_large_a_specials_answer_under_the_memory_limit(a, n, megabytes):
+    result = cli("specials", "--a", str(a), "--b", "1", "--n", str(n),
+                 "--format", "json",
+                 preexec_fn=lambda: limit_address_space(megabytes))
+    assert result.returncode == 0, result.stderr
+    params = QuadraticParams(a, 1)
+    assert len(json.loads(result.stdout)["left_special"]) == \
+        complexity_module.closed_form_delta_c(params, n + 1)[n]
+
+
+def test_large_a_palindromes_answer_under_the_memory_limit():
+    result = cli("palindromes", "--a", "5000", "--b", "1", "--n", "5002",
+                 preexec_fn=limit_address_space)
+    assert result.returncode == 0, result.stderr
+    params = QuadraticParams(5000, 1)
+    assert result.stdout.splitlines()[0] == \
+        f"P(5002) = {palindromes_module.closed_form_p(params, 5002)[5002]}"
 
 
 # mpmath is no runtime dependency: a fresh interpreter imports the package

@@ -45,8 +45,13 @@ GOLDEN = [
     (["analyze", "--a", "3", "--b", "3"], 2,
      EMPTY,
      "2a9f919faf3a2a59d816006ba3e3183f65eed2613f0bbc62d118f7ccc1334280"),
-    # the window bound, reached from the images' letter counts
-    (["analyze", "--a", "300", "--b", "1", "--n-max", "100000"], 2,
+    # once past the window bound: with every run cut, 1.6 million letters
+    (["analyze", "--a", "300", "--b", "1", "--n-max", "100000"], 0,
+     "6dc1cf1b75d71ffd136137ccd27debd1b91d65cf5d7781174a4b0eef609b6388",
+     EMPTY),
+    # the window bound, reached from the cut sizes: 403 million letters for
+    # n = 60, since each of the twenty single-letter images delays growth
+    (["verify", "--digits", "2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 (1)"], 2,
      EMPTY,
      "26e2673817c0b4293177ecb110934b555d1ceb61a4c60e53ce4b4af4838bb9bc"),
     (["verify", "--a-max", "4", "--n-max", "30"], 0,

@@ -265,7 +265,7 @@ def test_only_the_language_module_reads_the_oracle_insides(path):
 
 
 def test_check_catches_a_read_of_the_oracle_insides():
-    assert {"_automaton", "_eertree", "_windows", "_phi", "_letters"
+    assert {"_automaton", "_eertree", "_windows", "_runs", "_letters"
             } <= oracle_private_names()
     source = ("from .language import _SEPARATOR, FactorLanguage, _length\n"
               "from .substitution import _next_images\n\n\n"

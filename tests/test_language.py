@@ -2,6 +2,7 @@
 
 import copy
 import time
+import tracemalloc
 
 import pytest
 from factor_reference import complexity, contains, factors, left_special_factors
@@ -132,15 +133,21 @@ def test_contains_matches_factor_sets(subject):
 
 class WholeBlocks(FactorLanguage):
     """The oracle with each whole block phi^k(c) in its windows, grown letter
-    by letter from the identity: the reference for the blocks cut to a
-    suffix."""
+    by letter from the identity: the reference for the cut blocks.  It reads
+    phi off the images itself, so that it shares no code with the cut it
+    checks."""
+
+    def __init__(self, substitution):
+        super().__init__(substitution)
+        self.phi = {chr(ord("0") + j): image
+                    for j, image in enumerate(substitution.images)}
 
     def _windows(self, n):
         whole, cut = {c: c for c in self._letters}, max(n - 1, 0)
         # phi^k(c), the phi^(k-1)(d) of each letter d of phi(c) joined, from
         # k = 1 to the first k with every block of n letters or more
         while True:
-            whole = {c: "".join(whole[d] for d in self._phi[c]) for c in whole}
+            whole = {c: "".join(whole[d] for d in self.phi[c]) for c in whole}
             if min(map(len, whole.values())) >= n:
                 break
         return [*whole.values()] + [
@@ -148,14 +155,18 @@ class WholeBlocks(FactorLanguage):
             for x, y in sorted(self.two_factors)]
 
 
+# 46 letters, up to "]": the run reader's pattern must escape "?", "[", "\\"
+# and "]"
+WIDE_SUBJECT = "3 (" + " ".join(["1"] * 45) + ")"
 # every (a, b) with a <= 12, the Sturmian b = a - 1 included, expansions
 # whose images start with runs of other lengths (t = 0 and t = 1 included),
-# and two with large a
+# two with large a, and the wide one
 CUT_SUBJECTS = [f"{a},{b}" for a in range(2, 13) for b in range(1, a)] \
-    + ["3 1 (2)", "3 (2 1)", "4 1 1 (2 1)", "3 0 0 (0 1)", "200,1", "60,7"]
-# at large a, n one past a block size |phi^k(c)|, where A = phi^(k-1)(0) is
-# far longer than n; at (200, 1), n = 201 is the last whose palindromes, read
-# at n + 2, keep the whole blocks phi^2(c) of 40,405 letters
+    + ["3 1 (2)", "3 (2 1)", "4 1 1 (2 1)", "3 0 0 (0 1)", "200,1", "60,7",
+       WIDE_SUBJECT]
+# at large a, n near a block size: at (200, 1), |phi(0)| = 201, so the
+# palindromes for n = 201, read at n + 2, need phi^2(c), each run of phi(0)
+# in it cut to three copies
 CUT_LENGTHS = {"200,1": (3, 201), "60,7": (9, 62, 436)}
 CUT_DEFAULT_LENGTHS = (1, 2, 3, 5, 13, 40, 121, 500)
 
@@ -176,9 +187,12 @@ def test_cut_blocks_read_as_whole_blocks(subject):
 
 
 # the count checked against the bound is the joined windows' letters: at that
-# many letters the oracle answers, and at one less it refuses
-BOUND_CASES = [(s, CUT_LENGTHS.get(s, CUT_DEFAULT_LENGTHS)) for s in CUT_SUBJECTS] \
-    + [(f"{a},{b}", (1, 2, 41, 1000)) for a in range(3, 7) for b in range(1, a - 1)]
+# many letters the oracle answers, and at one less it refuses.  The wide
+# subject comes last, so that every other case keeps its place and its id
+BOUND_CASES = [(s, CUT_LENGTHS.get(s, CUT_DEFAULT_LENGTHS))
+               for s in CUT_SUBJECTS if s != WIDE_SUBJECT] \
+    + [(f"{a},{b}", (1, 2, 41, 1000)) for a in range(3, 7) for b in range(1, a - 1)] \
+    + [(WIDE_SUBJECT, CUT_DEFAULT_LENGTHS)]
 
 
 @pytest.mark.parametrize("subject, lengths", BOUND_CASES)
@@ -195,17 +209,35 @@ def test_window_bound_counts_the_joined_windows(subject, lengths):
                 FactorLanguage(sub)._windows(n)
 
 
-def test_windows_past_the_bound_grow_no_image(monkeypatch):
-    # the windows for 3009 at (3000, 1) are joined from phi^2, whose image of
-    # 0 has about 9 million letters, and hold about 27 million: refused from
-    # letter counts before any image grows
-    grown, step = [], language._next_images
-    monkeypatch.setattr(language, "_next_images",
-                        lambda *args: grown.append(args) or step(*args))
-    lang = FactorLanguage(quadratic_substitution(QuadraticParams(3000, 1)))
-    with pytest.raises(InvalidInputError, match="the windows are past the bound"):
-        lang._windows(3009)
-    assert grown == []
+def test_windows_past_the_bound_grow_no_image():
+    # the windows for 10^5 + 4 of 3 0 0 0 (0 1), whose images grow slowly,
+    # hold 12.2 million letters with every run cut, 4.4 million of them in
+    # the block of 0: refused from the cut sizes before any block is
+    # joined, so the refusal allocates a few kilobytes at its peak
+    lang = FactorLanguage(substitution_of("3 0 0 0 (0 1)"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="the windows are past the bound"):
+            lang._windows(10 ** 5 + 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+# every a up to 60, and larger a up to 10^6, with b at both ends and in the
+# middle, at the lengths the CLI asks at its bound of 10^5: `specials` reads
+# the windows for 10^5 + 1, `palindromes` those for 10^5 + 2, and `analyze`
+# and `verify` those for 10^5 + 4 (C to n + 3, P to n + 2).  With every run
+# cut, the most is 1.7 million letters, at (10^5, 1), so no quadratic input
+# the CLI accepts nears the bound
+def test_quadratic_windows_stay_far_below_the_bound():
+    for a in [*range(2, 61), 100, 300, 10 ** 3, 3 * 10 ** 3, 10 ** 4,
+              3 * 10 ** 4, 10 ** 5, 10 ** 6]:
+        for b in {1, 2, a // 2, a - 2, a - 1} & set(range(1, a)):
+            lang = FactorLanguage(quadratic_substitution(QuadraticParams(a, b)))
+            for n in range(10 ** 5 + 1, 10 ** 5 + 5):
+                assert sum(map(len, lang._windows(n))) <= 2 * 10 ** 6, (a, b, n)
 
 
 @pytest.mark.parametrize("subject", CUT_SUBJECTS)
