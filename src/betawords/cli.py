@@ -49,7 +49,7 @@ MAX_FACTOR_LENGTH = 10 ** 5
 # --n-max of analyze and verify: analyze at (3, 1) about 2.6 s and 103 MB, at
 # (15, 1) 2.1-2.5 s and 144 MB; verify on its default grid 14 s and 177 MB
 MAX_TABLE_LENGTH = 10 ** 5
-# --length of word: about 0.1 s and 43 MB, whatever the images' sizes
+# --length of word: about 0.1 s and 45 MB, whatever the images' sizes
 MAX_WORD_LENGTH = 10 ** 7
 # --branch-budget of palindromes: the words are found in one prefix of u, 0.1 s
 # and 28 MB at (6, 1), at most 0.2 s and 52 MB over a <= 15

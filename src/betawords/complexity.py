@@ -59,7 +59,7 @@ def t_orbit(word: str, params: QuadraticParams, cap: int):
     counts = (word.count("0"), word.count("1"))
     if sum(counts) != len(word):
         raise InvalidInputError("word uses a letter outside the alphabet")
-    phi = {"0": "0" * params.a + "1", "1": "0" * params.b + "1"}
+    runs = {"0": (("0", params.a), ("1", 1)), "1": (("0", params.b), ("1", 1))}
     image, images, prefix, suffix = word, {"0": "0", "1": "1"}, "", ""
     while sum(counts) <= cap:
         yield image
@@ -67,7 +67,7 @@ def t_orbit(word: str, params: QuadraticParams, cap: int):
         if sum(counts) <= cap:
             zeros = images["0"] * params.b
             prefix, suffix = prefix + zeros + images["1"], zeros + suffix
-            images = _next_images(phi, images)
+            images = _next_images(runs, images)
             image = _t_image(word, images, prefix, suffix)
 
 
@@ -107,7 +107,7 @@ class UVTower:
             self.u_counts.append(u)
         self.u_words, self.v_words = (
             list(islice(t_orbit("0" * n, params, materialize_cap), depth))
-            for n in (params.a - 1, params.b))
+            if n <= materialize_cap else [] for n in (params.a - 1, params.b))
 
     def lengths_json(self) -> dict:
         """Lengths as decimal strings (they outgrow doubles quickly)."""

@@ -32,13 +32,13 @@ automaton, and `palindrome_extensions` the eertree.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from itertools import accumulate
 
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError
-from .substitution import Substitution, letter, quadratic_substitution
+from .substitution import (Substitution, _next_images, letter,
+                           quadratic_substitution)
 
 _SEPARATOR = " "  # between the windows; no letter of u
 # the most window letters the automaton or the eertree reads, at about 150
@@ -64,13 +64,8 @@ class FactorLanguage:
     that depend on the length asked alone: no reader changes the oracle."""
 
     def __init__(self, substitution: Substitution):
-        letters = [letter(j) for j in range(len(substitution.images))]
-        # each image read once, as its runs (d, t) of d^t: one letter class a
-        # run, so no mark is pushed per letter and no run string is built
-        run = re.compile("|".join(f"{re.escape(c)}+" for c in letters))
-        self._runs = runs = {
-            c: [(image[m.start()], m.end() - m.start()) for m in run.finditer(image)]
-            for c, image in zip(letters, substitution.images)}
+        self._runs = runs = {letter(j): image
+                             for j, image in enumerate(substitution.runs)}
         # the 2-factors of each image: two runs in turn, or one run of d^t, t > 1
         inner = {c: {x + y for (x, _), (y, _) in zip(rs, rs[1:])}
                  | {d + d for d, t in rs if t > 1} for c, rs in runs.items()}
@@ -108,7 +103,7 @@ class FactorLanguage:
             raise InvalidInputError(_PAST_BOUND)
         blocks = {c: c for c in sizes}
         for plan in plans:
-            blocks = {c: "".join(blocks[d] * r for d, r in plan[c]) for c in plan}
+            blocks = _next_images(plan, blocks)
         return [*blocks.values()] + [blocks[x][len(blocks[x]) - cut:] + blocks[y][:cut]
                                      for x, y in sorted(self.two_factors)]
 

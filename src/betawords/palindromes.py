@@ -78,7 +78,7 @@ def _v_centers(params: QuadraticParams) -> list[str]:
     """Centers of V^(1) = 0^b, V^(2), ... up to their first repeat: V^(n)
     has center cycle[(n - 1) % d] and is central in V^(n+d), d = len(cycle).
     """
-    cycle = [center_of("0" * params.b)]
+    cycle = ["0" if params.b % 2 else EPSILON]  # the center of 0^b
     while (center := center_evolution(cycle[-1], params)) not in cycle:
         cycle.append(center)
     return cycle
@@ -127,7 +127,8 @@ def infinite_branches(params: QuadraticParams,
         raise UnsupportedVariantError("branch analysis requires a-1 > b")
     if length_budget < 0:
         raise InvalidInputError("length budget must be >= 0")
-    towers = [list(t_orbit("0" * params.b, params, length_budget))]
+    towers = [list(t_orbit("0" * params.b, params, length_budget))
+              if params.b <= length_budget else []]
     if params.a % 2 == 1 and params.b % 2 == 0:  # the W tower
         towers.append(list(t_orbit("0", params, length_budget)))
     # V^(1) = 0^b and W^(1) = 0 sit at 1, so the k-th word of either tower

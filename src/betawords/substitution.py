@@ -7,7 +7,6 @@ for the alphabet sizes that occur here.
 
 from __future__ import annotations
 
-import re
 from itertools import chain, islice
 
 from .beta_numeration import (QuadraticParams, RenyiExpansion, _Frozen,
@@ -15,40 +14,36 @@ from .beta_numeration import (QuadraticParams, RenyiExpansion, _Frozen,
 from .errors import InvalidInputError, UnsupportedVariantError
 
 
-# The most letters of an image phi(c) of a Parry substitution, checked on
-# the digits before it is built: 10^8 letters take 100 MB
-MAX_IMAGE_LETTERS = 10 ** 8
-
-
 def letter(index: int) -> str:
     return chr(ord("0") + index)
 
 
-def letter_index(ch: str) -> int:
-    return ord(ch) - ord("0")
-
-
 class Substitution(_Frozen):
-    """Letter-to-word morphism over the letters 0 .. len(images)-1, image j
-    that of letter j.
+    """Letter-to-word morphism over the letters 0 .. len(runs)-1: runs[j] is
+    the image of letter j as its maximal runs (d, t), letter d written t >= 1
+    times, each run's letter other than the next run's.
 
     The image of 0, the axiom, must start with 0 and be at least two letters
     long, so the fixed point lim phi^n(0) exists and is prefix-stable.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("runs",)
 
-    def __init__(self, images: tuple[str, ...]):
-        self._set(images=images)
-        if not images:
+    def __init__(self, runs: tuple[tuple[tuple[str, int], ...], ...]):
+        self._set(runs=runs)
+        if not runs:
             raise InvalidInputError("need one image per letter")
-        alphabet = re.compile(f"[0-{re.escape(letter(len(images) - 1))}]*")
-        for img in images:
-            if len(img) == 0:
+        alphabet = {letter(j) for j in range(len(runs))}
+        for image in runs:
+            if len(image) == 0:
                 raise InvalidInputError("images must be non-empty")
-            if not alphabet.fullmatch(img):
-                raise InvalidInputError("image uses a letter outside the alphabet")
-        if len(images[0]) < 2 or letter_index(images[0][0]) != 0:
+            for i, (d, t) in enumerate(image):
+                if d not in alphabet:
+                    raise InvalidInputError("image uses a letter outside the alphabet")
+                if type(t) is not int or t < 1 or i and d == image[i - 1][0]:
+                    raise InvalidInputError("an image's runs must be maximal, each "
+                                            "of one letter written t >= 1 times")
+        if runs[0][0][0] != "0" or sum(t for _, t in runs[0]) < 2:
             raise InvalidInputError(
                 "axiom image must start with the axiom and have length >= 2"
             )
@@ -75,25 +70,15 @@ def parry_substitution(renyi: RenyiExpansion) -> Substitution:
             "simple Parry expansions have a different canonical substitution"
         )
     k = renyi.m + renyi.p
-    # each image checked against the bound, then built in one allocation; the
-    # message names no digit, which may pass Python's limit on int-to-str
-    digits = renyi.digits(k)
-    if max(digits) >= MAX_IMAGE_LETTERS:
-        raise InvalidInputError(
-            f"an image is past the bound of {MAX_IMAGE_LETTERS} letters")
-    images = [letter(j if j < k else renyi.m).rjust(t + 1, "0")
-              for j, t in enumerate(digits, start=1)]
-    return Substitution(tuple(images))
+    ends = [*map(letter, range(1, k)), letter(renyi.m)]
+    return Substitution(tuple((("0", t), (c, 1)) if t else ((c, 1),)
+                              for t, c in zip(renyi.digits(k), ends)))
 
 
-def _next_sizes(phi: dict[str, str], sizes: dict[str, int]) -> dict[str, int]:
-    """|phi^(k+1)(c)| = sum over d of |phi(c)|_d |phi^k(d)|: no image built."""
-    return {c: sum(phi[c].count(d) * s for d, s in sizes.items()) for c in sizes}
-
-
-def _next_images(phi: dict[str, str], images: dict[str, str]) -> dict[str, str]:
-    """phi^(k+1)(c): phi(c) with each d replaced by phi^k(d), by str.translate."""
-    return {c: phi[c].translate(str.maketrans(images)) for c in images}
+def _next_images(runs: dict, images: dict[str, str]) -> dict[str, str]:
+    """phi^(k+1)(c) from the images phi^k(d): each run d^t of phi(c) written
+    as t copies of phi^k(d)."""
+    return {c: "".join([images[d] * t for d, t in runs[c]]) for c in runs}
 
 
 def fixed_point_prefix(substitution: Substitution, length: int) -> str:
@@ -104,15 +89,18 @@ def fixed_point_prefix(substitution: Substitution, length: int) -> str:
     they are ahead of the reading, since the first block, phi^k(0), has at
     least two letters.  k is the first level whose phi^k(0) holds the
     prefix, or else the last whose images all have at most `length` letters
-    by `_next_sizes` (at least 1), so no image is built longer than the
-    prefix and O(length) letters are built in all.
+    (at least 1).  Level 1 is built with each run cut to `length` letters;
+    an image so cut has a longer run, so its next size, read off the
+    lengths, passes the prefix, and only whole images are grown.
     """
     if length < 0:
         raise InvalidInputError("length must be nonnegative")
-    phi = images = {letter(j): image for j, image in enumerate(substitution.images)}
-    while len(images["0"]) < length and max(_next_sizes(
-            phi, {c: len(image) for c, image in images.items()}).values()) <= length:
-        images = _next_images(phi, images)
+    runs = {letter(j): image for j, image in enumerate(substitution.runs)}
+    images = {c: "".join([d * min(t, length) for d, t in image])
+              for c, image in runs.items()}
+    while len(images["0"]) < length and max(sum(t * len(images[d]) for d, t in image)
+                                            for image in runs.values()) <= length:
+        images = _next_images(runs, images)
     blocks = [images["0"][:length]]
     # the letters of u after its first, whose block is the first
     size, letters = len(blocks[0]), islice(chain.from_iterable(blocks), 1, None)

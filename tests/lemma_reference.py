@@ -1,7 +1,8 @@
 """Checks of the paper's lemmas and of properties of the substitutions, kept
 as a reference for tests.
 
-A substitution applied letter by letter, and the fixed-point prefix it
+The bridge between images written out and the runs a `Substitution` holds,
+both ways; a substitution applied letter by letter, and the fixed-point prefix it
 grows from the axiom; the map T, w -> 0^b 1 phi(w) 0^b, letter by letter;
 the palindromic extensions of a palindrome, read by membership; the report
 that T keeps palindromes and their extension sets; the observed and
@@ -17,6 +18,8 @@ with `substitution.fixed_point_prefix`, builds T-images with
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from factor_reference import contains
 
 from betawords.beta_numeration import QuadraticParams, _Frozen
@@ -28,14 +31,25 @@ from betawords.palindromes import (_v_centers, center_evolution, center_of,
 from betawords.substitution import Substitution, letter, quadratic_substitution
 
 
+def runs_of(images) -> tuple:
+    """Images written out, such as ("0001", "01"), as the maximal runs (d, t)
+    of each, which a `Substitution` takes."""
+    return tuple(tuple((d, sum(1 for _ in run)) for d, run in groupby(image))
+                 for image in images)
+
+
+def images_of(substitution: Substitution) -> tuple[str, ...]:
+    """The images of a substitution written out from their runs."""
+    return tuple("".join(d * t for d, t in runs) for runs in substitution.runs)
+
+
 def apply(substitution: Substitution, word: str) -> str:
     """phi(word), images applied letterwise."""
+    images = images_of(substitution)
     # translate passes unknown characters through, so count them first
-    if sum(word.count(letter(j))
-           for j in range(len(substitution.images))) != len(word):
+    if sum(word.count(letter(j)) for j in range(len(images))) != len(word):
         raise InvalidInputError("word uses a letter outside the alphabet")
-    return word.translate({ord(letter(j)): image
-                           for j, image in enumerate(substitution.images)})
+    return word.translate({ord(letter(j)): image for j, image in enumerate(images)})
 
 
 def reference_prefix(substitution: Substitution, length: int) -> str:
@@ -120,7 +134,7 @@ def word_counts(word: str, alphabet_size: int) -> tuple[int, ...]:
 
 def incidence_matrix(substitution: Substitution) -> list[list[int]]:
     """M[i][j] = number of occurrences of letter i in phi(j)."""
-    images = substitution.images
+    images = images_of(substitution)
     k = len(images)
     return [[images[j].count(letter(i)) for j in range(k)] for i in range(k)]
 
@@ -131,7 +145,7 @@ def is_primitive(substitution: Substitution) -> bool:
     Powers are taken up to the Wielandt bound (k-1)^2 + 1, which decides
     primitivity for every k x k nonnegative matrix.
     """
-    k = len(substitution.images)
+    k = len(substitution.runs)
     m = incidence_matrix(substitution)
     power = m
     for _ in range((k - 1) ** 2 + 1):

@@ -578,12 +578,6 @@ def test_help_lists_every_command_and_option(monkeypatch, capsys):
     # single-letter images grows slowly, so the 60-letter window of
     # `verify --digits` needs 6.4 billion letters here
     ["verify", "--digits", "2" + " 0" * 24 + " (1)"],
-    # phi(0) has 10^10 + 1 letters, past MAX_IMAGE_LETTERS
-    ["word", "--digits", "10000000000 (1)", "--length", "5"],
-    # an image size past Python's 4300-digit limit on int-to-str conversion,
-    # which the message of the image bound must not format
-    ["word", "--a", "9" * 4300, "--b", "1", "--length", "3"],
-    ["analyze", "--a", "9" * 4300, "--b", "1"],
     # 75 and 537 million window letters for n = 60
     ["verify", "--digits", "3" + " 0" * 16 + " (0 1)"],
     ["verify", "--digits", "2" + " 0" * 20 + " (1 1)", "--format", "json"],
@@ -617,11 +611,99 @@ def test_windows_past_the_bound_exit_2_in_little_memory(argv):
     (["analyze", "--a", "3000", "--b", "1", "--n-max", "3005"], 44),
     (["analyze", "--a", "20000", "--b", "1", "--n-max", "30000"], 800),
     (["analyze", "--a", "300", "--b", "1", "--n-max", "100000"], 800),
-    # phi(0) has 10^8 letters, read once, as its two runs
-    (["analyze", "--a", "99999999", "--b", "1"], 256),
+    # phi(0) = 0^99999999 1 is held as its two runs, and never written out
+    (["analyze", "--a", "99999999", "--b", "1"], 44),
 ])
 def test_windows_of_large_a_answer_under_the_memory_limit(argv, megabytes):
     assert_rows_agree(argv, megabytes)
+
+
+def cli_small(*args):
+    """The command's result in a child with 44 MiB of address space."""
+    return cli(*args, preexec_fn=lambda: limit_address_space(44))
+
+
+# once refused at the bound of 10^8 letters on an image, which no image is
+# built to any more: phi(0) = 0^t 1 is the runs 0^t and 1, so each command
+# builds only the letters it prints or reads
+@pytest.mark.parametrize("argv, out", [
+    (["word", "--digits", "10000000000 (1)", "--length", "5"], "00000\n"),
+    # t has 4300 digits, Python's limit on an int read from a str
+    (["word", "--a", "9" * 4300, "--b", "1", "--length", "3"], "000\n"),
+], ids=["t-of-11-digits", "t-of-4300-digits"])
+def test_words_of_images_past_10_8_letters_answer_in_little_memory(argv, out):
+    result = cli_small(*argv)
+    assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+
+
+def test_analyze_with_a_of_4300_digits_answers_in_little_memory():
+    assert_rows_agree(["analyze", "--a", "9" * 4300, "--b", "1"], 44)
+
+
+# each wrote phi(0) = 0^99999999 1 out whole, or the start word of a tower,
+# 0^99999998 or 0^99999997, and ended in a MemoryError under 44 MiB.  Up to
+# the lengths they read, each answers as a small-a twin does, or as the
+# closed form says
+@pytest.mark.parametrize("b, twin", [(1, (30, 1)), (99999997, (30, 28))])
+def test_analyze_of_large_a_reads_as_its_small_twin(b, twin):
+    result = cli_small("analyze", "--a", "99999999", "--b", str(b))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == cli("analyze", "--a", str(twin[0]),
+                                "--b", str(twin[1]), "--n-max", "20").stdout
+
+
+def test_palindromes_of_large_a_and_b_read_as_their_small_twin():
+    # no branch word fits the default budget of 2000 letters, so the twin
+    # of the same parities verifies none either, with a budget of 0
+    result = cli_small("palindromes", "--a", "99999999", "--b", "99999997",
+                       "--n", "2")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == cli("palindromes", "--a", "31", "--b", "29", "--n",
+                                "2", "--branch-budget", "0").stdout
+    assert result.stdout.startswith("P(2) = 1\n  00  center=e ext=0\n")
+
+
+def test_specials_of_large_a_and_b_print_the_tower_lengths():
+    a, b = 99999999, 99999997
+    result = cli_small("specials", "--a", str(a), "--b", str(b), "--n", "5",
+                       "--format", "json")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    # two 1s are at least b letters apart, so 0^5 is the one left special
+    assert payload["left_special"] == ["00000"]
+    assert payload["u_words"] == payload["v_words"] == []
+    # |T(w)| = 2b + 1 + (a+1)|w|_0 + (b+1)|w|_1, where |T(w)|_1 = |w| + 1
+    for key, first in (("u_lengths", a - 1), ("v_lengths", b)):
+        lengths, ones = [first], 0
+        while len(lengths) < 8:
+            zeros = lengths[-1] - ones
+            lengths.append(2 * b + 1 + (a + 1) * zeros + (b + 1) * ones)
+            ones = zeros + ones + 1
+        assert payload[key] == [str(n) for n in lengths], key
+
+
+def test_beta_integers_of_large_t1_read_as_their_small_twin():
+    # beta > 10^8, so the first ten beta-integers are 0 .. 9, as for 30 (1)
+    result = cli_small("beta-integers", "--digits", "99999999 (1)", "--count", "10")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == ("0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0\n"
+                             "gaps: 000000000\n")
+    assert result.stdout == cli("beta-integers", "--digits", "30 (1)",
+                                "--count", "10").stdout
+
+
+def test_verify_digits_of_large_t1_read_as_their_small_twin():
+    result = cli_small("verify", "--digits", "99999999 (1)", "--n-max", "60",
+                       "--format", "json")
+    assert result.returncode == 0, result.stderr
+    twin = json.loads(cli("verify", "--digits", "100 (1)", "--n-max", "60",
+                          "--format", "json").stdout)
+    assert json.loads(result.stdout) == {**twin, "digits": "99999999 (1)"}
+
+
+def test_word_of_large_t1_prints_its_first_run():
+    result = cli_small("word", "--digits", "99999999 3 (1)", "--length", "20")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0" * 20 + "\n", "")
 
 
 # the left special factors of length n are C(n+1) - C(n) = Delta C(n+1) in
@@ -746,9 +828,9 @@ def test_beta_integers_builds_one_substitution(monkeypatch, capsys, subject):
     built = []
     real = Substitution.__init__
 
-    def counted(self, images):
-        built.append(images)
-        real(self, images)
+    def counted(self, runs):
+        built.append(runs)
+        real(self, runs)
 
     monkeypatch.setattr(Substitution, "__init__", counted)
     monkeypatch.setattr(sys, "argv", ["betawords", "beta-integers", *subject,

@@ -49,6 +49,11 @@ GOLDEN = [
     (["analyze", "--a", "300", "--b", "1", "--n-max", "100000"], 0,
      "6dc1cf1b75d71ffd136137ccd27debd1b91d65cf5d7781174a4b0eef609b6388",
      EMPTY),
+    # phi(0) = 0^99999999 1, held as its two runs: the bytes of the image
+    # written out whole
+    (["analyze", "--a", "99999999", "--b", "1"], 0,
+     "a0c8dc64f3e11e3209765a633673d4ead41b7f0cae0d0cd389028fc28bbba073",
+     EMPTY),
     # the window bound, reached from the cut sizes: 403 million letters for
     # n = 60, since each of the twenty single-letter images delays growth
     (["verify", "--digits", "2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 (1)"], 2,
@@ -76,11 +81,20 @@ GOLDEN = [
     (["verify", "--a-max", "6", "--n-max", "60", "--format", "json"], 0,
      "c7342cb4e378b90046f3de80b695fdfb95b3ccc61a0cd9df5452ac9ad01ce6c1",
      EMPTY),
+    # phi(0) has 10^10 + 1 letters, once refused at a bound on the image
+    (["word", "--digits", "10000000000 (1)", "--length", "5"], 0,
+     "64f277fa6be054fb021b92d8199f38025231e6d3c833a54dd501da394b547ce6",
+     EMPTY),
     (["word", "--a", "3", "--b", "1", "--length", "50"], 0,
      "b91664a56f926a5145ed9afefd4185e2091332bf19c0aba2589243ce9bc8c3d3",
      EMPTY),
     (["word", "--digits", "3 1 (2)", "--length", "40", "--format", "json"], 0,
      "789b1a705d65a6190e6005741fb89b62b2a7450257a5c1ab71c1885661c6291a",
+     EMPTY),
+    # no tower start word 0^99999998 or 0^99999997 is built: the bytes of
+    # the towers built whole
+    (["specials", "--a", "99999999", "--b", "99999997", "--n", "5", "--format", "json"], 0,
+     "54807795c32b6ba67ffed10587d06041bf646e0da5c6113f8105bf3f62688223",
      EMPTY),
     (["specials", "--a", "3", "--b", "1", "--n", "4"], 0,
      "69784816148d849bb88e08f0574163af5ec86160e9dfed99fc5fe33f30ac47d6",

@@ -8,6 +8,7 @@ import pytest
 from factor_reference import complexity, contains, factors, left_special_factors
 from factor_reference import reversal_closure_probe as reference_probe
 from hypothesis import assume, given, settings, strategies as st
+from lemma_reference import images_of, runs_of
 
 from betawords import language
 from betawords import (
@@ -134,13 +135,13 @@ def test_contains_matches_factor_sets(subject):
 class WholeBlocks(FactorLanguage):
     """The oracle with each whole block phi^k(c) in its windows, grown letter
     by letter from the identity: the reference for the cut blocks.  It reads
-    phi off the images itself, so that it shares no code with the cut it
-    checks."""
+    phi off the images written out itself, so that it shares no code with
+    the cut it checks."""
 
     def __init__(self, substitution):
         super().__init__(substitution)
         self.phi = {chr(ord("0") + j): image
-                    for j, image in enumerate(substitution.images)}
+                    for j, image in enumerate(images_of(substitution))}
 
     def _windows(self, n):
         whole, cut = {c: c for c in self._letters}, max(n - 1, 0)
@@ -155,8 +156,7 @@ class WholeBlocks(FactorLanguage):
             for x, y in sorted(self.two_factors)]
 
 
-# 46 letters, up to "]": the run reader's pattern must escape "?", "[", "\\"
-# and "]"
+# 46 letters, up to "]", among them "?", "[", "\\" and "]"
 WIDE_SUBJECT = "3 (" + " ".join(["1"] * 45) + ")"
 # every (a, b) with a <= 12, the Sturmian b = a - 1 included, expansions
 # whose images start with runs of other lengths (t = 0 and t = 1 included),
@@ -294,7 +294,7 @@ def test_two_letter_factors():
 def test_non_growing_substitution_raises_promptly(images):
     start = time.perf_counter()
     with pytest.raises(InvalidInputError, match="never grows"):
-        FactorLanguage(Substitution(images))
+        FactorLanguage(Substitution(runs_of(images)))
     assert time.perf_counter() - start < 1.0
 
 

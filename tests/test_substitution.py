@@ -1,8 +1,8 @@
 import random
 
 import pytest
-from lemma_reference import (apply, incidence_matrix, is_primitive,
-                             reference_prefix, word_counts)
+from lemma_reference import (apply, images_of, incidence_matrix, is_primitive,
+                             reference_prefix, runs_of, word_counts)
 
 from betawords import (
     InvalidInputError,
@@ -16,25 +16,45 @@ from betawords import (
 )
 from betawords import substitution as substitution_module
 
+P31_RUNS = ((("0", 3), ("1", 1)), (("0", 1), ("1", 1)))
+
 
 class TestSubstitutionType:
     def test_images_validated(self):
         with pytest.raises(InvalidInputError):
             Substitution(())  # no letter
         with pytest.raises(InvalidInputError):
-            Substitution(("0001",))  # "1" has no image
+            Substitution(runs_of(("0001",)))  # "1" has no image
         with pytest.raises(InvalidInputError):
-            Substitution(("0001", ""))  # empty image
+            Substitution(runs_of(("0001", "")))  # empty image
         with pytest.raises(InvalidInputError):
-            Substitution(("0021", "01"))  # letter outside alphabet
+            Substitution(runs_of(("0021", "01")))  # letter outside alphabet
         with pytest.raises(InvalidInputError):
-            Substitution(("1000", "01"))  # axiom image must start with axiom
+            Substitution(runs_of(("1000", "01")))  # axiom image must start with axiom
         with pytest.raises(InvalidInputError):
-            Substitution(("0", "01"))  # axiom image too short
+            Substitution(runs_of(("0", "01")))  # axiom image too short
+        for runs in [
+            ((("0", 3), ("1", 0)), (("0", 1), ("1", 1))),   # t < 1
+            ((("0", 3), ("1", -2)), (("0", 1), ("1", 1))),  # t < 1
+            ((("0", 3.0), ("1", 1)), (("0", 1), ("1", 1))),  # t not an int
+            ((("0", "3"), ("1", 1)), (("0", 1), ("1", 1))),  # t not an int
+            ((("0", 2), ("0", 1), ("1", 1)), (("0", 1), ("1", 1))),  # one letter twice
+            ((("0", 1), ("1", 1)), (("0", 1), ("1", 2), ("1", 1))),  # one letter twice
+        ]:
+            with pytest.raises(InvalidInputError, match="^an image's runs must be maximal"):
+                Substitution(runs)
+        for runs in [((("0", 3), ("2", 1)), (("0", 1), ("1", 1))),  # past the end
+                     ((("0", 3), ("/", 1)), (("0", 1), ("1", 1))),  # below "0"
+                     ((("0", 3), ("01", 1)), (("0", 1), ("1", 1))),  # two letters
+                     ((("0", 3), ("1", 1)), ((1, 1), ("1", 1)))]:    # not a str
+            with pytest.raises(InvalidInputError,
+                               match="^image uses a letter outside the alphabet$"):
+                Substitution(runs)
 
     def test_the_images_fix_the_alphabet_and_the_axiom(self):
-        sub = Substitution(("0001", "01"))
-        assert sub.images == ("0001", "01")
+        sub = Substitution(runs_of(("0001", "01")))
+        assert sub.runs == P31_RUNS
+        assert images_of(sub) == ("0001", "01")
         assert fixed_point_prefix(sub, 9) == "000100010"  # from axiom 0
         assert sub == quadratic_substitution(QuadraticParams(3, 1))
         assert apply(sub, "01") == "000101"  # two letters
@@ -42,21 +62,24 @@ class TestSubstitutionType:
             apply(sub, "2")
 
     def test_a_long_image_is_checked_without_a_call_per_letter(self, monkeypatch):
+        # a run of 10^8 letters is one step of the check: `letter` is called
+        # once per letter of the alphabet, none per letter of an image
         calls = []
-        real = substitution_module.letter_index
+        real = substitution_module.letter
 
-        def spy(ch):
-            calls.append(ch)
-            return real(ch)
+        def spy(index):
+            calls.append(index)
+            return real(index)
 
-        monkeypatch.setattr(substitution_module, "letter_index", spy)
-        Substitution(("0" * 10 ** 6 + "1", "0" * 10 ** 6 + "1"))
+        monkeypatch.setattr(substitution_module, "letter", spy)
+        long = (("0", 10 ** 8), ("1", 1))
+        assert Substitution((long, long)).runs == (long, long)
         assert len(calls) <= 2
         # letters past either end of the alphabet, "/" below "0" and "2"
-        for image in ("0/1", "0" * 10 ** 6 + "2"):
+        for image in ((("0", 1), ("/", 1), ("1", 1)), (("0", 10 ** 8), ("2", 1))):
             with pytest.raises(InvalidInputError,
                                match="^image uses a letter outside the alphabet$"):
-                Substitution((image, "01"))
+                Substitution((image, (("0", 1), ("1", 1))))
 
     def test_morphism_property(self):
         sub = quadratic_substitution(QuadraticParams(3, 1))
@@ -83,15 +106,15 @@ class TestSubstitutionType:
 class TestQuadraticSubstitution:
     def test_running_example(self):
         sub = quadratic_substitution(QuadraticParams(3, 1))
-        assert sub.images == ("0001", "01")
+        assert sub.runs == P31_RUNS
 
     def test_sturmian_boundary_accepted(self):
         sub = quadratic_substitution(QuadraticParams(2, 1))
-        assert sub.images == ("001", "01")
+        assert images_of(sub) == ("001", "01")
 
     def test_larger_params(self):
         sub = quadratic_substitution(QuadraticParams(4, 2))
-        assert sub.images == ("00001", "001")
+        assert images_of(sub) == ("00001", "001")
 
 
 class TestParrySubstitution:
@@ -101,7 +124,8 @@ class TestParrySubstitution:
 
     def test_three_letter_example(self):
         sub = parry_substitution(RenyiExpansion((2, 1), (1,)))
-        assert sub.images == ("001", "02", "02")
+        assert sub.runs == ((("0", 2), ("1", 1)), (("0", 1), ("2", 1)),
+                            (("0", 1), ("2", 1)))
         assert is_primitive(sub)
 
     def test_inadmissible_digits_rejected(self):
@@ -117,13 +141,14 @@ class TestParrySubstitution:
                                     "3 0 0 (0 1)", "4 2 (1 0 3)"])
 def test_apply_equals_letterwise_join(digits):
     sub = parry_substitution(RenyiExpansion.parse(digits))
-    letters = [chr(48 + j) for j in range(len(sub.images))]
+    images = images_of(sub)
+    letters = [chr(48 + j) for j in range(len(images))]
     rng = random.Random(digits)
     for size in (0, 1, 2, 7, 40, 500):
         word = "".join(rng.choice(letters) for _ in range(size))
-        assert apply(sub, word) == "".join(sub.images[ord(c) - 48] for c in word)
+        assert apply(sub, word) == "".join(images[ord(c) - 48] for c in word)
     # one past the alphabet, "/" (letter index -1) and non-digits
-    for bad in (chr(48 + len(sub.images)), "/", "a", " ", "\u0660"):
+    for bad in (chr(48 + len(images)), "/", "a", " ", "\u0660"):
         with pytest.raises(InvalidInputError):
             apply(sub, "0" + bad + "1")
 
@@ -164,25 +189,35 @@ class TestFixedPoint:
 # the five benchmark expansions, a non-minimal one, one whose images
 # start with single letters, and every (a, b) with a <= 8; then images that
 # outgrow the axiom's, so that the prefix reads many blocks off itself:
-# Thue-Morse, and images with a letter that maps to one letter or never grows
+# Thue-Morse, and images with a letter that maps to one letter or never grows;
+# last, two whose images are far longer than the prefixes read, so that the
+# prefix reads images with a run cut: phi(0) = 0^99999 1, and, given as its
+# runs, phi(1) = 0^(10^6) 1
 PREFIX_SUBJECTS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "2 1 (1)",
                    "4 1 1 (2 1)", "3 0 0 (0 1)"] + [
     f"{a} ({b})" for a in range(2, 9) for b in range(1, a)] + [
     ("01", "10"), ("01", "0111"), ("012", "12", "2220"), ("0121", "2", "01"),
-    ("001", "1")]
+    ("001", "1"), "99999 (1)", ((("0", 1), ("1", 1)), (("0", 10 ** 6), ("1", 1)))]
 
 
 @pytest.mark.parametrize("subject", PREFIX_SUBJECTS, ids=str)
 def test_prefix_equals_the_whole_word_reference(subject):
-    sub = (parry_substitution(RenyiExpansion.parse(subject))
-           if isinstance(subject, str) else Substitution(subject))
+    if isinstance(subject, str):
+        sub = parry_substitution(RenyiExpansion.parse(subject))
+    else:  # images written out, or runs
+        sub = Substitution(subject if isinstance(subject[0][0], tuple)
+                           else runs_of(subject))
     reference = reference_prefix(sub, 10 ** 5)
     # each length on and next to an image size phi^k(c) up to 10^5, where
-    # the level the prefix reads changes
-    sizes, images = {1}, list(sub.images)
-    while max(map(len, images)) <= 10 ** 5:
-        sizes |= set(map(len, images))
-        images = [apply(sub, image) for image in images]
+    # the level the prefix reads changes; the sizes of each level are those
+    # of the one before times the incidence matrix, so no image past 10^5
+    # letters is applied
+    matrix = incidence_matrix(sub)
+    sizes, level = {1}, [len(image) for image in images_of(sub)]
+    while max(level) <= 10 ** 5:
+        sizes |= set(level)
+        level = [sum(matrix[i][j] * level[i] for i in range(len(level)))
+                 for j in range(len(level))]
     lengths = {0, 10 ** 5} | {n + d for n in sizes for d in (-1, 0, 1)
                               if 0 <= n + d <= 10 ** 5}
     for length in sorted(lengths):
@@ -194,7 +229,7 @@ class TestPrimitivity:
         assert is_primitive(quadratic_substitution(QuadraticParams(3, 1)))
 
     def test_disconnected_is_not(self):
-        assert not is_primitive(Substitution(("00", "11")))
+        assert not is_primitive(Substitution(runs_of(("00", "11"))))
 
     def test_parry_substitutions_primitive(self):
         for digits in [((3,), (1,)), ((2, 1), (1,)), ((3, 2), (1,)),

@@ -21,9 +21,9 @@ FROZEN = {
     "QuadraticParams(a=3, b=1)": (lambda: QuadraticParams(3, 1), (3, 1)),
     "RenyiExpansion(preperiod=(3, 1), period=(2,))": (
         lambda: RenyiExpansion([3, "1"], (2,)), ((3, 1), (2,))),
-    "Substitution(images=('0001', '01'))": (
+    "Substitution(runs=((('0', 3), ('1', 1)), (('0', 1), ('1', 1))))": (
         lambda: quadratic_substitution(QuadraticParams(3, 1)),
-        (("0001", "01"),)),
+        (((("0", 3), ("1", 1)), (("0", 1), ("1", 1))),)),
     "PalindromeRecord(word='010', center='1', extensions=frozenset({'0'}))": (
         lambda: PalindromeRecord(word="010", center="1",
                                  extensions=frozenset("0")),
@@ -58,11 +58,12 @@ def test_frozen_types_refuse_assignment(shown):
 def test_fields_differ_by_value():
     assert QuadraticParams(3, 1) != QuadraticParams(4, 1)
     assert RenyiExpansion((3,), (1,)) != RenyiExpansion((3,), (2,))
-    assert Substitution(("001", "11")) != Substitution(("001", "01"))
+    assert Substitution(((("0", 2), ("1", 1)), (("1", 2),))) != \
+        Substitution(((("0", 2), ("1", 1)), (("0", 1), ("1", 1))))
 
 
 def test_constructors_take_keywords_and_defaults():
-    sub = Substitution(images=("0001", "01"))
+    sub = Substitution(runs=((("0", 3), ("1", 1)), (("0", 1), ("1", 1))))
     assert sub == quadratic_substitution(QuadraticParams(3, 1))
     tower = UVTower(params=QuadraticParams(3, 1), depth=2)
     assert tower.u_words == ["00", "01000100010"]
