@@ -578,6 +578,11 @@ def test_help_lists_every_command_and_option(monkeypatch, capsys):
     # single-letter images grows slowly, so the 60-letter window of
     # `verify --digits` needs 6.4 billion letters here
     ["verify", "--digits", "2" + " 0" * 24 + " (1)"],
+    # images of 10^10 letters, and of t with 4300 digits, are read as their
+    # runs, but the bounds on what a command prints or reads still hold
+    ["word", "--digits", "10000000000 (1)", "--length", "10000001"],
+    ["verify", "--digits", "9" * 4300 + " 0" * 24 + " (1)"],
+    ["analyze", "--a", "9" * 4300, "--b", "1", "--n-max", "100001"],
     # 75 and 537 million window letters for n = 60
     ["verify", "--digits", "3" + " 0" * 16 + " (0 1)"],
     ["verify", "--digits", "2" + " 0" * 20 + " (1 1)", "--format", "json"],
