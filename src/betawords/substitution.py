@@ -30,6 +30,10 @@ class Substitution(_Frozen):
     __slots__ = ("runs",)
 
     def __init__(self, runs: tuple[tuple[tuple[str, int], ...], ...]):
+        try:  # images given as any sequences of pairs (d, t), held as tuples
+            runs = tuple(tuple((d, t) for d, t in image) for image in runs)
+        except (TypeError, ValueError):
+            raise InvalidInputError("images must be sequences of runs (d, t)") from None
         self._set(runs=runs)
         if not runs:
             raise InvalidInputError("need one image per letter")
@@ -38,7 +42,7 @@ class Substitution(_Frozen):
             if len(image) == 0:
                 raise InvalidInputError("images must be non-empty")
             for i, (d, t) in enumerate(image):
-                if d not in alphabet:
+                if type(d) is not str or d not in alphabet:
                     raise InvalidInputError("image uses a letter outside the alphabet")
                 if type(t) is not int or t < 1 or i and d == image[i - 1][0]:
                     raise InvalidInputError("an image's runs must be maximal, each "
@@ -89,15 +93,16 @@ def fixed_point_prefix(substitution: Substitution, length: int) -> str:
     they are ahead of the reading, since the first block, phi^k(0), has at
     least two letters.  k is the first level whose phi^k(0) holds the
     prefix, or else the last whose images all have at most `length` letters
-    (at least 1).  Level 1 is built with each run cut to `length` letters;
+    (at least 1).  The one phi-step, `_next_images`, writes every level:
+    level 1 from the letters themselves, each run cut to `length` letters;
     an image so cut has a longer run, so its next size, read off the
     lengths, passes the prefix, and only whole images are grown.
     """
     if length < 0:
         raise InvalidInputError("length must be nonnegative")
     runs = {letter(j): image for j, image in enumerate(substitution.runs)}
-    images = {c: "".join([d * min(t, length) for d, t in image])
-              for c, image in runs.items()}
+    images = _next_images({c: [(d, min(t, length)) for d, t in image]
+                           for c, image in runs.items()}, {c: c for c in runs})
     while len(images["0"]) < length and max(sum(t * len(images[d]) for d, t in image)
                                             for image in runs.values()) <= length:
         images = _next_images(runs, images)

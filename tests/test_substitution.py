@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -50,6 +51,24 @@ class TestSubstitutionType:
             with pytest.raises(InvalidInputError,
                                match="^image uses a letter outside the alphabet$"):
                 Substitution(runs)
+        for runs in [("0001", "01"),  # images as words, not runs
+                     ((("0", 3, 1), ("1", 1)), (("0", 1), ("1", 1))),  # three items
+                     ((("0", 3), "1"), (("0", 1), ("1", 1))),  # a run of one item
+                     ((("0", 3), 1), (("0", 1), ("1", 1))),  # a run not a sequence
+                     (3, (("0", 1), ("1", 1))),  # an image not a sequence
+                     None]:
+            with pytest.raises(InvalidInputError, match="^images must be sequences of runs"):
+                Substitution(runs)
+        with pytest.raises(InvalidInputError,
+                           match="^image uses a letter outside the alphabet$"):
+            Substitution(((("0", 3), (["1"], 1)), (("0", 1), ("1", 1))))  # unhashable
+
+    def test_any_sequences_of_runs_hold_as_tuples(self):
+        listed = Substitution([[["0", 3], ["1", 1]], [("0", 1), ("1", 1)]])
+        assert listed.runs == P31_RUNS
+        assert listed == Substitution(P31_RUNS)
+        assert hash(listed) == hash(Substitution(P31_RUNS))
+        assert Substitution(iter(map(iter, P31_RUNS))).runs == P31_RUNS
 
     def test_the_images_fix_the_alphabet_and_the_axiom(self):
         sub = Substitution(runs_of(("0001", "01")))
@@ -222,6 +241,37 @@ def test_prefix_equals_the_whole_word_reference(subject):
                               if 0 <= n + d <= 10 ** 5}
     for length in sorted(lengths):
         assert fixed_point_prefix(sub, length) == reference[:length], length
+
+
+# the sha256 of 00000, and of the whole-word reference's prefix of 3 (1)
+@pytest.mark.parametrize("digits,length,sha256", [
+    ("99999999 (1)", 5, "e7042ac7d09c7bc41c8cfa5749e41858f6980643bc0db1a83cc793d3e24d3f77"),
+    ("3 (1)", 10 ** 5, "293be0f71a31d499db3934c49ce6cd6f008d3669305251d21cc220aff65e650a")])
+def test_every_level_is_written_by_the_one_phi_step(monkeypatch, digits, length, sha256):
+    calls = []
+    real = substitution_module._next_images
+
+    def spy(runs, images):
+        calls.append((runs, images, real(runs, images)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(substitution_module, "_next_images", spy)
+    sub = parry_substitution(RenyiExpansion.parse(digits))
+    prefix = fixed_point_prefix(sub, length)
+    runs = {substitution_module.letter(j): image for j, image in enumerate(sub.runs)}
+    # level 1: the letters themselves over the runs, each cut to the length
+    plan, letters, _ = calls[0]
+    assert letters == {c: c for c in runs}
+    assert plan == {c: [(d, min(t, length)) for d, t in image]
+                    for c, image in runs.items()}
+    assert max(t for image in plan.values() for _, t in image) <= length
+    # every later level grows the one before by the runs, and the prefix
+    # starts with the last level's image of 0
+    for (_, _, before), (step, images, _) in zip(calls, calls[1:]):
+        assert images is before and step == runs
+    assert prefix.startswith(calls[-1][2]["0"][:length])
+    assert len(prefix) == length
+    assert hashlib.sha256(prefix.encode()).hexdigest() == sha256
 
 
 class TestPrimitivity:
