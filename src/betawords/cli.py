@@ -410,8 +410,12 @@ def verify(a_max, n_max, digits, fmt):
             results[-1]["error"] = {"message": str(failure),
                                     "context": failure.context}
     failures = [point for point in results if not all(point["checks"].values())]
-    payload = {"schema": 1, "n_max": n_max, "points": results,
-               "passed": len(results) - len(failures), "failed": len(failures)}
+    payload = {
+        "schema": 1, "n_max": n_max,
+        "points": results,
+        "passed": len(results) - len(failures),
+        "failed": len(failures),
+    }
     lines = [
         f"({p['a']},{p['b']}): " + ", ".join(
             f"{name}={'ok' if ok else 'FAIL'}" for name, ok in p["checks"].items()
@@ -453,8 +457,10 @@ def specials(a, b, n, tower_depth, fmt):
         payload["u_words"], payload["v_words"] = tower.u_words, tower.v_words
         lines.append("U lengths: " + " ".join(payload["u_lengths"]))
         lines.append("V lengths: " + " ".join(payload["v_lengths"]))
-        lines += [f"U({i}) = {w}" for i, w in enumerate(tower.u_words, start=1)]
-        lines += [f"V({i}) = {w}" for i, w in enumerate(tower.v_words, start=1)]
+        for i, w in enumerate(payload["u_words"], start=1):
+            lines.append(f"U({i}) = {w}")
+        for i, w in enumerate(payload["v_words"], start=1):
+            lines.append(f"V({i}) = {w}")
     _emit(fmt, payload, lines)
 
 

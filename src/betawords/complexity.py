@@ -49,29 +49,30 @@ def _tower_counts(params: QuadraticParams):
 def t_orbit(word: str, params: QuadraticParams, cap: int):
     """w, T(w), T^2(w), ... while the words have at most `cap` letters.
 
-    T^k(w) = P_k phi^k(w) S_k, where P_0 = S_0 = "", phi^0(c) = c,
-    P_(k+1) = P_k phi^k(0^b 1), S_(k+1) = phi^k(0^b) S_k, and phi^(k+1)(0),
-    phi^(k+1)(1) come from phi^k(0), phi^k(1) by the one phi-step,
-    `_next_images`.  So every word, w too, is joined from a few words by
-    `_t_image`, with no pass over the one before.  Its letter counts are
-    checked before it is built, so no word over the cap is materialized.
+    T^k(w) = P_k phi^k(w) S_k, where P_(k+1) = P_k phi^k(0^b 1) and
+    S_(k+1) = phi^k(0^b) S_k, and phi^(k+1)(0), phi^(k+1)(1) come from
+    phi^k(0), phi^k(1) by the one phi-step, `_next_images`.  So each image
+    is joined from a few words (`_t_image`), with no pass over the previous
+    one; w is yielded as given, as a join would copy it.  Letter counts are
+    checked before a word is built, so no word over the cap is materialized.
     """
     counts = (word.count("0"), word.count("1"))
     if sum(counts) != len(word):
         raise InvalidInputError("word uses a letter outside the alphabet")
     runs = {"0": (("0", params.a), ("1", 1)), "1": (("0", params.b), ("1", 1))}
-    images, prefix, suffix = {"0": "0", "1": "1"}, "", ""
+    image, images, prefix, suffix = word, {"0": "0", "1": "1"}, "", ""
     while sum(counts) <= cap:
-        yield _t_image(word, images, prefix, suffix)
+        yield image
         counts = _t_counts(*counts, params)
         if sum(counts) <= cap:
             zeros = images["0"] * params.b
             prefix, suffix = prefix + zeros + images["1"], zeros + suffix
             images = _next_images(runs, images)
+            image = _t_image(word, images, prefix, suffix)
 
 
 def _t_image(first: str, images: dict[str, str], prefix: str, suffix: str) -> str:
-    """P_k phi^k(first) S_k from the images phi^k(c), P_k and S_k, k >= 0."""
+    """P_k phi^k(first) S_k, given the images phi^k(c), P_k and S_k."""
     return "".join([prefix, *map(images.get, first), suffix])
 
 

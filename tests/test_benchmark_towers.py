@@ -6,7 +6,6 @@ as failed operations of the benchmark.  Reads those files only, and takes
 under a second.
 """
 
-import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -15,9 +14,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def test_every_tower_digest_is_the_recorded_one(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from towers_job import run_op
-    from workloads import EXPECTED_TOWERS, GRID, TOWER_TASKS
+    from workloads import GRID, TOWER_TASKS, load_expected_towers
 
-    expected = json.loads(EXPECTED_TOWERS.read_text())
     got = {f"{a},{b},{task}": run_op(a, b, task)["digest"]
            for a, b in GRID for task in TOWER_TASKS}
-    assert got == expected
+    assert got == load_expected_towers()
