@@ -31,13 +31,11 @@ from .language import FactorLanguage, language_of, reversal_closure_probe
 from .palindromes import (
     EPSILON,
     BranchSpec,
-    PalindromeRecord,
     center_evolution,
     center_of,
     closed_form_p,
     infinite_branches,
     is_palindrome,
-    palindromes_of_length,
     palindromic_complexity,
     verify_identities,
 )

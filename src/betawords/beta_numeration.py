@@ -20,9 +20,9 @@ from .errors import (DigitCountError, InvalidInputError, InvalidParamsError,
 
 class _Frozen:
     """Base of the package's immutable value types, in place of frozen
-    dataclasses, which cost start-up: the public `__slots__` are the fields,
-    set once by the constructor with `_set`; ==, hash and repr read them,
-    and assigning or deleting one raises."""
+    dataclasses, which cost start-up: the `__slots__` are the fields, set
+    once by the constructor with `_set`; ==, hash and repr read them, and
+    assigning or deleting one raises."""
 
     __slots__ = ()
 
@@ -35,20 +35,17 @@ class _Frozen:
 
     __delattr__ = __setattr__
 
-    def _fields(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__
-                if not name.startswith("_")}
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
     def __hash__(self):
-        return hash(tuple(self._fields().values()))
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
 
     def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
 

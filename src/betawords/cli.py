@@ -32,8 +32,8 @@ from .errors import (
 )
 from .language import language_of, reversal_closure_probe
 from .palindromes import (
+    center_of,
     infinite_branches,
-    palindromes_of_length,
     palindromic_complexity,
     verify_identities,
 )
@@ -41,7 +41,9 @@ from .substitution import fixed_point_prefix, parry_substitution
 
 EXIT_PRECISION = 3
 EXIT_VERIFICATION = 4
-# 10^6 digits take about a second and 100 MB
+# 10^6 digits of a small x take 0.4 s and 100 MB; the time grows about as the
+# square of k, the digits of x before the point: at (3, 1) with 10^5 digits,
+# 2.4 s for x = 1e3000 (k = 5625) and 10 s for 1e5000 (k = 9375), 24 MB each
 MAX_DIGIT_COUNT = 10 ** 6
 # --n of specials and palindromes: at (a, b) = (3, 1) about 0.4-0.6 s and
 # 56-80 MB, at (15, 1) 0.6-0.8 s and 72-105 MB, at (41, 1) 0.7-1.3 s and 118 MB
@@ -217,34 +219,25 @@ def _help(usage, about, *sections):
         lines += ["", f"{title}:"]
         # every term here is under click's cap of 30 columns
         first = max(len(term) for term, _ in rows) + 2
-        for term, text in rows:
-            wrapped = textwrap.wrap(text, _HELP_WIDTH - first - 2)
-            lines.append(f"  {term:<{first}}{wrapped[0]}" if wrapped
-                         else f"  {term}")
-            lines += [" " * (first + 2) + line for line in wrapped[1:]]
+        lines += [textwrap.fill(text, _HELP_WIDTH, initial_indent=f"  {term:<{first}}",
+                                subsequent_indent=" " * (first + 2))
+                  if text else f"  {term}" for term, text in rows]
     return "\n".join(lines)
 
 
-def _short_help(about, limit):
-    """A one-sentence description cut to `limit` characters at a word, with
-    "...", as click listed commands."""
-    if len(about) <= limit:
-        return about
-    words = about.split()
-    while len(" ".join(words)) + 3 > limit:
-        words.pop()
-    return " ".join(words) + "..."
-
-
 def _group_help(prog):
+    """The group's help, each command's description cut at a word to fit
+    its row, with "...", as click listed commands."""
+    # loaded only for help
+    import textwrap
     commands = main.commands
     limit = _HELP_WIDTH - 6 - max(map(len, commands))
     return _help(f"{prog} [OPTIONS] COMMAND [ARGS]...",
                  "Infinite words of beta-integers: complexity and palindromes.",
                  ("Options", [_HELP_ROW]),
-                 ("Commands", [(name, _short_help(commands[name].callback.__doc__,
-                                                  limit))
-                               for name in sorted(commands)]))
+                 ("Commands", [(name, textwrap.shorten(
+                     commands[name].callback.__doc__, limit, placeholder="...",
+                     break_on_hyphens=False)) for name in sorted(commands)]))
 
 
 def main(argv=None):
@@ -471,19 +464,13 @@ def specials(a, b, n, tower_depth, fmt):
 def palindromes(a, b, n, branch_budget, fmt):
     """Palindromic factors of length n and the infinite branch structure."""
     params = _params(a, b)
-    lang = language_of(params)
-    records = sorted(palindromes_of_length(lang, n), key=lambda r: r.word)
-    payload = {
-        "schema": 1, "a": params.a, "b": params.b, "n": n,
-        "palindromes": [
-            {"word": r.word, "center": r.center,
-             "extensions": sorted(r.extensions)}
-            for r in records
-        ],
-    }
-    lines = [f"P({n}) = {len(records)}"]
-    lines += [f"  {r.word}  center={r.center} ext={''.join(sorted(r.extensions)) or '-'}"
-              for r in records]
+    found = [{"word": w, "center": center_of(w), "extensions": sorted(ext)}
+             for w, ext in sorted(language_of(params).palindrome_extensions(n).items())]
+    payload = {"schema": 1, "a": params.a, "b": params.b, "n": n,
+               "palindromes": found}
+    lines = [f"P({n}) = {len(found)}"] + [
+        f"  {p['word']}  center={p['center']} ext={''.join(p['extensions']) or '-'}"
+        for p in found]
     if not params.is_sturmian:
         branches = infinite_branches(params, branch_budget)
         payload["branches"] = [

@@ -1,9 +1,9 @@
 """Palindromic structure of the binary fixed points.
 
-Covers the palindromic factors, as records of the words and extensions
-that the oracle `language.FactorLanguage` reads off its eertree, centers,
-infinite palindromic branches, witnessed where they occur in the fixed
-point, and the closed-form palindromic complexity.
+Covers the centers of palindromes, infinite palindromic branches,
+witnessed where they occur in the fixed point, and the closed-form
+palindromic complexity; the palindromic factors and their extensions are
+read off the oracle's eertree (`language.FactorLanguage.palindrome_extensions`).
 The tower centers, the step d with V^(n) central in V^(n+d) and the branch
 plan all follow from one lemma, `center_evolution`: the center of T(p)
 from the center of p.  P(n+2) - P(n) is the tower mark of n in
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .beta_numeration import QuadraticParams, _Frozen
+from .beta_numeration import QuadraticParams
 from .complexity import Table, _tower_marks, t_orbit
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
 from .language import FactorLanguage, language_of
@@ -42,21 +42,6 @@ def center_of(word: str) -> str:
     if len(word) % 2 == 0:
         return EPSILON
     return word[len(word) // 2]
-
-
-class PalindromeRecord(_Frozen):
-    """A palindromic factor with its center and palindromic-extension set."""
-
-    __slots__ = ("word", "center", "extensions")
-
-    def __init__(self, word: str, center: str, extensions: frozenset[str]):
-        self._set(word=word, center=center, extensions=extensions)
-
-
-def palindromes_of_length(lang: FactorLanguage, n: int) -> set[PalindromeRecord]:
-    """All palindromic factors of length n, extension sets included."""
-    return {PalindromeRecord(word=w, center=center_of(w), extensions=ext)
-            for w, ext in lang.palindrome_extensions(n).items()}
 
 
 # ---------------------------------------------------------------------------

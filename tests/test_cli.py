@@ -864,7 +864,7 @@ def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
     for name in ("_automaton", "_eertree"):
         monkeypatch.setattr(FactorLanguage, name,
                             spy(name, getattr(FactorLanguage, name)))
-    monkeypatch.setattr(palindromes_module, "palindromes_of_length",
+    monkeypatch.setattr(FactorLanguage, "palindrome_extensions",
                         lambda lang, n: pytest.fail("per-length palindromes"))
     # verify over three points, then analyze over one, which checks its
     # point as verify does

@@ -14,13 +14,10 @@ from betawords import language
 from betawords import (
     FactorLanguage,
     InvalidInputError,
-    PalindromeRecord,
     QuadraticParams,
     RenyiExpansion,
     Substitution,
-    center_of,
     fixed_point_prefix,
-    palindromes_of_length,
     parry_check,
     parry_substitution,
     quadratic_substitution,
@@ -71,13 +68,12 @@ def test_one_pass_tables_equal_prefix_scan(subject):
     assert lang.complexities(TABLE_N) == list(map(len, scans[: TABLE_N + 1]))
     counts = lang.palindrome_counts(TABLE_N)
     for n in range(TABLE_N + 1):
-        records = {PalindromeRecord(w, center_of(w), frozenset(
-                       z for z in "01" if z + w + z in scans[n + 2]))
-                   for w in scans[n] if w == w[::-1]}
-        assert palindromes_of_length(lang, n) == records, n
-        assert counts[n] == (len(records),
-                             sum(not r.extensions for r in records),
-                             sum(len(r.extensions) == 2 for r in records)), n
+        extensions = {w: frozenset(z for z in "01" if z + w + z in scans[n + 2])
+                      for w in scans[n] if w == w[::-1]}
+        assert lang.palindrome_extensions(n) == extensions, n
+        assert counts[n] == (len(extensions),
+                             sum(not ext for ext in extensions.values()),
+                             sum(len(ext) == 2 for ext in extensions.values())), n
 
 
 @pytest.mark.parametrize("subject", ["3,1", "5,2", "3 (2 1)"])
@@ -258,8 +254,7 @@ def test_no_reader_changes_the_oracle(subject):
     before = copy.deepcopy(vars(lang))
     readers = [lang.complexities, lang.palindrome_counts,
                lang.palindrome_extensions, lang.left_special_factors,
-               lambda n: reversal_closure_probe(lang, n),
-               lambda n: palindromes_of_length(lang, n)]
+               lambda n: reversal_closure_probe(lang, n)]
     for n in (40, 3, 0):
         for reader in readers:
             reader(n)
@@ -301,9 +296,9 @@ def test_non_growing_substitution_raises_promptly(images):
 def test_negative_length_rejected():
     lang = FactorLanguage(substitution_of("3,1"))
     readers = [lambda n: factors(lang, n), lang.complexities,
-               lang.palindrome_counts, lang.left_special_factors,
-               lambda n: reversal_closure_probe(lang, n),
-               lambda n: palindromes_of_length(lang, n)]
+               lang.palindrome_counts, lang.palindrome_extensions,
+               lang.left_special_factors,
+               lambda n: reversal_closure_probe(lang, n)]
     for reader in readers:
         for n in (-1, -3):
             with pytest.raises(InvalidInputError):

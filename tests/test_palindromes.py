@@ -22,7 +22,6 @@ from betawords import (
     factor_complexity,
     infinite_branches,
     is_palindrome,
-    palindromes_of_length,
     palindromic_complexity,
     parry_substitution,
     quadratic_substitution,
@@ -125,13 +124,13 @@ class TestExtensions:
         depth = min(len(tower.u_words), len(tower.v_words))
         u_words, v_words = set(tower.u_words[:depth]), set(tower.v_words[:depth])
         for n in range(0, 61):
-            for record in palindromes_of_length(lang, n):
-                if record.word in u_words:
-                    assert record.extensions == frozenset()
-                elif record.word in v_words:
-                    assert record.extensions == frozenset({"0", "1"})
+            for word, extensions in lang.palindrome_extensions(n).items():
+                if word in u_words:
+                    assert extensions == frozenset()
+                elif word in v_words:
+                    assert extensions == frozenset({"0", "1"})
                 elif n > 0:
-                    assert len(record.extensions) == 1
+                    assert len(extensions) == 1
 
 
 class TestTMapPreservation:
@@ -440,7 +439,7 @@ class TestIdentities:
         assert verify_identities(params, *oracle_columns(params, 50)) is None
 
     def test_spot_checks_31(self, lang31):
-        p = [len(palindromes_of_length(lang31, n)) for n in range(12)]
+        p = [len(lang31.palindrome_extensions(n)) for n in range(12)]
         delta = [complexity(lang31, n + 1) - complexity(lang31, n) for n in range(12)]
         assert p[3] + p[2] == delta[2] + 2 == 4
         assert p[9] + p[8] == delta[8] + 2 == 4

@@ -7,7 +7,6 @@ import pytest
 
 from betawords import (
     BranchSpec,
-    PalindromeRecord,
     QuadraticParams,
     RenyiExpansion,
     Substitution,
@@ -24,10 +23,6 @@ FROZEN = {
     "Substitution(runs=((('0', 3), ('1', 1)), (('0', 1), ('1', 1))))": (
         lambda: quadratic_substitution(QuadraticParams(3, 1)),
         (((("0", 3), ("1", 1)), (("0", 1), ("1", 1))),)),
-    "PalindromeRecord(word='010', center='1', extensions=frozenset({'0'}))": (
-        lambda: PalindromeRecord(word="010", center="1",
-                                 extensions=frozenset("0")),
-        ("010", "1", frozenset("0"))),
 }
 
 
