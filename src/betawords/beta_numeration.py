@@ -3,9 +3,10 @@
 All of it is exact, in integers.  Greedy beta-expansions of a quadratic beta
 run in Q(beta) on integer coordinates over 1 and beta.  The gaps between
 consecutive beta-integers spell u_beta, the fixed point of the canonical
-substitution (Fabre 1995), so `beta_integer_decimals` reads the gap letters
-off that fixed point and prints the values, sums of the distances Delta_k
-in Z[beta], exactly from fixed-point integers.
+substitution (Fabre 1995) of the minimal spelling of d_beta(1), where letter
+k names the distance Delta_k, so `beta_integer_decimals` reads the gap
+letters off that fixed point and prints the values, sums of the Delta_k in
+Z[beta], exactly from fixed-point integers.
 """
 
 from __future__ import annotations
@@ -90,17 +91,19 @@ class RenyiExpansion(_Frozen):
     @property
     def is_minimal(self) -> bool:
         """True iff no shorter preperiod/period encodes the same sequence."""
-        m, p = self.m, self.p
-        # shorter period dividing p
-        for q in range(1, p):
-            if p % q == 0 and all(
-                self.period[i] == self.period[i % q] for i in range(p)
-            ):
-                return False
-        # preperiod digit absorbable into the period
-        if m >= 1 and self.preperiod[-1] == self.period[-1]:
-            return False
-        return True
+        return self.minimal() == self
+
+    def minimal(self) -> "RenyiExpansion":
+        """The same sequence with the shortest period, then the shortest
+        preperiod: a period digit that ends the preperiod is absorbed by
+        rotating the period."""
+        p = self.p
+        q = next(q for q in range(1, p + 1)
+                 if p % q == 0 and self.period == self.period[:q] * (p // q))
+        pre, per = self.preperiod, self.period[:q]
+        while pre and pre[-1] == per[-1]:
+            pre, per = pre[:-1], per[-1:] + per[:-1]
+        return RenyiExpansion(pre, per)
 
     def digit(self, j: int) -> int:
         """t_j with 1-based index, unfolding the period."""
@@ -259,50 +262,17 @@ def beta_expand(x, params: QuadraticParams,
 # Beta-integers
 # ---------------------------------------------------------------------------
 
-def _exact_gaps(renyi: RenyiExpansion) -> tuple[tuple[int, ...], dict]:
-    """The Parry relation and the gap letters by exact coordinates.
-
-    Elements of Z[beta] are carried as integer coordinates over 1, beta, ...,
-    beta^(d-1), d = m + p, reduced by the relation of d_beta(1),
+def _parry_relation(renyi: RenyiExpansion) -> tuple[int, ...]:
+    """The relation of d_beta(1), d = m + p,
     beta^d = sum_(i<=d) t_i beta^(d-i) + beta^m - sum_(i<=m) t_i beta^(m-i),
-    returned as its coefficients r_0 .. r_(d-1) of 1 .. beta^(d-1).  The map
-    sends the coordinates of each Delta_k = beta^k - t_1 beta^(k-1) - ... - t_k,
-    k < d, to its name in `_gap_names`.  Past d the relation folds Delta_k
-    onto Delta_(k-p), so these are all the gaps.
+    as its coefficients r_0 .. r_(d-1) of 1 .. beta^(d-1).
     """
     m, d, t = renyi.m, renyi.m + renyi.p, renyi.digit
     relation = [t(d - j) for j in range(d)]
     relation[m] += 1
     for j in range(m):
         relation[j] -= t(m - j)
-    names, delta = {}, (1,) + (0,) * (d - 1)
-    for k, name in enumerate(_gap_names(renyi)):
-        if k:
-            delta = _times_beta(delta, relation)
-            delta = (delta[0] - t(k), *delta[1:])
-        names.setdefault(delta, name)
-    return tuple(relation), names
-
-
-def _gap_names(renyi: RenyiExpansion) -> list[str]:
-    """The letter naming each Delta_k, k < m + p: that of the first Delta_j equal to it.
-
-    For j, k >= 1, Delta_j = Delta_k iff sigma^j d_beta(1) = sigma^k d_beta(1),
-    and Delta_0 = 1 is above the rest.  A non-minimal expansion repeats a
-    Delta_k, and so a distance: in `4 1 1 (2 1)` letter 4 is named 2.
-    """
-    # imported here: substitution imports this module
-    from .substitution import letter
-    d, t = renyi.m + renyi.p, renyi.digit
-    # a window of d digits past index k reaches p digits past the preperiod
-    tails = [tuple(t(k + i) for i in range(1, d + 1)) for k in range(d)]
-    return [letter(tails.index(tail, 1) if k else 0) for k, tail in enumerate(tails)]
-
-
-def _times_beta(coords: tuple, relation: tuple) -> list[int]:
-    """Coordinates of beta * x from those of x: a shift and one reduction."""
-    top = coords[-1]
-    return [top * r + c for r, c in zip(relation, (0, *coords))]
+    return tuple(relation)
 
 
 def _beta_floor(relation: tuple, t1: int, bits: int) -> int:
@@ -328,10 +298,12 @@ def beta_integer_decimals(renyi: RenyiExpansion, digits: int,
     """First `count` beta-integers as exact decimals, and their gap letters.
 
     The gaps between consecutive beta-integers spell the fixed point of the
-    canonical substitution (Fabre 1995), `parry_substitution(renyi)`, which
-    rejects digits that fail the Parry criterion and simple expansions.
-    Each letter k is renamed to the first Delta_j equal to Delta_k
-    (`_gap_names`).
+    canonical substitution (Fabre 1995) of the minimal spelling of d_beta(1),
+    `parry_substitution(renyi.minimal())`, which rejects digits that fail the
+    Parry criterion and simple expansions.  In that spelling the distances
+    Delta_k = beta^k - t_1 beta^(k-1) - ... - t_k, k < m + p, are distinct,
+    so letter k names Delta_k, of coordinates (-t_k, ..., -t_1, 1) over
+    1, beta, ..., beta^k: below beta^(m+p) the relation never reduces them.
 
     Each value reads as mpmath's nstr(value, digits) of the exact value:
     rounded half up to `digits` significant digits, fixed below 10^digits.
@@ -342,14 +314,14 @@ def beta_integer_decimals(renyi: RenyiExpansion, digits: int,
     """
     # imported here: substitution imports this module
     from .substitution import fixed_point_prefix, letter, parry_substitution
+    renyi = renyi.minimal()
     substitution = parry_substitution(renyi)
     if count < 2:
         raise InvalidInputError("count must be >= 2")
-    word = fixed_point_prefix(substitution, count - 1)
-    letters = word.translate({ord(letter(k)): name
-                              for k, name in enumerate(_gap_names(renyi))})
-    relation, names = _exact_gaps(renyi)
-    deltas, t1 = {gap: coords for coords, gap in names.items()}, renyi.digit(1)
+    letters = fixed_point_prefix(substitution, count - 1)
+    relation, t1 = _parry_relation(renyi), renyi.digit(1)
+    deltas = {letter(k): (*(-t for t in reversed(renyi.digits(k))), 1)
+              for k in range(len(relation))}
     # |beta^j 2^K - B_j| <= (t_1 + 3)^j for the powers B_j summed below
     slack = count * max(sum(abs(c) * (t1 + 3) ** j for j, c in enumerate(coords))
                         for coords in deltas.values())

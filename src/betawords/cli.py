@@ -56,8 +56,8 @@ MAX_WORD_LENGTH = 10 ** 7
 # --branch-budget of palindromes: the words are found in one prefix of u, 0.1 s
 # and 28 MB at (6, 1), at most 0.2 s and 52 MB over a <= 15
 MAX_BRANCH_BUDGET = 10 ** 7
-# --count of beta-integers: about 2.5 s and 133 MB, since every value is held
-# until all print
+# --count of beta-integers: 1.2-1.6 s on 3 (1), with 130 MB for text and
+# 153 MB for JSON, since every value is held until all print
 MAX_BETA_INTEGER_COUNT = 10 ** 6
 # --a-max of verify: 91 grid points (16 gives 105); about 0.3 s and 16 MB at
 # the default --n-max, 4 s and 24 MB at 4000, 2 min and 186 MB at 10^5

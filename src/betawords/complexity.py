@@ -23,7 +23,7 @@ from itertools import accumulate, islice, takewhile
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError, UnsupportedVariantError
 from .language import FactorLanguage, language_of
-from .substitution import Substitution, _next_images
+from .substitution import Substitution, _next_images, quadratic_substitution
 
 DEFAULT_MATERIALIZE_CAP = 10 ** 6
 
@@ -59,7 +59,7 @@ def t_orbit(word: str, params: QuadraticParams, cap: int):
     counts = (word.count("0"), word.count("1"))
     if sum(counts) != len(word):
         raise InvalidInputError("word uses a letter outside the alphabet")
-    runs = {"0": (("0", params.a), ("1", 1)), "1": (("0", params.b), ("1", 1))}
+    runs = dict(zip("01", quadratic_substitution(params).runs))
     image, images, prefix, suffix = word, {"0": "0", "1": "1"}, "", ""
     while sum(counts) <= cap:
         yield image

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from operator import sub
 
 from betawords.beta_numeration import (QuadraticParams, RenyiExpansion,
-                                       _beta_floor, _exact_gaps, _times_beta,
-                                       parry_check)
+                                       _beta_floor, _parry_relation, parry_check)
 from betawords.errors import InvalidInputError, PrecisionError, VerificationError
+from betawords.substitution import letter
 
 DEFAULT_PRECISION = 64
 
@@ -66,7 +66,7 @@ def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> 
     if renyi.m == 1 and renyi.p == 1 and renyi.digit(1) - 1 >= renyi.digit(2) >= 1:
         return beta_of(QuadraticParams(renyi.digit(1), renyi.digit(2)), precision)
     bits = 4 * (precision + 10)
-    scaled = _beta_floor(_exact_gaps(renyi)[0], renyi.digit(1), bits)
+    scaled = _beta_floor(_parry_relation(renyi), renyi.digit(1), bits)
     with workdps(precision):
         value = mpf((scaled, -bits))
     return BetaValue(value=value, precision=precision)
@@ -176,6 +176,44 @@ def gap_distances(renyi: RenyiExpansion, beta: BetaValue) -> GapDistances:
             )
         values[0] = mpf(1)
     return GapDistances(values=tuple(values), precision=beta.precision)
+
+
+def _exact_gaps(renyi: RenyiExpansion) -> tuple[tuple[int, ...], dict]:
+    """The Parry relation and the gap letters by exact coordinates.
+
+    The relation is `_parry_relation`'s, on coordinates over 1, beta, ...,
+    beta^(d-1), d = m + p.  The map sends the coordinates of each
+    Delta_k = beta^k - t_1 beta^(k-1) - ... - t_k, k < d, to its name in
+    `_gap_names`.  Past d the relation folds Delta_k onto Delta_(k-p), so
+    these are all the gaps.
+    """
+    t, relation = renyi.digit, _parry_relation(renyi)
+    names, delta = {}, (1,) + (0,) * (len(relation) - 1)
+    for k, name in enumerate(_gap_names(renyi)):
+        if k:
+            delta = _times_beta(delta, relation)
+            delta = (delta[0] - t(k), *delta[1:])
+        names.setdefault(delta, name)
+    return relation, names
+
+
+def _gap_names(renyi: RenyiExpansion) -> list[str]:
+    """The letter naming each Delta_k, k < m + p: that of the first Delta_j equal to it.
+
+    For j, k >= 1, Delta_j = Delta_k iff sigma^j d_beta(1) = sigma^k d_beta(1),
+    and Delta_0 = 1 is above the rest.  A non-minimal expansion repeats a
+    Delta_k, and so a distance: in `4 1 1 (2 1)` letter 4 is named 2.
+    """
+    d, t = renyi.m + renyi.p, renyi.digit
+    # a window of d digits past index k reaches p digits past the preperiod
+    tails = [tuple(t(k + i) for i in range(1, d + 1)) for k in range(d)]
+    return [letter(tails.index(tail, 1) if k else 0) for k, tail in enumerate(tails)]
+
+
+def _times_beta(coords: tuple, relation: tuple) -> list[int]:
+    """Coordinates of beta * x from those of x: a shift and one reduction."""
+    top = coords[-1]
+    return [top * r + c for r, c in zip(relation, (0, *coords))]
 
 
 def _admissible_strings(renyi: RenyiExpansion, relation, level, limit: int):

@@ -24,11 +24,31 @@ from betawords import (
     quadratic_substitution,
     renyi_of_quadratic,
 )
-from betawords import beta_numeration
+from betawords.substitution import letter
 
 
 # the benchmark's four expansions and the non-minimal "2 1 (1)"
 BENCHMARK_DIGITS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "2 1 (1)"]
+
+
+def two_rule_minimal(renyi):
+    """is_minimal as two rules: no period dividing p is shorter, and the last
+    preperiod digit differs from the last period digit."""
+    m, p = renyi.m, renyi.p
+    for q in range(1, p):
+        if p % q == 0 and all(
+            renyi.period[i] == renyi.period[i % q] for i in range(p)
+        ):
+            return False
+    if m >= 1 and renyi.preperiod[-1] == renyi.period[-1]:
+        return False
+    return True
+
+
+# every expansion with m <= 3, p <= 4, digits 0..3 and t_1 >= 1
+CONSTRUCTIBLE = [RenyiExpansion(digits[:m], digits[m:])
+                 for m in range(4) for p in range(1, 5)
+                 for digits in product(range(4), repeat=m + p) if digits[0]]
 
 
 class TestRenyiExpansion:
@@ -59,6 +79,21 @@ class TestRenyiExpansion:
         assert not RenyiExpansion((2, 1), (1,)).is_minimal
         # period (2, 2) collapses to (2)
         assert not RenyiExpansion((3,), (2, 2)).is_minimal
+        # a period digit that ends the preperiod is absorbed by a rotation
+        assert str(RenyiExpansion.parse("4 1 1 (2 1)").minimal()) == "4 1 (1 2)"
+        # the period shrinks first, then takes in the whole preperiod
+        assert str(RenyiExpansion.parse("2 1 2 (1 2 1 2)").minimal()) == "(2 1)"
+
+    def test_minimal_keeps_the_sequence_and_is_idempotent(self):
+        for renyi in CONSTRUCTIBLE:
+            minimal = renyi.minimal()
+            places = 2 * (renyi.m + renyi.p) + 2
+            assert minimal.digits(places) == renyi.digits(places), renyi
+            assert minimal.minimal() == minimal, renyi
+
+    def test_is_minimal_equals_the_two_rule_definition(self):
+        assert [r.is_minimal for r in CONSTRUCTIBLE] == list(
+            map(two_rule_minimal, CONSTRUCTIBLE))
 
     def test_parse_roundtrip(self):
         r = RenyiExpansion.parse("2 1 (3 1)")
@@ -305,8 +340,19 @@ class TestBetaIntegers:
             beta = beta_of_renyi(renyi, precision)
             assert beta_integers(renyi, beta, 3000)[1] == exact, precision
 
+    @pytest.mark.parametrize("renyi", [
+        r for r in CONSTRUCTIBLE if r.m <= 2 and r.p <= 3 and not r.is_minimal
+        and not r.is_simple and parry_check(r)[0]], ids=str)
+    def test_gap_letters_rename_the_given_spelling(self, renyi):
+        # the minimal spelling's fixed point is the given one's, each letter k
+        # renamed to the first Delta_j equal to Delta_k
+        names = {ord(letter(k)): name
+                 for k, name in enumerate(mpf_reference._gap_names(renyi))}
+        word = fixed_point_prefix(parry_substitution(renyi), 499)
+        assert beta_integer_decimals(renyi, 12, 500)[1] == word.translate(names)
+
     def test_a_gap_that_is_no_delta_k_raises(self, monkeypatch):
-        real = beta_numeration._exact_gaps
+        real = mpf_reference._exact_gaps
 
         def without_delta_one(renyi):
             relation, names = real(renyi)

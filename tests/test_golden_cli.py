@@ -144,6 +144,10 @@ GOLDEN = [
     (["parry-check", "--digits", "1 (2)", "--format", "json"], 4,
      "c6dfe9298a6388d4da184a5d3e4d780a11da25b0d1c7042b312ab7dc50383acf",
      EMPTY),
+    # non-minimal: 4 1 (1 2) spelled long
+    (["parry-check", "--digits", "4 1 1 (2 1)", "--format", "json"], 0,
+     "b2958c63963c90fdaf1bb39105241c58f4c8f6cae85c709db0f99bacf2066906",
+     EMPTY),
     (["beta-expand", "--a", "3", "--b", "1", "--x", "7.25"], 0,
      "3707215ce6b42c4235fc40e7db8198b9169218e90e9b74666fd084866f2ded63",
      EMPTY),
@@ -165,6 +169,11 @@ GOLDEN = [
      EMPTY),
     (["beta-integers", "--digits", "4 (2)", "--count", "2000", "--format", "json"], 0,
      "9e33f669e3565882e3e001fb856aa3962f923bcb01f9ee4e9ff7251e1b6531c9",
+     EMPTY),
+    # non-minimal, with Delta_4 = Delta_2: the gaps spell the fixed point of
+    # the minimal spelling 4 1 (1 2), and the digits print as given
+    (["beta-integers", "--digits", "4 1 1 (2 1)", "--count", "40", "--format", "json"], 0,
+     "eb10df4c9801d2856f59cc847e7fe4b79d0f0462df39d28b48cfffca7ab87488",
      EMPTY),
     (["beta-integers", "--a", "3", "--b", "1", "--count", "20", "--precision", "5"], 0,
      "d219d57756e338a3b8c6df21f948013a0820d369c8b0935ff7e95e67db03bb41",
