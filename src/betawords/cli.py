@@ -48,8 +48,8 @@ MAX_DIGIT_COUNT = 10 ** 6
 # --n of specials and palindromes: at (a, b) = (3, 1) about 0.4-0.6 s and
 # 56-80 MB, at (15, 1) 0.6-0.8 s and 72-105 MB, at (41, 1) 0.7-1.3 s and 118 MB
 MAX_FACTOR_LENGTH = 10 ** 5
-# --n-max of analyze and verify: analyze at (3, 1) about 2.6 s and 103 MB, at
-# (15, 1) 2.1-2.5 s and 144 MB; verify on its default grid 14 s and 177 MB
+# --n-max of analyze and verify: analyze at (3, 1) about 1.6 s and 103 MB, at
+# (15, 1) 1.9 s and 144 MB; verify on its default grid 13.6 s and 175 MB
 MAX_TABLE_LENGTH = 10 ** 5
 # --length of word: about 0.1 s and 45 MB, whatever the images' sizes
 MAX_WORD_LENGTH = 10 ** 7
@@ -60,7 +60,7 @@ MAX_BRANCH_BUDGET = 10 ** 7
 # 153 MB for JSON, since every value is held until all print
 MAX_BETA_INTEGER_COUNT = 10 ** 6
 # --a-max of verify: 91 grid points (16 gives 105); about 0.3 s and 16 MB at
-# the default --n-max, 4 s and 24 MB at 4000, 2 min and 186 MB at 10^5
+# the default --n-max, 3.7 s and 24 MB at 4000, 2 min and 186 MB at 10^5
 MAX_A = 15
 # click's help width on a terminal of 80 columns or more, or on none
 _HELP_WIDTH = 78
@@ -336,8 +336,8 @@ def _check_point(params, n_max):
     columns to n_max, the checks by name and the first failure, a
     disagreement before a broken identity, or None."""
     lang = language_of(params)
-    c = [1, *factor_complexity(lang, n_max + 3).column("C")]  # C(0) = 1
-    p = palindromic_complexity(lang, n_max + 2).column("P")
+    c = lang.complexities(n_max + 3)
+    p = [count for count, _, _ in lang.palindrome_counts(n_max + 2)]
     closed_c = [1, *factor_complexity(params, n_max, "closed_form").column("C")]
     closed_p = palindromic_complexity(params, n_max, "closed_form").column("P")
     checks = {"factor_complexity": c[: n_max + 1] == closed_c,
@@ -378,7 +378,7 @@ def verify(a_max, n_max, digits, fmt):
         # slow-growing digits at the largest --n-max pass the window bound
         window = min(n_max, 60)
         probe = reversal_closure_probe(lang, window)
-        pal = palindromic_complexity(lang, window).column("P")
+        pal = [count for count, _, _ in lang.palindrome_counts(window)]
         last_pal = max((n for n, c in enumerate(pal) if c > 0), default=0)
         payload = {
             "schema": 1, "digits": str(digits), "window": window,

@@ -1,4 +1,5 @@
-"""Factor complexity of the binary fixed points: brute force and closed form.
+"""Closed-form factor complexity of the binary fixed points; the oracle's
+C(n), which `analyze` and `verify` compare with it, is `FactorLanguage`'s.
 
 The closed form integrates the first difference, which equals 2 exactly on
 the intervals (|V^(k)|, |U^(k)|] spanned by the towers of total bispecial
@@ -22,8 +23,7 @@ from itertools import accumulate, islice, takewhile
 
 from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError, UnsupportedVariantError
-from .language import FactorLanguage, language_of
-from .substitution import Substitution, _next_images, quadratic_substitution
+from .substitution import _next_images, quadratic_substitution
 
 DEFAULT_MATERIALIZE_CAP = 10 ** 6
 
@@ -167,32 +167,17 @@ class Table:
         return {"schema": 1, "rows": self.rows}
 
 
-def factor_complexity(
-    subject: FactorLanguage | Substitution | QuadraticParams,
-    n_max: int,
-    mode: str = "oracle",
-) -> Table:
-    """C(n) for 1 <= n <= n_max by brute force or by the closed form, as a
-    Table of n, C, deltaC and source.
+def factor_complexity(params: QuadraticParams, n_max: int, mode: str) -> Table:
+    """C(n) for 1 <= n <= n_max by the closed form, as a Table of n, C,
+    deltaC and source.
 
-    The oracle reads a given FactorLanguage, or builds one for the subject.
-    The closed form needs quadratic parameters and integrates Delta C from
-    C(1) = 2.
+    The closed form integrates Delta C from C(1) = 2.  `mode` has one legal
+    value, "closed_form", which the source column writes out.
     """
-    if n_max < 0:
-        raise InvalidInputError("factor length must be nonnegative")
-    if mode == "oracle":
-        counts = language_of(subject).complexities(n_max + 1)[1:]
-        delta = [after - before for before, after in zip(counts, counts[1:])]
-    elif mode != "closed_form":
+    if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
-    elif not isinstance(subject, QuadraticParams):
-        raise UnsupportedVariantError(
-            "closed-form complexity is defined only for quadratic parameters"
-        )
-    else:
-        delta = closed_form_delta_c(subject, n_max)
-        counts = list(accumulate(delta, initial=2))
+    delta = closed_form_delta_c(params, n_max)
+    counts = list(accumulate(delta, initial=2))
     return Table(("n", "C", "deltaC", "source"), [
         {"n": n, "C": counts[n - 1], "deltaC": delta[n - 1], "source": mode}
         for n in range(1, n_max + 1)])

@@ -205,27 +205,26 @@ class FactorLanguage:
 
     def palindrome_counts(self, n_max: int) -> list[tuple[int, int, int]]:
         """Oracle (P(n), maximal, two-extension) for 0 <= n <= n_max, from one
-        eertree; a palindrome's extensions are the letters 0 and 1 with
-        z w z a factor."""
+        eertree; a palindrome's extensions are the letters z of u with z w z
+        a factor, and it is maximal with none, two-extension with two or
+        more."""
         _, length, edges, _ = self._eertree(_length(n_max) + 2)
-        none = [-1] * len(length)
         counts = [[0, 0, 0] for _ in range(n_max + 1)]
-        for size, zero, one in zip(length, edges.get("0", none),
-                                   edges.get("1", none)):
+        for size, *targets in zip(length, *edges.values()):
             if 0 <= size <= n_max:
-                row, ext = counts[size], (zero >= 0) + (one >= 0)
+                # an edge of -1 is a letter that does not extend
+                row, ext = counts[size], len(targets) - targets.count(-1)
                 row[0] += 1
                 row[1] += ext == 0
-                row[2] += ext == 2
+                row[2] += ext >= 2
         return [tuple(row) for row in counts]
 
     def palindrome_extensions(self, n: int) -> dict[str, frozenset[str]]:
         """Each palindromic factor of length n, read off the eertree's nodes
         of that length, with its extensions as in `palindrome_counts`."""
         text, length, edges, ends = self._eertree(_length(n) + 2)
-        columns = [(z, edges[z]) for z in "01" if z in edges]
         return {text[end + 1 - n : end + 1]:
-                frozenset(z for z, column in columns if column[node] >= 0)
+                frozenset(z for z, column in edges.items() if column[node] >= 0)
                 for node, (size, end) in enumerate(zip(length, ends)) if size == n}
 
     def left_special_factors(self, n: int) -> set[str]:

@@ -2,8 +2,8 @@
 
 Covers the centers of palindromes, infinite palindromic branches,
 witnessed where they occur in the fixed point, and the closed-form
-palindromic complexity; the palindromic factors and their extensions are
-read off the oracle's eertree (`language.FactorLanguage.palindrome_extensions`).
+palindromic complexity; the oracle's P(n), the palindromic factors and
+their extensions are read off its eertree (`language.FactorLanguage`).
 The tower centers, the step d with V^(n) central in V^(n+d) and the branch
 plan all follow from one lemma, `center_evolution`: the center of T(p)
 from the center of p.  P(n+2) - P(n) is the tower mark of n in
@@ -21,8 +21,7 @@ from itertools import accumulate
 from .beta_numeration import QuadraticParams
 from .complexity import Table, _tower_marks, t_orbit
 from .errors import InvalidInputError, UnsupportedVariantError, VerificationError
-from .language import FactorLanguage, language_of
-from .substitution import Substitution, fixed_point_prefix, quadratic_substitution
+from .substitution import fixed_point_prefix, quadratic_substitution
 
 EPSILON = "e"  # center marker for even-length palindromes
 
@@ -157,34 +156,21 @@ def closed_form_p(params: QuadraticParams, n_max: int) -> list[int]:
     return values[:-1]
 
 
-def palindromic_complexity(
-    subject: FactorLanguage | Substitution | QuadraticParams,
-    n_max: int,
-    mode: str = "oracle",
-) -> Table:
-    """P(n) for 0 <= n <= n_max by enumeration or by the closed form, as a
-    Table of n, P, maximal_count, two_ext_count and source.
+def palindromic_complexity(params: QuadraticParams, n_max: int,
+                           mode: str) -> Table:
+    """P(n) for 0 <= n <= n_max by the closed form, as a Table of n, P,
+    maximal_count, two_ext_count and source.
 
-    The oracle reads a given FactorLanguage, or builds one for the subject.
+    `mode` has one legal value, "closed_form", which the source column
+    writes out.
     """
-    fields = ("n", "P", "maximal_count", "two_ext_count", "source")
-    if mode == "oracle":
-        return Table(fields, [
-            {"n": n, "P": p, "maximal_count": maximal, "two_ext_count": two_ext,
-             "source": mode}
-            for n, (p, maximal, two_ext)
-            in enumerate(language_of(subject).palindrome_counts(n_max))])
     if mode != "closed_form":
         raise ValueError(f"unknown mode {mode!r}")
-    if not isinstance(subject, QuadraticParams):
-        raise UnsupportedVariantError(
-            "closed-form palindromic complexity needs quadratic parameters"
-        )
     if n_max < 0:
         raise InvalidInputError("factor length must be nonnegative")
     # P(n+2) - P(n) is +1 at |V^(k)| (two extensions), -1 at |U^(k)| (maximal)
-    p = closed_form_p(subject, n_max + 2)
-    return Table(fields, [
+    p = closed_form_p(params, n_max + 2)
+    return Table(("n", "P", "maximal_count", "two_ext_count", "source"), [
         {"n": n, "P": now, "maximal_count": 1 if later < now else 0,
          "two_ext_count": 1 if later > now else 0, "source": mode}
         for n, (now, later) in enumerate(zip(p, p[2:]))])

@@ -58,11 +58,9 @@ def test_criterion_2_factor_complexity_grid():
         start = time.monotonic()
         for a, b in GRID:
             params = QuadraticParams(a, b)
-            oracle = factor_complexity(
-                quadratic_substitution(params), 120, "oracle"
-            )
+            oracle = FactorLanguage(quadratic_substitution(params))
             closed = factor_complexity(params, 120, "closed_form")
-            assert oracle.column("C") == closed.column("C"), (a, b)
+            assert oracle.complexities(120)[1:] == closed.column("C"), (a, b)
         assert time.monotonic() - start < 60.0
 
     report(2, "C(n) oracle equals closed form on the grid, n <= 120", body)
@@ -72,11 +70,10 @@ def test_criterion_3_palindromic_complexity_grid():
     def body():
         for a, b in GRID:
             params = QuadraticParams(a, b)
-            oracle = palindromic_complexity(
-                quadratic_substitution(params), 120, "oracle"
-            )
+            oracle = FactorLanguage(quadratic_substitution(params))
             closed = palindromic_complexity(params, 120, "closed_form")
-            assert oracle.column("P") == closed.column("P"), (a, b)
+            assert [count for count, _, _ in oracle.palindrome_counts(120)] \
+                == closed.column("P"), (a, b)
         spot = palindromic_complexity(QuadraticParams(3, 1), 12, "closed_form")
         p = spot.column("P")
         assert p[0] == 1 and p[1] == 2 and p[2] == 1 and p[3] == 3
@@ -91,8 +88,8 @@ def test_criterion_4_identity_suite():
         for a, b in GRID:
             params = QuadraticParams(a, b)
             lang = FactorLanguage(quadratic_substitution(params))
-            c = [1, *factor_complexity(lang, 123).column("C")]
-            p = palindromic_complexity(lang, 122).column("P")
+            c = lang.complexities(123)
+            p = [count for count, _, _ in lang.palindrome_counts(122)]
             verify_identities(params, c, p)  # raises on a violation
 
     report(4, "P/C identities hold on the grid, n <= 120", body)
@@ -130,11 +127,11 @@ def test_criterion_6_sturmian_boundary():
     def body():
         params = QuadraticParams(2, 1)
         assert params.is_sturmian
-        sub = quadratic_substitution(params)
-        c = factor_complexity(sub, 60, "oracle").column("C")
+        lang = FactorLanguage(quadratic_substitution(params))
+        c = lang.complexities(60)[1:]
         assert c == [n + 1 for n in range(1, 61)]
         assert factor_complexity(params, 60, "closed_form").column("C") == c
-        p = palindromic_complexity(sub, 60, "oracle").column("P")
+        p = [count for count, _, _ in lang.palindrome_counts(60)]
         assert all(p[n] == 1 for n in range(0, 61, 2))
         assert all(p[n] == 2 for n in range(1, 61, 2))
         assert palindromic_complexity(params, 60, "closed_form").column("P") == p

@@ -877,8 +877,9 @@ def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["betawords", *argv])
         cli_module.run()
         assert capsys.readouterr().out.splitlines()[-1] == last
-        # one language per point, and one automaton and one eertree over it;
-        # no per-length factor set is built
+        # one language per point, and one automaton and one eertree over it
+        # (3 for the verify grid, not the 9 perfbench's known failure
+        # expects); no per-length factor set is built
         assert len(built) == points
         assert sorted(calls) == [(name, i) for name in ("_automaton", "_eertree")
                                  for i in range(points)]
@@ -888,10 +889,9 @@ def _corrupt(monkeypatch, name, column, index):
     """Make the closed-form table of cli.<name> one too high at a row."""
     real = getattr(cli_module, name)
 
-    def corrupted(subject, n_max, mode="oracle"):
+    def corrupted(subject, n_max, mode):
         table = real(subject, n_max, mode)
-        if mode == "closed_form":
-            table.rows[index][column] += 1
+        table.rows[index][column] += 1
         return table
 
     monkeypatch.setattr(cli_module, name, corrupted)
@@ -922,6 +922,34 @@ def test_analyze_failure_names_first_disagreement(monkeypatch, capsys):
     dump = json.loads(out.err)
     assert dump["context"] == {"table": "C", "n": 7, "oracle": 9,
                                "closed_form": 10}
+
+
+# at (3, 1), C(9) = 12 and P(9) = 4
+@pytest.mark.parametrize("reader, raise_one, table, check, values", [
+    ("complexities", lambda c: c + 1, "C", "factor_complexity", (13, 12)),
+    ("palindrome_counts", lambda row: (row[0] + 1, *row[1:]), "P",
+     "palindromic_complexity", (5, 4))], ids=["C", "P"])
+def test_oracle_columns_stay_in_the_check(monkeypatch, capsys, reader,
+                                          raise_one, table, check, values):
+    real = getattr(FactorLanguage, reader)
+
+    def raised(self, n_max):
+        column = real(self, n_max)
+        column[9] = raise_one(column[9])
+        return column
+
+    monkeypatch.setattr(FactorLanguage, reader, raised)
+    code, out = _run_in_process(monkeypatch, capsys, "verify", "--a-max", "3",
+                                "--n-max", "20", "--format", "json")
+    assert code == 1
+    assert json.loads(out.out)["points"][0]["checks"][check] is False
+    code, out = _run_in_process(monkeypatch, capsys, "analyze", "--a", "3",
+                                "--b", "1", "--n-max", "12")
+    assert code == 4
+    oracle, closed = values
+    assert json.loads(out.err)["context"] == {"table": table, "n": 9,
+                                             "oracle": oracle,
+                                             "closed_form": closed}
 
 
 def test_assigned_tower_marks_fail_on_the_boundary(monkeypatch, capsys):

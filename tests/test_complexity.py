@@ -159,20 +159,20 @@ class TestSpecialFactors:
 
 
 class TestFactorComplexity:
-    def test_running_example_table_31(self):
-        table = factor_complexity(P31, 12, "oracle")
-        assert table.column("C") == [2, 3, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18]
-        assert [r["deltaC"] for r in table.rows] == [1, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1]
+    def test_running_example_table_31(self, lang31):
+        c = lang31.complexities(13)
+        assert c[1:13] == [2, 3, 5, 6, 7, 8, 9, 10, 12, 14, 16, 18]
+        assert [c[n + 1] - c[n] for n in range(1, 13)] == \
+            [1, 2, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1]
 
-    def test_closed_form_agrees(self):
-        oracle = factor_complexity(quadratic_substitution(P31), 60, "oracle")
+    def test_closed_form_agrees(self, lang31):
+        oracle = lang31.complexities(60)
         closed = factor_complexity(P31, 60, "closed_form")
-        assert oracle.column("C") == closed.column("C")
+        assert oracle[1:] == closed.column("C")
 
     def test_sturmian_oracle(self):
-        table = factor_complexity(quadratic_substitution(QuadraticParams(2, 1)),
-                                  60, "oracle")
-        assert table.column("C") == [n + 1 for n in range(1, 61)]
+        lang = FactorLanguage(quadratic_substitution(QuadraticParams(2, 1)))
+        assert lang.complexities(60)[1:] == [n + 1 for n in range(1, 61)]
 
     def test_sturmian_closed_form_rejected(self):
         # the closed forms used to refuse b = a-1; now the cancelling marks
@@ -196,10 +196,10 @@ class TestFactorComplexity:
             assert set(blocks[:-1]) <= {a, b}
 
     def test_csv_export(self):
-        table = factor_complexity(P31, 3, "oracle")
+        table = factor_complexity(P31, 3, "closed_form")
         lines = table.to_csv().strip().splitlines()
         assert lines[0] == "n,C,deltaC,source"
-        assert lines[1] == "1,2,1,oracle"
+        assert lines[1] == "1,2,1,closed_form"
 
     def test_json_export(self):
         payload = factor_complexity(P31, 3, "closed_form").to_json()

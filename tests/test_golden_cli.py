@@ -78,6 +78,11 @@ GOLDEN = [
     (["verify", "--digits", "4 1 1 (2 1)", "--n-max", "60", "--format", "json"], 0,
      "4ac5c98eef6cb17902f25894346724ca1cbe2d8a19bb0e75bcb36ab444b98ac5",
      EMPTY),
+    # palindromes that extend by the letter 2 alone: P reads the same
+    # whichever letters the extensions read
+    (["verify", "--digits", "3 3 (3 2)", "--n-max", "60", "--format", "json"], 0,
+     "e766c8d4ff01826f448409b061d8cf6797f2e0d3391ffddadec08518a4440bec",
+     EMPTY),
     (["verify", "--a-max", "6", "--n-max", "60", "--format", "json"], 0,
      "c7342cb4e378b90046f3de80b695fdfb95b3ccc61a0cd9df5452ac9ad01ce6c1",
      EMPTY),

@@ -68,12 +68,40 @@ def test_one_pass_tables_equal_prefix_scan(subject):
     assert lang.complexities(TABLE_N) == list(map(len, scans[: TABLE_N + 1]))
     counts = lang.palindrome_counts(TABLE_N)
     for n in range(TABLE_N + 1):
-        extensions = {w: frozenset(z for z in "01" if z + w + z in scans[n + 2])
+        extensions = {w: frozenset(z for z in scans[1] if z + w + z in scans[n + 2])
                       for w in scans[n] if w == w[::-1]}
         assert lang.palindrome_extensions(n) == extensions, n
-        assert counts[n] == (len(extensions),
-                             sum(not ext for ext in extensions.values()),
-                             sum(len(ext) == 2 for ext in extensions.values())), n
+        assert counts[n] == row_of(extensions), n
+
+
+def row_of(extensions):
+    """(P, maximal, two-extension) of the palindromes of one length, given
+    each with its extensions."""
+    return (len(extensions), sum(not ext for ext in extensions.values()),
+            sum(len(ext) >= 2 for ext in extensions.values()))
+
+
+# palindromes up to length 60 that extend by a letter past 1 alone; a reader
+# of the columns of 0 and 1 alone would count them maximal
+@pytest.mark.parametrize("subject, past_one", [("3 3 (3 2)", 4),
+                                               ("1 1 1 (1 0)", 6),
+                                               ("2 1 (0 1)", 1)])
+def test_extensions_read_every_letter(subject, past_one):
+    lang = FactorLanguage(substitution_of(subject))
+    letters = factors(lang, 1)
+    counts, found = lang.palindrome_counts(N_MAX), 0
+    for n in range(N_MAX + 1):
+        longer = factors(lang, n + 2)
+        extensions = {w: frozenset(z for z in letters if z + w + z in longer)
+                      for w in factors(lang, n) if w == w[::-1]}
+        assert lang.palindrome_extensions(n) == extensions, n
+        assert counts[n] == row_of(extensions), n
+        found += sum(bool(ext) and not ext & {"0", "1"}
+                     for ext in extensions.values())
+    assert found == past_one
+    if subject == "3 3 (3 2)":
+        assert lang.palindrome_extensions(15)["000100010001000"] == {"2"}
+        assert counts[15] == (3, 0, 0)
 
 
 @pytest.mark.parametrize("subject", ["3,1", "5,2", "3 (2 1)"])

@@ -44,8 +44,8 @@ def lang31():
 def oracle_columns(params, n_max):
     """C(0) .. C(n_max+3) and P(0) .. P(n_max+2) from one oracle."""
     lang = FactorLanguage(quadratic_substitution(params))
-    return ([1, *factor_complexity(lang, n_max + 3).column("C")],
-            palindromic_complexity(lang, n_max + 2).column("P"))
+    return (lang.complexities(n_max + 3),
+            [count for count, _, _ in lang.palindrome_counts(n_max + 2)])
 
 
 class TestCenters:
@@ -328,9 +328,8 @@ class TestReversalClosure:
 
 
 class TestPalindromicComplexity:
-    def test_oracle_spot_values_31(self):
-        table = palindromic_complexity(quadratic_substitution(P31), 14, "oracle")
-        p = table.column("P")
+    def test_oracle_spot_values_31(self, lang31):
+        p = [count for count, _, _ in lang31.palindrome_counts(14)]
         assert p[0] == 1 and p[1] == 2 and p[2] == 1
         assert p[3] == p[5] == p[7] == 3
         assert p[9] == p[11] == 4
@@ -345,9 +344,10 @@ class TestPalindromicComplexity:
     @pytest.mark.parametrize("a,b", [(3, 1), (4, 1), (4, 2), (5, 2)])
     def test_oracle_equals_closed_form(self, a, b):
         params = QuadraticParams(a, b)
-        oracle = palindromic_complexity(quadratic_substitution(params), 60, "oracle")
+        oracle = FactorLanguage(quadratic_substitution(params))
         closed = palindromic_complexity(params, 60, "closed_form")
-        assert oracle.column("P") == closed.column("P")
+        assert [count for count, _, _ in oracle.palindrome_counts(60)] \
+            == closed.column("P")
 
     def test_bounded_by_four(self):
         for a, b in [(3, 1), (6, 3)]:
@@ -355,10 +355,8 @@ class TestPalindromicComplexity:
             assert max(table.column("P")) <= 4
 
     def test_sturmian_oracle(self):
-        table = palindromic_complexity(
-            quadratic_substitution(QuadraticParams(2, 1)), 61, "oracle"
-        )
-        p = table.column("P")
+        lang = FactorLanguage(quadratic_substitution(QuadraticParams(2, 1)))
+        p = [count for count, _, _ in lang.palindrome_counts(61)]
         assert all(p[n] == 1 for n in range(0, 62, 2))
         assert all(p[n] == 2 for n in range(1, 62, 2))
 
@@ -399,7 +397,8 @@ class TestPalindromicComplexity:
                              + [(a, a - 1) for a in range(2, 7)])
     def test_shortest_lengths_equal_the_oracle(self, a, b):
         params = QuadraticParams(a, b)
-        oracle = palindromic_complexity(params, 4).column("P")
+        oracle = [count for count, _, _ in
+                  FactorLanguage(quadratic_substitution(params)).palindrome_counts(4)]
         for n in range(5):
             assert closed_form_p(params, n) == oracle[: n + 1], n
             table = palindromic_complexity(params, n, "closed_form")
@@ -408,22 +407,25 @@ class TestPalindromicComplexity:
     @pytest.mark.parametrize("mode", ["oracle", "closed_form"])
     def test_negative_length_rejected(self, mode):
         # as every per-length reader of the oracle does
-        readers = [lambda n: factor_complexity(P31, n, mode),
-                   lambda n: palindromic_complexity(P31, n, mode)]
-        if mode == "closed_form":
-            readers += [lambda n: closed_form_p(P31, n),
-                        lambda n: closed_form_delta_c(P31, n)]
+        if mode == "oracle":
+            lang = FactorLanguage(quadratic_substitution(P31))
+            readers = [lang.complexities, lang.palindrome_counts]
+        else:
+            readers = [lambda n: factor_complexity(P31, n, mode),
+                       lambda n: palindromic_complexity(P31, n, mode),
+                       lambda n: closed_form_p(P31, n),
+                       lambda n: closed_form_delta_c(P31, n)]
         for reader in readers:
             for n in (-1, -2):
                 with pytest.raises(InvalidInputError, match="nonnegative"):
                     reader(n)
 
-    def test_classification_counts(self):
-        oracle = palindromic_complexity(quadratic_substitution(P31), 30, "oracle")
+    def test_classification_counts(self, lang31):
+        oracle = lang31.palindrome_counts(30)
         closed = palindromic_complexity(P31, 30, "closed_form")
-        for row_o, row_c in zip(oracle.rows, closed.rows):
-            assert row_o["maximal_count"] == row_c["maximal_count"]
-            assert row_o["two_ext_count"] == row_c["two_ext_count"]
+        for (_, maximal, two_ext), row_c in zip(oracle, closed.rows):
+            assert maximal == row_c["maximal_count"]
+            assert two_ext == row_c["two_ext_count"]
 
     def test_csv_export(self):
         table = palindromic_complexity(P31, 3, "closed_form")
@@ -458,8 +460,9 @@ class TestIdentities:
         for a in range(2, 16):
             params = QuadraticParams(a, a - 1)
             lang = FactorLanguage(quadratic_substitution(params))
-            c = [1, *factor_complexity(lang, n_max + 3).column("C")]
-            oracle_p = palindromic_complexity(lang, n_max + 2)
+            c = lang.complexities(n_max + 3)
+            oracle_p = dict(zip(("P", "maximal_count", "two_ext_count"),
+                                map(list, zip(*lang.palindrome_counts(n_max + 2)))))
             closed_c = factor_complexity(params, n_max, "closed_form")
             closed_p = palindromic_complexity(params, n_max, "closed_form")
             assert closed_c.column("C") == c[1 : n_max + 1], a
@@ -467,8 +470,8 @@ class TestIdentities:
                 [c[n + 1] - c[n] for n in range(1, n_max + 1)], a
             for name in ("P", "maximal_count", "two_ext_count"):
                 assert closed_p.column(name) == \
-                    oracle_p.column(name)[: n_max + 1], (a, name)
-            verify_identities(params, c, oracle_p.column("P"))
+                    oracle_p[name][: n_max + 1], (a, name)
+            verify_identities(params, c, oracle_p["P"])
 
     def test_changed_p_names_the_first_broken_identity(self):
         c, p = oracle_columns(P31, 20)
