@@ -27,7 +27,7 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .language import FactorLanguage, language_of, reversal_closure_probe
+from .language import FactorLanguage
 from .palindromes import (
     EPSILON,
     BranchSpec,

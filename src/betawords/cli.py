@@ -30,14 +30,15 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .language import language_of, reversal_closure_probe
+from .language import FactorLanguage
 from .palindromes import (
     center_of,
     infinite_branches,
     palindromic_complexity,
     verify_identities,
 )
-from .substitution import fixed_point_prefix, parry_substitution
+from .substitution import (fixed_point_prefix, parry_substitution,
+                           quadratic_substitution)
 
 EXIT_PRECISION = 3
 EXIT_VERIFICATION = 4
@@ -49,7 +50,7 @@ MAX_DIGIT_COUNT = 10 ** 6
 # 56-80 MB, at (15, 1) 0.6-0.8 s and 72-105 MB, at (41, 1) 0.7-1.3 s and 118 MB
 MAX_FACTOR_LENGTH = 10 ** 5
 # --n-max of analyze and verify: analyze at (3, 1) about 1.6 s and 103 MB, at
-# (15, 1) 1.9 s and 144 MB; verify on its default grid 13.6 s and 175 MB
+# (15, 1) 1.8 s and 144 MB; verify on its default grid 11.0 s and 177 MB
 MAX_TABLE_LENGTH = 10 ** 5
 # --length of word: about 0.1 s and 45 MB, whatever the images' sizes
 MAX_WORD_LENGTH = 10 ** 7
@@ -332,12 +333,13 @@ def analyze(a, b, n_max, fmt):
 
 def _check_point(params, n_max):
     """One point's check, for analyze and verify: the oracle columns
-    C(0..n_max+3) and P(0..n_max+2) of one FactorLanguage, the closed-form
-    columns to n_max, the checks by name and the first failure, a
-    disagreement before a broken identity, or None."""
-    lang = language_of(params)
+    C(0..n_max+3), from the automaton for n_max+3, and P(0..n_max+2), from
+    the eertree for n_max+2, of one FactorLanguage, the closed-form columns
+    to n_max, the checks by name and the first failure, a disagreement
+    before a broken identity, or None."""
+    lang = FactorLanguage(quadratic_substitution(params))
     c = lang.complexities(n_max + 3)
-    p = [count for count, _, _ in lang.palindrome_counts(n_max + 2)]
+    p = lang.palindrome_counts(n_max + 2)
     closed_c = [1, *factor_complexity(params, n_max, "closed_form").column("C")]
     closed_p = palindromic_complexity(params, n_max, "closed_form").column("P")
     checks = {"factor_complexity": c[: n_max + 1] == closed_c,
@@ -374,11 +376,11 @@ def _disagreement(*columns):
 def verify(a_max, n_max, digits, fmt):
     """Run the invariant suite over the (a, b) grid, or probe one expansion."""
     if digits is not None:
-        lang = language_of(parry_substitution(digits))
+        lang = FactorLanguage(parry_substitution(digits))
         # slow-growing digits at the largest --n-max pass the window bound
         window = min(n_max, 60)
-        probe = reversal_closure_probe(lang, window)
-        pal = [count for count, _, _ in lang.palindrome_counts(window)]
+        probe = lang.reversal_closure_probe(window)
+        pal = lang.palindrome_counts(window)
         last_pal = max((n for n, c in enumerate(pal) if c > 0), default=0)
         payload = {
             "schema": 1, "digits": str(digits), "window": window,
@@ -439,7 +441,8 @@ def word(a, b, digits, length, fmt):
 def specials(a, b, n, tower_depth, fmt):
     """Left special factors of length n, plus the U/V towers."""
     params = _params(a, b)
-    left = sorted(language_of(params).left_special_factors(n))
+    lang = FactorLanguage(quadratic_substitution(params))
+    left = sorted(lang.left_special_factors(n))
     payload = {"schema": 1, "a": params.a, "b": params.b, "n": n,
                "left_special": left}
     lines = [f"left special ({len(left)}): " + " ".join(left)]
@@ -464,8 +467,9 @@ def specials(a, b, n, tower_depth, fmt):
 def palindromes(a, b, n, branch_budget, fmt):
     """Palindromic factors of length n and the infinite branch structure."""
     params = _params(a, b)
+    lang = FactorLanguage(quadratic_substitution(params))
     found = [{"word": w, "center": center_of(w), "extensions": sorted(ext)}
-             for w, ext in sorted(language_of(params).palindrome_extensions(n).items())]
+             for w, ext in sorted(lang.palindrome_extensions(n).items())]
     payload = {"schema": 1, "a": params.a, "b": params.b, "n": n,
                "palindromes": found}
     lines = [f"P({n}) = {len(found)}"] + [

@@ -26,8 +26,10 @@ and the palindromes from a generalized eertree (Rubinchik & Shur 2015),
 one node per distinct palindrome with an edge by z to z w z.
 
 Both keep where an occurrence of each state or node ends, and only this
-module reads them: the left specials and `reversal_closure_probe` read the
-automaton, and `palindrome_extensions` the eertree.
+module reads them.  `FactorLanguage(substitution)` is the one oracle, and
+each reader is one of its methods: `complexities`, `left_special_factors`
+and `reversal_closure_probe` read the automaton, `palindrome_counts` and
+`palindrome_extensions` the eertree.
 """
 
 from __future__ import annotations
@@ -35,14 +37,12 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate
 
-from .beta_numeration import QuadraticParams
 from .errors import InvalidInputError
-from .substitution import (Substitution, _next_images, letter,
-                           quadratic_substitution)
+from .substitution import Substitution, _next_images, letter
 
 _SEPARATOR = " "  # between the windows; no letter of u
 # the most window letters the automaton or the eertree reads, at about 150
-# bytes a letter; (10^5, 1) at n = 10^5 + 4 reads 1.7 million.  Checked
+# bytes a letter; (45, 1) at n = 10^5 + 3 reads 1.6 million.  Checked
 # once, on the cut sizes, so no block is joined past it
 MAX_WINDOW_LETTERS = 10 ** 7
 _PAST_BOUND = f"the windows are past the bound of {MAX_WINDOW_LETTERS} letters"
@@ -203,25 +203,18 @@ class FactorLanguage:
             last = node
         return text, length, edges, ends
 
-    def palindrome_counts(self, n_max: int) -> list[tuple[int, int, int]]:
-        """Oracle (P(n), maximal, two-extension) for 0 <= n <= n_max, from one
-        eertree; a palindrome's extensions are the letters z of u with z w z
-        a factor, and it is maximal with none, two-extension with two or
-        more."""
-        _, length, edges, _ = self._eertree(_length(n_max) + 2)
-        counts = [[0, 0, 0] for _ in range(n_max + 1)]
-        for size, *targets in zip(length, *edges.values()):
+    def palindrome_counts(self, n_max: int) -> list[int]:
+        """Oracle P(0) .. P(n_max): the eertree's nodes of each length."""
+        _, length, _, _ = self._eertree(_length(n_max))
+        counts = [0] * (n_max + 1)
+        for size in length:
             if 0 <= size <= n_max:
-                # an edge of -1 is a letter that does not extend
-                row, ext = counts[size], len(targets) - targets.count(-1)
-                row[0] += 1
-                row[1] += ext == 0
-                row[2] += ext >= 2
-        return [tuple(row) for row in counts]
+                counts[size] += 1
+        return counts
 
     def palindrome_extensions(self, n: int) -> dict[str, frozenset[str]]:
-        """Each palindromic factor of length n, read off the eertree's nodes
-        of that length, with its extensions as in `palindrome_counts`."""
+        """Each palindromic factor w of length n, read off the eertree's nodes
+        of that length, with its extensions, the letters z with z w z a factor."""
         text, length, edges, ends = self._eertree(_length(n) + 2)
         return {text[end + 1 - n : end + 1]:
                 frozenset(z for z, column in edges.items() if column[node] >= 0)
@@ -237,36 +230,23 @@ class FactorLanguage:
         count = Counter(s for s, _ in pairs)
         return {text[ends[s] + 1 - n : ends[s] + 1] for s in count if count[s] > 1}
 
+    def reversal_closure_probe(self, n_max: int) -> dict:
+        """Check reversal-invariance of the factor sets up to n_max.
 
-def language_of(subject: FactorLanguage | Substitution | QuadraticParams
-                ) -> FactorLanguage:
-    """The oracle for a subject, as given or new: no reader changes it."""
-    if isinstance(subject, FactorLanguage):
-        return subject
-    if isinstance(subject, QuadraticParams):
-        subject = quadratic_substitution(subject)
-    return FactorLanguage(subject)
-
-
-def reversal_closure_probe(subject: FactorLanguage | Substitution,
-                           n_max: int) -> dict:
-    """Check reversal-invariance of the factor sets up to n_max.
-
-    Returns {"closed_up_to": n, "witness": w or None}; the witness is the
-    least factor whose reversal is not one, at the first length with one.
-    """
-    # the windows for 1 hold every letter, so the root has an edge by each
-    text, length, link, edges, _ = \
-        language_of(subject)._automaton(max(_length(n_max), 1))
-    best = (n_max + 1, None)
-    for piece in text.split(_SEPARATOR):
-        state = m = 0  # piece[i : i + m] reversed: the longest such factor
-        for i in range(len(piece) - 1, -1, -1):
-            to = edges[piece[i]]
-            while to[state] < 0:
-                state, m = link[state], length[link[state]]
-            state, m = to[state], m + 1
-            # piece[i : i + m + 1], if it fits, is a factor; its reversal is not
-            if m < min(len(piece) - i, n_max, best[0]):
-                best = min(best, (m + 1, piece[i : i + m + 1]))
-    return {"closed_up_to": best[0] - 1, "witness": best[1]}
+        Returns {"closed_up_to": n, "witness": w or None}; the witness is the
+        least factor whose reversal is not one, at the first length with one.
+        """
+        # the windows for 1 hold every letter, so the root has an edge by each
+        text, length, link, edges, _ = self._automaton(max(_length(n_max), 1))
+        best = (n_max + 1, None)
+        for piece in text.split(_SEPARATOR):
+            state = m = 0  # piece[i : i + m] reversed: the longest such factor
+            for i in range(len(piece) - 1, -1, -1):
+                to = edges[piece[i]]
+                while to[state] < 0:
+                    state, m = link[state], length[link[state]]
+                state, m = to[state], m + 1
+                # piece[i : i + m + 1], if it fits, is a factor; its reversal is not
+                if m < min(len(piece) - i, n_max, best[0]):
+                    best = min(best, (m + 1, piece[i : i + m + 1]))
+        return {"closed_up_to": best[0] - 1, "witness": best[1]}

@@ -23,7 +23,6 @@ from betawords import (
     parry_substitution,
     quadratic_substitution,
     renyi_of_quadratic,
-    reversal_closure_probe,
     uv_tower,
     verify_identities,
 )
@@ -72,8 +71,7 @@ def test_criterion_3_palindromic_complexity_grid():
             params = QuadraticParams(a, b)
             oracle = FactorLanguage(quadratic_substitution(params))
             closed = palindromic_complexity(params, 120, "closed_form")
-            assert [count for count, _, _ in oracle.palindrome_counts(120)] \
-                == closed.column("P"), (a, b)
+            assert oracle.palindrome_counts(120) == closed.column("P"), (a, b)
         spot = palindromic_complexity(QuadraticParams(3, 1), 12, "closed_form")
         p = spot.column("P")
         assert p[0] == 1 and p[1] == 2 and p[2] == 1 and p[3] == 3
@@ -89,7 +87,7 @@ def test_criterion_4_identity_suite():
             params = QuadraticParams(a, b)
             lang = FactorLanguage(quadratic_substitution(params))
             c = lang.complexities(123)
-            p = [count for count, _, _ in lang.palindrome_counts(122)]
+            p = lang.palindrome_counts(122)
             verify_identities(params, c, p)  # raises on a violation
 
     report(4, "P/C identities hold on the grid, n <= 120", body)
@@ -131,7 +129,7 @@ def test_criterion_6_sturmian_boundary():
         c = lang.complexities(60)[1:]
         assert c == [n + 1 for n in range(1, 61)]
         assert factor_complexity(params, 60, "closed_form").column("C") == c
-        p = [count for count, _, _ in lang.palindrome_counts(60)]
+        p = lang.palindrome_counts(60)
         assert all(p[n] == 1 for n in range(0, 61, 2))
         assert all(p[n] == 2 for n in range(1, 61, 2))
         assert palindromic_complexity(params, 60, "closed_form").column("P") == p
@@ -143,15 +141,14 @@ def test_criterion_6_sturmian_boundary():
 def test_criterion_7_reversal_closure():
     def body():
         for a, b in [(3, 1), (4, 2), (5, 1)]:
-            probe = reversal_closure_probe(
-                quadratic_substitution(QuadraticParams(a, b)), 50
-            )
+            lang = FactorLanguage(quadratic_substitution(QuadraticParams(a, b)))
+            probe = lang.reversal_closure_probe(50)
             assert probe == {"closed_up_to": 50, "witness": None}, (a, b)
         renyi = RenyiExpansion((2, 1), (1,))
         sub = parry_substitution(renyi)
-        probe = reversal_closure_probe(sub, 30)
-        assert probe["witness"] == "102"
         lang = FactorLanguage(sub)
+        probe = lang.reversal_closure_probe(30)
+        assert probe["witness"] == "102"
         counts = [sum(1 for w in factors(lang, n) if w == w[::-1])
                   for n in range(61)]
         assert max(n for n, c in enumerate(counts) if c > 0) < 60

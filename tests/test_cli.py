@@ -531,10 +531,10 @@ def test_option_value_forms(monkeypatch, capsys):
 
 
 def test_ctrl_c_exits_2(monkeypatch, capsys):
-    def interrupt(params):
+    def interrupt(substitution):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli_module, "language_of", interrupt)
+    monkeypatch.setattr(cli_module, "FactorLanguage", interrupt)
     assert _outcome(monkeypatch, capsys, "analyze", "--a", "3", "--b", "1") \
         == (2, "", "\n")
 
@@ -849,9 +849,9 @@ def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
     built, calls = [], []
 
     def spy(name, real):
-        def counted(self, *args):
-            calls.append((name, built.index(self)))
-            return real(self, *args)
+        def counted(self, n):
+            calls.append((name, built.index(self), n))
+            return real(self, n)
         return counted
 
     real_init = FactorLanguage.__init__
@@ -867,11 +867,14 @@ def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
     monkeypatch.setattr(FactorLanguage, "palindrome_extensions",
                         lambda lang, n: pytest.fail("per-length palindromes"))
     # verify over three points, then analyze over one, which checks its
-    # point as verify does
-    for argv, points, last in (
-            (["verify", "--a-max", "4", "--n-max", "20"], 3,
+    # point as verify does, both at n_max = 20; then the digits probe, whose
+    # P and reversal probe read the window of 60 letters alone
+    for argv, points, lengths, last in (
+            (["verify", "--a-max", "4", "--n-max", "20"], 3, (23, 22),
              "passed 3/3 parameter points"),
-            (["analyze", "--a", "4", "--b", "1"], 1, "20,33,1,1,yes")):
+            (["analyze", "--a", "4", "--b", "1"], 1, (23, 22), "20,33,1,1,yes"),
+            (["verify", "--digits", "3 3 (3 2)", "--n-max", "60"], 1, (60, 60),
+             "longest palindrome up to length 60: 59")):
         built.clear()
         calls.clear()
         monkeypatch.setattr(sys, "argv", ["betawords", *argv])
@@ -879,9 +882,12 @@ def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
         assert capsys.readouterr().out.splitlines()[-1] == last
         # one language per point, and one automaton and one eertree over it
         # (3 for the verify grid, not the 9 perfbench's known failure
-        # expects); no per-length factor set is built
+        # expects), C to n_max + 3 from the automaton for n_max + 3 and P to
+        # n_max + 2 from the eertree for n_max + 2; no per-length factor set
+        # is built
         assert len(built) == points
-        assert sorted(calls) == [(name, i) for name in ("_automaton", "_eertree")
+        assert sorted(calls) == [(name, i, n) for name, n
+                                 in zip(("_automaton", "_eertree"), lengths)
                                  for i in range(points)]
 
 
@@ -927,7 +933,7 @@ def test_analyze_failure_names_first_disagreement(monkeypatch, capsys):
 # at (3, 1), C(9) = 12 and P(9) = 4
 @pytest.mark.parametrize("reader, raise_one, table, check, values", [
     ("complexities", lambda c: c + 1, "C", "factor_complexity", (13, 12)),
-    ("palindrome_counts", lambda row: (row[0] + 1, *row[1:]), "P",
+    ("palindrome_counts", lambda p: p + 1, "P",
      "palindromic_complexity", (5, 4))], ids=["C", "P"])
 def test_oracle_columns_stay_in_the_check(monkeypatch, capsys, reader,
                                           raise_one, table, check, values):

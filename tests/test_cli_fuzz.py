@@ -116,5 +116,5 @@ def test_random_argv_exits_with_a_documented_code(argv):
 def test_fuzz_sees_a_traceback():
     # an exception the CLI does not map escapes run(), which the fuzz reports
     with pytest.raises(ZeroDivisionError), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli_module, "language_of", lambda params: 1 / 0)
+        mp.setattr(cli_module, "FactorLanguage", lambda substitution: 1 / 0)
         run_cli(["analyze", "--a", "3", "--b", "1"])

@@ -5,7 +5,8 @@ import time
 import tracemalloc
 
 import pytest
-from factor_reference import complexity, contains, factors, left_special_factors
+from factor_reference import (complexity, contains, factors, left_special_factors,
+                              palindrome_rows)
 from factor_reference import reversal_closure_probe as reference_probe
 from hypothesis import assume, given, settings, strategies as st
 from lemma_reference import images_of, runs_of
@@ -21,7 +22,6 @@ from betawords import (
     parry_check,
     parry_substitution,
     quadratic_substitution,
-    reversal_closure_probe,
 )
 
 # Every length-60 factor of these subjects occurs in their first 889 letters.
@@ -66,12 +66,13 @@ def test_one_pass_tables_equal_prefix_scan(subject):
     scans = [scan(prefix, n) for n in range(TABLE_N + 3)]
     lang = FactorLanguage(sub)
     assert lang.complexities(TABLE_N) == list(map(len, scans[: TABLE_N + 1]))
-    counts = lang.palindrome_counts(TABLE_N)
+    counts, rows = lang.palindrome_counts(TABLE_N), palindrome_rows(lang, TABLE_N)
     for n in range(TABLE_N + 1):
         extensions = {w: frozenset(z for z in scans[1] if z + w + z in scans[n + 2])
                       for w in scans[n] if w == w[::-1]}
         assert lang.palindrome_extensions(n) == extensions, n
-        assert counts[n] == row_of(extensions), n
+        assert counts[n] == len(extensions), n
+        assert rows[n] == row_of(extensions), n
 
 
 def row_of(extensions):
@@ -89,19 +90,21 @@ def row_of(extensions):
 def test_extensions_read_every_letter(subject, past_one):
     lang = FactorLanguage(substitution_of(subject))
     letters = factors(lang, 1)
-    counts, found = lang.palindrome_counts(N_MAX), 0
+    counts, rows = lang.palindrome_counts(N_MAX), palindrome_rows(lang, N_MAX)
+    found = 0
     for n in range(N_MAX + 1):
         longer = factors(lang, n + 2)
         extensions = {w: frozenset(z for z in letters if z + w + z in longer)
                       for w in factors(lang, n) if w == w[::-1]}
         assert lang.palindrome_extensions(n) == extensions, n
-        assert counts[n] == row_of(extensions), n
+        assert counts[n] == len(extensions), n
+        assert rows[n] == row_of(extensions), n
         found += sum(bool(ext) and not ext & {"0", "1"}
                      for ext in extensions.values())
     assert found == past_one
     if subject == "3 3 (3 2)":
         assert lang.palindrome_extensions(15)["000100010001000"] == {"2"}
-        assert counts[15] == (3, 0, 0)
+        assert counts[15] == 3 and rows[15] == (3, 0, 0)
 
 
 @pytest.mark.parametrize("subject", ["3,1", "5,2", "3 (2 1)"])
@@ -202,6 +205,7 @@ def test_cut_blocks_read_as_whole_blocks(subject):
     for n in CUT_LENGTHS.get(subject, CUT_DEFAULT_LENGTHS):
         assert cut.complexities(n) == whole.complexities(n), n
         assert cut.palindrome_counts(n) == whole.palindrome_counts(n), n
+        assert palindrome_rows(cut, n) == palindrome_rows(whole, n), n
         words = sorted(factors(cut, n))
         assert words == sorted(factors(whole, n)), n
         # the first and last factors, and the words one letter off them
@@ -250,11 +254,13 @@ def test_windows_past_the_bound_grow_no_image():
 
 
 # every a up to 60, and larger a up to 10^6, with b at both ends and in the
-# middle, at the lengths the CLI asks at its bound of 10^5: `specials` reads
-# the windows for 10^5 + 1, `palindromes` those for 10^5 + 2, and `analyze`
-# and `verify` those for 10^5 + 4 (C to n + 3, P to n + 2).  With every run
-# cut, the most is 1.7 million letters, at (10^5, 1), so no quadratic input
-# the CLI accepts nears the bound
+# middle, at the lengths the CLI asks at its bound of 10^5 and one more:
+# `specials` reads the windows for 10^5 + 1, `palindromes` those for
+# 10^5 + 2, and `analyze` and `verify` those for 10^5 + 3 (C to n + 3 from
+# the automaton for n + 3, P to n + 2 from the eertree for n + 2).  With
+# every run cut, the most is 1.6 million letters up to 10^5 + 3, at (45, 1),
+# and 1.7 million at 10^5 + 4, at (10^5, 1), so no quadratic input the CLI
+# accepts nears the bound
 def test_quadratic_windows_stay_far_below_the_bound():
     for a in [*range(2, 61), 100, 300, 10 ** 3, 3 * 10 ** 3, 10 ** 4,
               3 * 10 ** 4, 10 ** 5, 10 ** 6]:
@@ -282,7 +288,7 @@ def test_no_reader_changes_the_oracle(subject):
     before = copy.deepcopy(vars(lang))
     readers = [lang.complexities, lang.palindrome_counts,
                lang.palindrome_extensions, lang.left_special_factors,
-               lambda n: reversal_closure_probe(lang, n)]
+               lang.reversal_closure_probe]
     for n in (40, 3, 0):
         for reader in readers:
             reader(n)
@@ -325,8 +331,7 @@ def test_negative_length_rejected():
     lang = FactorLanguage(substitution_of("3,1"))
     readers = [lambda n: factors(lang, n), lang.complexities,
                lang.palindrome_counts, lang.palindrome_extensions,
-               lang.left_special_factors,
-               lambda n: reversal_closure_probe(lang, n)]
+               lang.left_special_factors, lang.reversal_closure_probe]
     for reader in readers:
         for n in (-1, -3):
             with pytest.raises(InvalidInputError):
@@ -346,7 +351,7 @@ def test_automaton_readers_equal_factor_sets(subject):
     for n in [*range(41), 77, 150]:
         assert lang.left_special_factors(n) == left_special_factors(lang, n), n
     for window in (1, 5, 20, 60):
-        assert reversal_closure_probe(lang, window) \
+        assert lang.reversal_closure_probe(window) \
             == reference_probe(lang, window), window
 
 

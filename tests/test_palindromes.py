@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from factor_reference import complexity, contains, factors
+from factor_reference import complexity, contains, factors, palindrome_rows
 from lemma_reference import (PARITY_CASES, classify_tower_centers,
                              clause_ranges, palindromic_extensions,
                              parity_table_p, t_map, t_map_palindrome_check)
@@ -25,7 +25,6 @@ from betawords import (
     palindromic_complexity,
     parry_substitution,
     quadratic_substitution,
-    reversal_closure_probe,
     t_orbit,
     tower_intervals,
     uv_tower,
@@ -44,8 +43,7 @@ def lang31():
 def oracle_columns(params, n_max):
     """C(0) .. C(n_max+3) and P(0) .. P(n_max+2) from one oracle."""
     lang = FactorLanguage(quadratic_substitution(params))
-    return (lang.complexities(n_max + 3),
-            [count for count, _, _ in lang.palindrome_counts(n_max + 2)])
+    return lang.complexities(n_max + 3), lang.palindrome_counts(n_max + 2)
 
 
 class TestCenters:
@@ -306,14 +304,15 @@ class TestBranches:
 
 class TestReversalClosure:
     def test_quadratic_closed(self):
-        probe = reversal_closure_probe(quadratic_substitution(P31), 50)
+        lang = FactorLanguage(quadratic_substitution(P31))
+        probe = lang.reversal_closure_probe(50)
         assert probe == {"closed_up_to": 50, "witness": None}
 
     def test_three_letter_witness(self):
         sub = parry_substitution(RenyiExpansion((2, 1), (1,)))
-        probe = reversal_closure_probe(sub, 30)
-        assert probe["witness"] is not None
         lang = FactorLanguage(sub)
+        probe = lang.reversal_closure_probe(30)
+        assert probe["witness"] is not None
         w = probe["witness"]
         assert contains(lang, w) and not contains(lang, w[::-1])
 
@@ -329,7 +328,7 @@ class TestReversalClosure:
 
 class TestPalindromicComplexity:
     def test_oracle_spot_values_31(self, lang31):
-        p = [count for count, _, _ in lang31.palindrome_counts(14)]
+        p = lang31.palindrome_counts(14)
         assert p[0] == 1 and p[1] == 2 and p[2] == 1
         assert p[3] == p[5] == p[7] == 3
         assert p[9] == p[11] == 4
@@ -346,8 +345,7 @@ class TestPalindromicComplexity:
         params = QuadraticParams(a, b)
         oracle = FactorLanguage(quadratic_substitution(params))
         closed = palindromic_complexity(params, 60, "closed_form")
-        assert [count for count, _, _ in oracle.palindrome_counts(60)] \
-            == closed.column("P")
+        assert oracle.palindrome_counts(60) == closed.column("P")
 
     def test_bounded_by_four(self):
         for a, b in [(3, 1), (6, 3)]:
@@ -356,7 +354,7 @@ class TestPalindromicComplexity:
 
     def test_sturmian_oracle(self):
         lang = FactorLanguage(quadratic_substitution(QuadraticParams(2, 1)))
-        p = [count for count, _, _ in lang.palindrome_counts(61)]
+        p = lang.palindrome_counts(61)
         assert all(p[n] == 1 for n in range(0, 62, 2))
         assert all(p[n] == 2 for n in range(1, 62, 2))
 
@@ -397,8 +395,7 @@ class TestPalindromicComplexity:
                              + [(a, a - 1) for a in range(2, 7)])
     def test_shortest_lengths_equal_the_oracle(self, a, b):
         params = QuadraticParams(a, b)
-        oracle = [count for count, _, _ in
-                  FactorLanguage(quadratic_substitution(params)).palindrome_counts(4)]
+        oracle = FactorLanguage(quadratic_substitution(params)).palindrome_counts(4)
         for n in range(5):
             assert closed_form_p(params, n) == oracle[: n + 1], n
             table = palindromic_complexity(params, n, "closed_form")
@@ -421,7 +418,7 @@ class TestPalindromicComplexity:
                     reader(n)
 
     def test_classification_counts(self, lang31):
-        oracle = lang31.palindrome_counts(30)
+        oracle = palindrome_rows(lang31, 30)
         closed = palindromic_complexity(P31, 30, "closed_form")
         for (_, maximal, two_ext), row_c in zip(oracle, closed.rows):
             assert maximal == row_c["maximal_count"]
@@ -462,7 +459,8 @@ class TestIdentities:
             lang = FactorLanguage(quadratic_substitution(params))
             c = lang.complexities(n_max + 3)
             oracle_p = dict(zip(("P", "maximal_count", "two_ext_count"),
-                                map(list, zip(*lang.palindrome_counts(n_max + 2)))))
+                                map(list, zip(*palindrome_rows(lang, n_max + 2)))))
+            assert lang.palindrome_counts(n_max + 2) == oracle_p["P"], a
             closed_c = factor_complexity(params, n_max, "closed_form")
             closed_p = palindromic_complexity(params, n_max, "closed_form")
             assert closed_c.column("C") == c[1 : n_max + 1], a
