@@ -52,7 +52,8 @@ MAX_FACTOR_LENGTH = 10 ** 5
 # --n-max of analyze and verify: analyze at (3, 1) about 1.6 s and 103 MB, at
 # (15, 1) 1.8 s and 144 MB; verify on its default grid 11.0 s and 177 MB
 MAX_TABLE_LENGTH = 10 ** 5
-# --length of word: about 0.1 s and 45 MB, whatever the images' sizes
+# --length of word: 0.1 s and 44-49 MB at (3, 1), (40, 39), on 3 (2 1) and on
+# 2 (1 .. 1) with 200 ones; past level 1 the images held total at most --length
 MAX_WORD_LENGTH = 10 ** 7
 # --branch-budget of palindromes: the words are found in one prefix of u, 0.1 s
 # and 28 MB at (6, 1), at most 0.2 s and 52 MB over a <= 15
@@ -79,7 +80,11 @@ class _Option:
         self.low, self.high, self.choices = low, high, choices
         self.required, self.help = required, help
         self.dest = dest or flag[2:].replace("-", "_")
-        self.ranged = low is not None or high is not None
+        # the range as click wrote it: x>=1, x<=10, 0<=x<=10, or "" for none
+        self.range_text = ("" if low is None and high is None
+                           else f"x<={high}" if low is None
+                           else f"x>={low}" if high is None
+                           else f"{low}<=x<={high}")
 
     def convert(self, raw):
         """The value of `raw`; ValueError in click's words if it has none."""
@@ -94,27 +99,19 @@ class _Option:
             value = int(raw)
         except ValueError:
             raise ValueError(f"{raw!r} is not a valid integer"
-                             f"{' range' if self.ranged else ''}.") from None
+                             f"{' range' if self.range_text else ''}.") from None
         if (self.low is not None and value < self.low
                 or self.high is not None and value > self.high):
-            raise ValueError(f"{value} is not in the range {self.range()}.")
+            raise ValueError(f"{value} is not in the range {self.range_text}.")
         return value
-
-    def range(self):
-        """The range as click wrote it: x>=1, x<=10, 0<=x<=10."""
-        if self.low is None:
-            return f"x<={self.high}"
-        if self.high is None:
-            return f"x>={self.low}"
-        return f"{self.low}<=x<={self.high}"
 
     def help_row(self):
         """The option's two help columns, as click wrote them."""
         metavar = (f"[{'|'.join(self.choices)}]" if self.choices
                    else "TEXT" if self.kind is not int
-                   else "INTEGER RANGE" if self.ranged else "INTEGER")
+                   else "INTEGER RANGE" if self.range_text else "INTEGER")
         extra = [f"default: {self.default}"] if self.default is not None else []
-        extra += [self.range()] * self.ranged + ["required"] * self.required
+        extra += filter(None, [self.range_text, "required" * self.required])
         bracket = f"[{'; '.join(extra)}]" if extra else ""
         return f"{self.flag} {metavar}", "  ".join(filter(None, (self.help,
                                                                   bracket)))
@@ -136,7 +133,9 @@ class _Command:
         options = {option.flag: option for option in self.options}
         given, asked, extra = _read(args, options)
         if asked:
-            _echo(self.help(usage))
+            rows = [option.help_row() for option in self.options]
+            _echo(_help(f"{usage} [OPTIONS]", self.callback.__doc__,
+                        ("Options", [*rows, _HELP_ROW])))
             return None
         kwargs = {}
         left_out = [option for option in self.options if option.flag not in given]
@@ -153,11 +152,6 @@ class _Command:
             raise UsageError(f"Got unexpected extra argument"
                              f"{'s' * (len(extra) > 1)} ({' '.join(extra)})")
         return kwargs
-
-    def help(self, usage):
-        rows = [option.help_row() for option in self.options]
-        return _help(f"{usage} [OPTIONS]", self.callback.__doc__,
-                     ("Options", [*rows, _HELP_ROW]))
 
 
 def _read(args, options, interspersed=True):
@@ -296,10 +290,10 @@ def _renyi(a, b, digits):
     return renyi_of_quadratic(_params(a, b)) if digits is None else digits
 
 
-def _echo(text, file=None, end="\n"):
-    """Write text and end as one string, then flush, as click.echo did."""
+def _echo(text, file=None):
+    """Write text and a newline as one string, then flush, as click.echo did."""
     file = file or sys.stdout
-    file.write(text + end)
+    file.write(text + "\n")
     file.flush()
 
 
@@ -309,7 +303,7 @@ def _emit(fmt, payload, text_lines):
     if fmt == "json":
         _echo(json.dumps(payload, sort_keys=True))
     else:
-        _echo("".join(f"{line}\n" for line in text_lines), end="")
+        _echo("\n".join(text_lines))
 
 
 @_command(_Option("--a"), _Option("--b"),
@@ -514,17 +508,13 @@ def beta_expand_cmd(a, b, x, digit_count, fmt):
         k, digit_seq = beta_expand(x, params, digit_count)
     except DigitCountError as exc:
         raise UsageError(_invalid("--digit-count", exc)) from None
-    rendered = _render_expansion(k, digit_seq)
+    integer = "".join(map(str, digit_seq[: k + 1]))
+    frac = "".join(map(str, digit_seq[k + 1 :]))
+    rendered = integer + ("." + frac if frac else "")
     payload = {"schema": 1, "a": params.a, "b": params.b, "x": x,
                "exponent": k, "digits": list(digit_seq),
                "rendered": rendered}
     _emit(fmt, payload, [rendered])
-
-
-def _render_expansion(k, digit_seq):
-    integer = [str(d) for d in digit_seq[: k + 1]]
-    frac = [str(d) for d in digit_seq[k + 1 :]]
-    return "".join(integer) + ("." + "".join(frac) if frac else "")
 
 
 @_command(_Option("--a"), _Option("--b"), _DIGITS,

@@ -91,21 +91,21 @@ def fixed_point_prefix(substitution: Substitution, length: int) -> str:
     u = phi^k(u) for every k, so u is the blocks phi^k(x), one per letter x
     of u in turn, and those letters are read off the blocks already written:
     they are ahead of the reading, since the first block, phi^k(0), has at
-    least two letters.  k is the first level whose phi^k(0) holds the
-    prefix, or else the last whose images all have at most `length` letters
-    (at least 1).  The one phi-step, `_next_images`, writes every level:
-    level 1 from the letters themselves, each run cut to `length` letters;
-    an image so cut has a longer run, so its next size, read off the
-    lengths, passes the prefix, and only whole images are grown.
+    least two letters.  The one phi-step, `_next_images`, writes every level
+    over one plan, each run d^t of phi(c) cut to min(t, length) copies: a
+    cut image has at least `length` letters, the first `length` of phi^k(c),
+    so it is only ever read as the last block, truncated.  k is the first
+    level whose phi^k(0) holds the prefix, or else the last whose images
+    together have at most `length` letters (at least 1).
     """
     if length < 0:
         raise InvalidInputError("length must be nonnegative")
-    runs = {letter(j): image for j, image in enumerate(substitution.runs)}
-    images = _next_images({c: [(d, min(t, length)) for d, t in image]
-                           for c, image in runs.items()}, {c: c for c in runs})
-    while len(images["0"]) < length and max(sum(t * len(images[d]) for d, t in image)
-                                            for image in runs.values()) <= length:
-        images = _next_images(runs, images)
+    plan = {letter(j): [(d, min(t, length)) for d, t in image]
+            for j, image in enumerate(substitution.runs)}
+    images = _next_images(plan, {c: c for c in plan})
+    while len(images["0"]) < length and sum(
+            t * len(images[d]) for image in plan.values() for d, t in image) <= length:
+        images = _next_images(plan, images)
     blocks = [images["0"][:length]]
     # the letters of u after its first, whose block is the first
     size, letters = len(blocks[0]), islice(chain.from_iterable(blocks), 1, None)

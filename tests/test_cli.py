@@ -706,6 +706,18 @@ def test_verify_digits_of_large_t1_read_as_their_small_twin():
     assert json.loads(result.stdout) == {**twin, "digits": "99999999 (1)"}
 
 
+# a period of 1,000 ones, so 1,001 letters: the images the prefix is read
+# from hold at most 10^7 letters in all, where each letter's image once
+# grew to near 10^7 letters and the command ran out of memory
+def test_word_of_a_large_alphabet_answers_under_the_memory_limit():
+    digits = "2 (" + " ".join(["1"] * 1000) + ")"
+    result = cli("word", "--digits", digits, "--length", "10000000",
+                 preexec_fn=lambda: limit_address_space(400))
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stdout) == 10 ** 7 + 1 and result.stdout.endswith("\n")
+
+
 def test_word_of_large_t1_prints_its_first_run():
     result = cli_small("word", "--digits", "99999999 3 (1)", "--length", "20")
     assert (result.returncode, result.stdout, result.stderr) == (0, "0" * 20 + "\n", "")

@@ -96,6 +96,14 @@ GOLDEN = [
     (["word", "--digits", "3 1 (2)", "--length", "40", "--format", "json"], 0,
      "789b1a705d65a6190e6005741fb89b62b2a7450257a5c1ab71c1885661c6291a",
      EMPTY),
+    # one empty line
+    (["word", "--a", "3", "--b", "1", "--length", "0"], 0,
+     "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+     EMPTY),
+    # a simple expansion: the error line on stderr
+    (["word", "--digits", "2 (0)"], 2,
+     EMPTY,
+     "e660297973175dad2aae200e12c15cbfe4cda249a26ea06d70b166306c0696a3"),
     # no tower start word 0^99999998 or 0^99999997 is built: the bytes of
     # the towers built whole
     (["specials", "--a", "99999999", "--b", "99999997", "--n", "5", "--format", "json"], 0,
@@ -149,6 +157,9 @@ GOLDEN = [
     (["parry-check", "--digits", "1 (2)", "--format", "json"], 4,
      "c6dfe9298a6388d4da184a5d3e4d780a11da25b0d1c7042b312ab7dc50383acf",
      EMPTY),
+    (["parry-check", "--digits", "1 (2)"], 4,
+     "e529ba9f011d57ebadf86a5ea45dbbfaf337d95de6c6134985836c738e2bcf56",
+     EMPTY),
     # non-minimal: 4 1 (1 2) spelled long
     (["parry-check", "--digits", "4 1 1 (2 1)", "--format", "json"], 0,
      "b2958c63963c90fdaf1bb39105241c58f4c8f6cae85c709db0f99bacf2066906",
@@ -159,6 +170,10 @@ GOLDEN = [
     (["beta-expand", "--a", "4", "--b", "2", "--x", "100", "--digit-count", "8", "--format", "json"], 0,
      "6361954725b677cebdd3689420cbb00e2f39e6eddd91a1bc0b87c2551f6bb302",
      EMPTY),
+    # fewer digits than x has before the point: a usage error
+    (["beta-expand", "--a", "3", "--b", "1", "--x", "100", "--digit-count", "3"], 2,
+     EMPTY,
+     "843b069bcbf93fe62719b45e551a0d62f865030dc750161e9f01f63b4bdaa3c9"),
     # beta-expand takes no --precision: its digits are exact
     (["beta-expand", "--a", "4", "--b", "2", "--x", "100", "--digit-count", "8", "--precision", "30", "--format", "json"], 2,
      EMPTY,

@@ -211,12 +211,14 @@ class TestFixedPoint:
 # Thue-Morse, and images with a letter that maps to one letter or never grows;
 # last, two whose images are far longer than the prefixes read, so that the
 # prefix reads images with a run cut: phi(0) = 0^99999 1, and, given as its
-# runs, phi(1) = 0^(10^6) 1
+# runs, phi(1) = 0^(10^6) 1; and two large alphabets, of 31 and 12 letters,
+# whose prefix reads many blocks
 PREFIX_SUBJECTS = ["3 (1)", "4 (2)", "3 1 (2)", "3 (2 1)", "2 1 (1)",
                    "4 1 1 (2 1)", "3 0 0 (0 1)"] + [
     f"{a} ({b})" for a in range(2, 9) for b in range(1, a)] + [
     ("01", "10"), ("01", "0111"), ("012", "12", "2220"), ("0121", "2", "01"),
-    ("001", "1"), "99999 (1)", ((("0", 1), ("1", 1)), (("0", 10 ** 6), ("1", 1)))]
+    ("001", "1"), "99999 (1)", ((("0", 1), ("1", 1)), (("0", 10 ** 6), ("1", 1))),
+    "2 (" + " ".join(["1"] * 30) + ")", "1 " * 10 + "(1 0)"]
 
 
 @pytest.mark.parametrize("subject", PREFIX_SUBJECTS, ids=str)
@@ -259,17 +261,23 @@ def test_every_level_is_written_by_the_one_phi_step(monkeypatch, digits, length,
     sub = parry_substitution(RenyiExpansion.parse(digits))
     prefix = fixed_point_prefix(sub, length)
     runs = {substitution_module.letter(j): image for j, image in enumerate(sub.runs)}
-    # level 1: the letters themselves over the runs, each cut to the length
-    plan, letters, _ = calls[0]
-    assert letters == {c: c for c in runs}
-    assert plan == {c: [(d, min(t, length)) for d, t in image]
-                    for c, image in runs.items()}
-    assert max(t for image in plan.values() for _, t in image) <= length
-    # every later level grows the one before by the runs, and the prefix
-    # starts with the last level's image of 0
-    for (_, _, before), (step, images, _) in zip(calls, calls[1:]):
-        assert images is before and step == runs
-    assert prefix.startswith(calls[-1][2]["0"][:length])
+    plan = {c: [(d, min(t, length)) for d, t in image] for c, image in runs.items()}
+    # level 1: the letters themselves; every level is written over the one
+    # plan, each run cut to the length
+    assert calls[0][1] == {c: c for c in runs}
+    assert all(step == plan for step, _, _ in calls)
+    assert max(t for image in calls[0][0].values() for _, t in image) <= length
+    # every later level grows the one before, and holds at most `length`
+    # letters in all
+    for (_, _, before), (_, images, after) in zip(calls, calls[1:]):
+        assert images is before
+        assert sum(map(len, after.values())) <= length
+    # the last level is read: its image of 0 holds the prefix, or the next
+    # level's images together would not fit in it
+    last = calls[-1][2]
+    assert len(last["0"]) >= length or sum(map(len, real(plan, last).values())) > length
+    # the prefix starts with the last level's image of 0
+    assert prefix.startswith(last["0"][:length])
     assert len(prefix) == length
     assert hashlib.sha256(prefix.encode()).hexdigest() == sha256
 
