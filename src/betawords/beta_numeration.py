@@ -5,15 +5,16 @@ run in Q(beta) on integer coordinates over 1 and beta.  The gaps between
 consecutive beta-integers spell u_beta, the fixed point of the canonical
 substitution (Fabre 1995) of the minimal spelling of d_beta(1), where letter
 k names the distance Delta_k, so `beta_integer_decimals` reads the gap
-letters off that fixed point and prints the values, sums of the Delta_k in
-Z[beta], exactly from fixed-point integers.
+letters off that fixed point and prints the values, sums of the Delta_k,
+exactly from fixed-point integers.  Each Delta_k comes from its recurrence
+Delta_0 = 1, Delta_k = beta Delta_(k-1) - t_k, and beta is where that orbit
+closes, Delta_(m+p) = Delta_m.
 """
 
 from __future__ import annotations
 
 import re
 from math import isqrt
-from operator import mul
 
 from .errors import (DigitCountError, InvalidInputError, InvalidParamsError,
                      PrecisionError)
@@ -114,7 +115,9 @@ class RenyiExpansion(_Frozen):
         return self.period[(j - self.m - 1) % self.p]
 
     def digits(self, count: int) -> tuple[int, ...]:
-        return tuple(self.digit(j) for j in range(1, count + 1))
+        """t_1 .. t_count: the preperiod, then enough periods, cut."""
+        periods = max(0, -(-(count - self.m) // self.p))
+        return (self.preperiod + self.period * periods)[:max(0, count)]
 
     def __str__(self) -> str:
         pre = " ".join(str(t) for t in self.preperiod)
@@ -143,10 +146,9 @@ def parry_check(renyi: RenyiExpansion) -> tuple[bool, int | None]:
     """
     m, p = renyi.m, renyi.p
     window = m + 2 * p + 1
-    ref = renyi.digits(window)
+    unfolded = renyi.digits(m + p + window)
     for j in range(2, m + p + 2):
-        shifted = tuple(renyi.digit(j + i) for i in range(window))
-        if shifted >= ref:
+        if unfolded[j - 1:j - 1 + window] >= unfolded[:window]:
             return False, j
     return True, None
 
@@ -262,31 +264,22 @@ def beta_expand(x, params: QuadraticParams,
 # Beta-integers
 # ---------------------------------------------------------------------------
 
-def _parry_relation(renyi: RenyiExpansion) -> tuple[int, ...]:
-    """The relation of d_beta(1), d = m + p,
-    beta^d = sum_(i<=d) t_i beta^(d-i) + beta^m - sum_(i<=m) t_i beta^(m-i),
-    as its coefficients r_0 .. r_(d-1) of 1 .. beta^(d-1).
+def _beta_floor(renyi: RenyiExpansion, bits: int) -> int:
+    """floor(beta 2^bits), beta the x in [t_1, t_1 + 1) where the orbit
+    Delta_0 = 1, Delta_k = x Delta_(k-1) - t_k closes: Delta_(m+p) = Delta_m.
+
+    For x > 1, Delta_(m+p)(x) - Delta_m(x) is
+    x^(m+p) (1 - x^-p)(1 - sum t_i x^-i), of the sign of 1 - sum t_i x^-i,
+    increasing in x: bisect on it in integers, Delta_k(x) scaled by 2^(bits k).
     """
-    m, d, t = renyi.m, renyi.m + renyi.p, renyi.digit
-    relation = [t(d - j) for j in range(d)]
-    relation[m] += 1
-    for j in range(m):
-        relation[j] -= t(m - j)
-    return tuple(relation)
-
-
-def _beta_floor(relation: tuple, t1: int, bits: int) -> int:
-    """floor(beta 2^bits), beta the root in [t_1, t_1 + 1) of x^d - sum r_j x^j.
-
-    For x > 1 that is x^d (1 - x^-p)(1 - sum t_i x^-i), of the sign of
-    1 - sum t_i x^-i, increasing in x: bisect on it in integers.
-    """
-    lo, hi = t1 << bits, (t1 + 1) << bits
+    m, p = renyi.m, renyi.p
+    digits = renyi.digits(m + p)
+    lo, hi = digits[0] << bits, (digits[0] + 1) << bits
     while hi - lo > 1:
-        mid, acc = (lo + hi) >> 1, 1
-        for j in range(len(relation) - 1, -1, -1):
-            acc = acc * mid - (relation[j] << bits * (len(relation) - j))
-        lo, hi = (mid, hi) if acc < 0 else (lo, mid)
+        mid, orbit = (lo + hi) >> 1, [1]
+        for k, t in enumerate(digits, 1):
+            orbit.append(orbit[-1] * mid - (t << bits * k))
+        lo, hi = (mid, hi) if orbit[-1] < orbit[m] << bits * p else (lo, mid)
     return lo
 
 
@@ -301,9 +294,8 @@ def beta_integer_decimals(renyi: RenyiExpansion, digits: int,
     canonical substitution (Fabre 1995) of the minimal spelling of d_beta(1),
     `parry_substitution(renyi.minimal())`, which rejects digits that fail the
     Parry criterion and simple expansions.  In that spelling the distances
-    Delta_k = beta^k - t_1 beta^(k-1) - ... - t_k, k < m + p, are distinct,
-    so letter k names Delta_k, of coordinates (-t_k, ..., -t_1, 1) over
-    1, beta, ..., beta^k: below beta^(m+p) the relation never reduces them.
+    Delta_k, k < m + p, of the recurrence Delta_0 = 1,
+    Delta_k = beta Delta_(k-1) - t_k, are distinct, so letter k names Delta_k.
 
     Each value reads as mpmath's nstr(value, digits) of the exact value:
     rounded half up to `digits` significant digits, fixed below 10^digits.
@@ -319,20 +311,20 @@ def beta_integer_decimals(renyi: RenyiExpansion, digits: int,
     if count < 2:
         raise InvalidInputError("count must be >= 2")
     letters = fixed_point_prefix(substitution, count - 1)
-    relation, t1 = _parry_relation(renyi), renyi.digit(1)
-    deltas = {letter(k): (*(-t for t in reversed(renyi.digits(k))), 1)
-              for k in range(len(relation))}
-    # |beta^j 2^K - B_j| <= (t_1 + 3)^j for the powers B_j summed below
-    slack = count * max(sum(abs(c) * (t1 + 3) ** j for j, c in enumerate(coords))
-                        for coords in deltas.values())
+    t = renyi.digits(renyi.m + renyi.p)
+    # D_0 = 2^K and D_k = floor(D_(k-1) floor(beta 2^K) / 2^K) - t_k 2^K
+    # stand for Delta_k 2^K.  With e_k = D_k - Delta_k 2^K, e_0 = 0 and
+    # e_k = e_(k-1) (beta - f 2^-K) - Delta_(k-1) f - g, f and g in [0, 1)
+    # the two floors; as 0 < Delta_(k-1) <= 1 and beta < t_1 + 1,
+    # |e_k| < (t_1 + 1) |e_(k-1)| + 2, so |e_k| <= 2 sum_(i<k) (t_1 + 1)^i,
+    # which is below (t_1 + 2)^k.  A value sums count - 1 of them, k < m + p.
+    slack = count * (t[0] + 2) ** (len(t) - 1)
     bits, top = slack.bit_length() + _GUARD_BITS, 10 ** digits
     while True:
-        scaled = _beta_floor(relation, t1, bits)
-        powers = [1 << bits]
-        for _ in relation[1:]:
-            powers.append(powers[-1] * scaled >> bits)
-        steps = {gap: sum(map(mul, coords, powers))
-                 for gap, coords in deltas.items()}
+        scaled, deltas = _beta_floor(renyi, bits), [1 << bits]
+        for digit in t[:-1]:
+            deltas.append((deltas[-1] * scaled >> bits) - (digit << bits))
+        steps = {letter(k): delta for k, delta in enumerate(deltas)}
         # v_1 = 1 exactly, so the loop sets the scale before it is read
         shown, value, exponent, ceiling = ["0.0"], 0, -1, 1 << bits
         for gap in letters:

@@ -11,6 +11,12 @@ level by level in (length, lexicographic) order (`_admissible_strings`,
 `_levels`), and each gap is named by its exact coordinates in Z[beta].  The
 package reads the same gaps off the fixed point of the canonical
 substitution; this enumeration is the independent check on it.
+
+Beta, too, comes by a route of its own: a bisection on the Parry polynomial
+of d_beta(1) (`_parry_relation`, `_beta_floor`), with the Delta_k as
+coordinates over 1, beta, ..., beta^(m+p-1).  The package instead carries
+each Delta_k by its recurrence Delta_k = beta Delta_(k-1) - t_k and bisects
+on where that orbit closes, Delta_(m+p) = Delta_m.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
-from betawords.beta_numeration import (QuadraticParams, RenyiExpansion,
-                                       _beta_floor, _parry_relation, parry_check)
+from betawords.beta_numeration import QuadraticParams, RenyiExpansion, parry_check
 from betawords.errors import InvalidInputError, PrecisionError, VerificationError
 from betawords.substitution import letter
 
@@ -56,8 +61,11 @@ def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> 
     """Numeric beta solving sum t_i beta^(-i) = 1 for a valid expansion.
 
     For m = p = 1 and t_1 - 1 >= t_2 >= 1 the root comes from the quadratic
-    formula of `beta_of`; otherwise floor(beta 2^K) from `_beta_floor`, with
-    K past precision + 10 digits, is rounded once to `precision`.
+    formula of `beta_of`; otherwise floor(beta 2^K), bisected here on the
+    Parry polynomial (`_parry_relation`, `_beta_floor`) with K past
+    precision + 10 digits, is rounded once to `precision`.  The package
+    bisects on the orbit of the Delta_k instead; this is the independent
+    route its beta is checked against.
     """
     from mpmath import mpf, workdps
     ok, shift = parry_check(renyi)
@@ -70,6 +78,34 @@ def beta_of_renyi(renyi: RenyiExpansion, precision: int = DEFAULT_PRECISION) -> 
     with workdps(precision):
         value = mpf((scaled, -bits))
     return BetaValue(value=value, precision=precision)
+
+
+def _parry_relation(renyi: RenyiExpansion) -> tuple[int, ...]:
+    """The relation of d_beta(1), d = m + p,
+    beta^d = sum_(i<=d) t_i beta^(d-i) + beta^m - sum_(i<=m) t_i beta^(m-i),
+    as its coefficients r_0 .. r_(d-1) of 1 .. beta^(d-1).
+    """
+    m, d, t = renyi.m, renyi.m + renyi.p, renyi.digit
+    relation = [t(d - j) for j in range(d)]
+    relation[m] += 1
+    for j in range(m):
+        relation[j] -= t(m - j)
+    return tuple(relation)
+
+
+def _beta_floor(relation: tuple, t1: int, bits: int) -> int:
+    """floor(beta 2^bits), beta the root in [t_1, t_1 + 1) of x^d - sum r_j x^j.
+
+    For x > 1 that is x^d (1 - x^-p)(1 - sum t_i x^-i), of the sign of
+    1 - sum t_i x^-i, increasing in x: bisect on it in integers.
+    """
+    lo, hi = t1 << bits, (t1 + 1) << bits
+    while hi - lo > 1:
+        mid, acc = (lo + hi) >> 1, 1
+        for j in range(len(relation) - 1, -1, -1):
+            acc = acc * mid - (relation[j] << bits * (len(relation) - j))
+        lo, hi = (mid, hi) if acc < 0 else (lo, mid)
+    return lo
 
 
 def _shifted_tail_sum(renyi: RenyiExpansion, k: int, beta) -> mpf:

@@ -24,6 +24,7 @@ from betawords import (
     quadratic_substitution,
     renyi_of_quadratic,
 )
+from betawords.beta_numeration import _beta_floor
 from betawords.substitution import letter
 
 
@@ -49,6 +50,14 @@ def two_rule_minimal(renyi):
 CONSTRUCTIBLE = [RenyiExpansion(digits[:m], digits[m:])
                  for m in range(4) for p in range(1, 5)
                  for digits in product(range(4), repeat=m + p) if digits[0]]
+
+# the non-simple Parry expansions with m <= 2, p <= 2 and digits 0..3, 61 of
+# them minimal, and eight that stretch t_1, m or p, or spell one non-minimally
+PARRY_CORPUS = [r for r in CONSTRUCTIBLE if r.m <= 2 and r.p <= 2
+                and not r.is_simple and parry_check(r)[0]] + [
+    RenyiExpansion.parse(digits) for digits in (
+        "4 (2)", "40 (39)", "99999999 (1)", "4 1 1 (2 1)", "1 1 1 1 1 1 (1 0)",
+        "3 0 0 0 (0 1)", "2 (" + " ".join("1" * 10) + ")", "3 " + "0 " * 30 + "(1)")]
 
 
 class TestRenyiExpansion:
@@ -91,6 +100,12 @@ class TestRenyiExpansion:
             assert minimal.digits(places) == renyi.digits(places), renyi
             assert minimal.minimal() == minimal, renyi
 
+    def test_digits_unfold_the_period_digit_by_digit(self):
+        for renyi in CONSTRUCTIBLE:
+            for count in range(-1, 2 * (renyi.m + renyi.p) + 2):
+                assert renyi.digits(count) == tuple(
+                    renyi.digit(j) for j in range(1, count + 1)), (renyi, count)
+
     def test_is_minimal_equals_the_two_rule_definition(self):
         assert [r.is_minimal for r in CONSTRUCTIBLE] == list(
             map(two_rule_minimal, CONSTRUCTIBLE))
@@ -125,6 +140,33 @@ class TestParryCheck:
         # shift p + 1 gives the sequence itself, not strictly smaller
         ok, at = parry_check(RenyiExpansion.parse(digits))
         assert not ok and at == shift
+
+    def test_equals_the_shift_by_shift_definition(self):
+        def shift_by_shift(renyi):
+            window = renyi.m + 2 * renyi.p + 1
+            ref = tuple(renyi.digit(i) for i in range(1, window + 1))
+            for j in range(2, renyi.m + renyi.p + 2):
+                if tuple(renyi.digit(j + i) for i in range(window)) >= ref:
+                    return False, j
+            return True, None
+
+        for renyi in CONSTRUCTIBLE:
+            assert parry_check(renyi) == shift_by_shift(renyi), renyi
+
+    def test_reads_the_digits_unfolded_once(self, monkeypatch):
+        # a digit call per compared place made a thousand-digit period
+        # quadratic: about two million calls
+        renyi = RenyiExpansion.parse("2 (" + " ".join("1" * 1000) + ")")
+        calls = []
+        real = RenyiExpansion.digit
+
+        def counted(self, j):
+            calls.append(j)
+            return real(self, j)
+
+        monkeypatch.setattr(RenyiExpansion, "digit", counted)
+        assert parry_check(renyi) == (True, None)
+        assert len(calls) < 10 * (renyi.m + renyi.p)
 
     @pytest.mark.parametrize("a", range(2, 21))
     def test_quadratic_family_is_admissible(self, a):
@@ -186,6 +228,15 @@ class TestUnitySum:
     def test_quadratic_shortcut_is_unchanged(self):
         assert beta_of_renyi(RenyiExpansion((3,), (1,)), 20) == \
             beta_of(QuadraticParams(3, 1), 20)
+
+
+@pytest.mark.parametrize("renyi", PARRY_CORPUS, ids=str)
+def test_beta_floor_equals_the_parry_polynomial_bisection(renyi):
+    # the orbit of the Delta_k closing against the reference's polynomial
+    relation = mpf_reference._parry_relation(renyi)
+    for bits in (1, 2, 8, 64, 256):
+        assert _beta_floor(renyi, bits) == mpf_reference._beta_floor(
+            relation, renyi.digit(1), bits), bits
 
 
 class TestBetaExpand:

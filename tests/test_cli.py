@@ -1048,19 +1048,23 @@ def test_equal_shown_values_name_the_digits_shown(monkeypatch, capsys):
                            "separate consecutive beta-integers\n")
 
 
-def test_undecided_rounding_retries_with_more_bits(monkeypatch, capsys):
-    argv = ["--digits", "3 (2 1)", "--count", "3000"]
+# the widest t_1 + 2 against beta, the longest orbit of the Delta_k, and the
+# smallest Delta_1: where the error bound of the fixed point is tightest
+@pytest.mark.parametrize("digits", EXACT_DIGITS + [
+    "1 1 1 1 1 1 (1 0)", "3 0 0 0 (0 1)", "99999999 (1)"])
+def test_undecided_rounding_retries_with_more_bits(monkeypatch, capsys, digits):
+    argv = ["--digits", digits, "--count", "3000"]
     exact = _beta_integer_strings(capsys, *argv)
     tried = []
     real = beta_numeration._beta_floor
 
-    def recorded(relation, t1, bits):
+    def recorded(renyi, bits):
         tried.append(bits)
-        return real(relation, t1, bits)
+        return real(renyi, bits)
 
     # no guard bits: the error bound is as large as the fixed-point unit
     monkeypatch.setattr(beta_numeration, "_GUARD_BITS", 0)
     monkeypatch.setattr(beta_numeration, "_beta_floor", recorded)
     assert _beta_integer_strings(capsys, *argv) == exact
-    assert len(tried) >= 2
+    assert len(tried) >= (2 if digits == "3 (2 1)" else 1)
     assert tried == [tried[0] * 2 ** k for k in range(len(tried))]

@@ -164,6 +164,10 @@ GOLDEN = [
     (["parry-check", "--digits", "4 1 1 (2 1)", "--format", "json"], 0,
      "b2958c63963c90fdaf1bb39105241c58f4c8f6cae85c709db0f99bacf2066906",
      EMPTY),
+    # a period of 300 digits, unfolded once
+    (["parry-check", "--digits", "2 (" + " ".join(["1"] * 300) + ")"], 0,
+     "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268",
+     EMPTY),
     (["beta-expand", "--a", "3", "--b", "1", "--x", "7.25"], 0,
      "3707215ce6b42c4235fc40e7db8198b9169218e90e9b74666fd084866f2ded63",
      EMPTY),
@@ -197,6 +201,14 @@ GOLDEN = [
      EMPTY),
     (["beta-integers", "--a", "3", "--b", "1", "--count", "20", "--precision", "5"], 0,
      "d219d57756e338a3b8c6df21f948013a0820d369c8b0935ff7e95e67db03bb41",
+     EMPTY),
+    # the longest orbit of the Delta_k here, eight of them
+    (["beta-integers", "--digits", "1 1 1 1 1 1 (1 0)", "--count", "300", "--format", "json"], 0,
+     "23309a00a8feb348918f8f6ce77b9e333901cd5360fea058e80f0fb5213c2fce",
+     EMPTY),
+    # the closest gaps here: Delta_1 is about 0.0046
+    (["beta-integers", "--digits", "3 0 0 0 (0 1)", "--count", "200"], 0,
+     "d5d4532642d2063f9a65b1930ab946efe13b59ca05b4ab9a38824dc61e77b6c2",
      EMPTY),
     (["beta-integers", "--a", "3", "--b", "1", "--count", "3000", "--precision", "2"], 3,
      EMPTY,
