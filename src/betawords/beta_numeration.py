@@ -11,8 +11,6 @@ Delta_0 = 1, Delta_k = beta Delta_(k-1) - t_k, and beta is where that orbit
 closes, Delta_(m+p) = Delta_m.
 """
 
-from __future__ import annotations
-
 import re
 from math import isqrt
 

@@ -7,8 +7,6 @@ is exact integer arithmetic: `beta-expand` works in Q(beta) and
 Usage errors and help read as they did when the CLI was built on click.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys
@@ -313,10 +311,10 @@ def _emit(fmt, payload, text_lines):
 def analyze(a, b, n_max, fmt):
     """Combined C(n), Delta C(n), P(n) table with oracle/closed-form agreement."""
     params = _params(a, b)
-    c, p, closed_c, closed_p, _, failure = _check_point(params, n_max)
+    c, p, wrong, _, failure = _check_point(params, n_max)
     table = Table(("n", "C", "deltaC", "P", "agree"), [
         {"n": n, "C": c[n], "deltaC": c[n + 1] - c[n], "P": p[n],
-         "agree": "yes" if (c[n], p[n]) == (closed_c[n], closed_p[n]) else "NO"}
+         "agree": "NO" if n in wrong else "yes"}
         for n in range(1, n_max + 1)])
     payload = {**table.to_json(), "a": params.a, "b": params.b,
                "sturmian": params.is_sturmian}
@@ -328,37 +326,33 @@ def analyze(a, b, n_max, fmt):
 def _check_point(params, n_max):
     """One point's check, for analyze and verify: the oracle columns
     C(0..n_max+3), from the automaton for n_max+3, and P(0..n_max+2), from
-    the eertree for n_max+2, of one FactorLanguage, the closed-form columns
-    to n_max, the checks by name and the first failure, a disagreement
-    before a broken identity, or None."""
+    the eertree for n_max+2, of one FactorLanguage; the n up to n_max where
+    they disagree with the closed forms, found in one scan; the checks by
+    name; and the first failure, at the least such n (C before P) before a
+    broken identity, or None."""
     lang = FactorLanguage(quadratic_substitution(params))
     c = lang.complexities(n_max + 3)
     p = lang.palindrome_counts(n_max + 2)
     closed_c = [1, *factor_complexity(params, n_max, "closed_form").column("C")]
     closed_p = palindromic_complexity(params, n_max, "closed_form").column("P")
-    checks = {"factor_complexity": c[: n_max + 1] == closed_c,
-              "palindromic_complexity": p[: n_max + 1] == closed_p,
+    # (n, table, oracle value, closed-form value) where they differ, by n, C first
+    found = sorted((n, table, oracle[n], want)
+                   for table, oracle, closed in (("C", c, closed_c), ("P", p, closed_p))
+                   for n, want in enumerate(closed) if oracle[n] != want)
+    checks = {"factor_complexity": all(t != "C" for _, t, *_ in found),
+              "palindromic_complexity": all(t != "P" for _, t, *_ in found),
               "identities": True}
-    failure = _disagreement(("C", c, closed_c), ("P", p, closed_p))
+    failure = None
+    if found:
+        n, table, got, want = found[0]
+        failure = VerificationError(
+            f"{table}({n}): oracle {got} != closed form {want}",
+            context={"table": table, "n": n, "oracle": got, "closed_form": want})
     try:
         verify_identities(params, c, p)
     except VerificationError as exc:
         checks["identities"], failure = False, failure or exc
-    return c, p, closed_c, closed_p, checks, failure
-
-
-def _disagreement(*columns):
-    """A VerificationError at the first n where a column (table, oracle
-    values, closed-form values, each from n = 0) disagrees, C before P;
-    else None."""
-    found = [(n, table, got, want) for table, oracle, closed in columns
-             for n, (got, want) in enumerate(zip(oracle, closed)) if got != want]
-    if not found:
-        return None
-    n, table, got, want = min(found)
-    return VerificationError(
-        f"{table}({n}): oracle {got} != closed form {want}",
-        context={"table": table, "n": n, "oracle": got, "closed_form": want})
+    return c, p, {n for n, *_ in found}, checks, failure
 
 
 @_command(

@@ -16,8 +16,6 @@ phi^k(1) and the T-prefix and T-suffix P_k, S_k, and every per-length
 table, here, in `palindromes` and in the CLI, is one `Table`.
 """
 
-from __future__ import annotations
-
 import sys
 from itertools import accumulate, islice, takewhile
 
@@ -83,7 +81,8 @@ class UVTower:
     The words are those `t_orbit` yields within `materialize_cap` letters;
     lengths continue exactly as arbitrary-size integers via the letter-count
     recurrence of T, up to Python's limit on the decimal digits of an int
-    written out, past which the depth is invalid input.
+    written out, or its default of 4300 digits where no limit is set, past
+    which the depth is invalid input.
     """
 
     def __init__(self, params: QuadraticParams, depth: int,
@@ -96,8 +95,8 @@ class UVTower:
             raise InvalidInputError("tower depth must be nonnegative")
         self.params = params
         self.v_counts, self.u_counts = [], []
-        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        bound = 10 ** digits if digits else float("inf")
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        bound = 10 ** digits
         for k, (v, u) in enumerate(islice(_tower_counts(params), depth), 1):
             # |U^(k)| > |V^(k)|, so U^(k) is the first past the bound
             if sum(u) >= bound:

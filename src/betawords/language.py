@@ -32,8 +32,6 @@ and `reversal_closure_probe` read the automaton, `palindrome_counts` and
 `palindrome_extensions` the eertree.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import accumulate
 
@@ -55,8 +53,9 @@ def _length(n: int) -> int:
 
 
 def _text(windows: list[str]) -> str:
-    """The windows joined into one text, each after a separator."""
-    return _SEPARATOR + _SEPARATOR.join(windows)
+    """The distinct windows, in the order they first come, joined into one
+    text, each after a separator: no reader walks a window twice."""
+    return _SEPARATOR + _SEPARATOR.join(dict.fromkeys(windows))
 
 
 class FactorLanguage:

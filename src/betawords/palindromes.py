@@ -14,8 +14,6 @@ columns and the identity suite read the same marks, the branches take
 their words from `complexity.t_orbit`, and the P(n) rows are a `Table`.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 
 from .beta_numeration import QuadraticParams

@@ -5,8 +5,6 @@ binary word reads like "0001001".  That keeps factor enumeration at C speed
 for the alphabet sizes that occur here.
 """
 
-from __future__ import annotations
-
 from itertools import chain, islice
 
 from .beta_numeration import (QuadraticParams, RenyiExpansion, _Frozen,

@@ -593,6 +593,20 @@ def test_outside_input_exits_2_without_traceback(argv):
     assert "Traceback" not in result.stderr
 
 
+# with Python's limit on int-to-str digits lifted, the tower lengths are
+# still bounded at its default of 4300 digits, where they once grew until
+# memory ran out
+def test_tower_depth_without_a_digit_limit_exits_2():
+    result = subprocess.run(
+        [sys.executable, "-m", "betawords.cli", "specials", "--a", "3", "--b",
+         "1", "--n", "2", "--tower-depth", "1000000"],
+        capture_output=True, text=True,
+        env={**CHILD_ENV, "PYTHONINTMAXSTRDIGITS": "0"},
+        preexec_fn=limit_address_space)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: |U^(8064)| has more than 4300 decimal digits\n")
+
+
 # the images fit under the window bound but the windows do not: 403 and 19
 # million letters for n = 60, refused from the cut sizes before any block is
 # joined
@@ -903,43 +917,73 @@ def test_verify_counts_palindromes_once_per_point(monkeypatch, capsys):
                                  for i in range(points)]
 
 
-def _corrupt(monkeypatch, name, column, index):
-    """Make the closed-form table of cli.<name> one too high at a row."""
+def _corrupt(monkeypatch, table, n):
+    """Make the closed form of `table`, C or P, one too high at n: a row of
+    cli.factor_complexity, whose rows start at n = 1, or of
+    cli.palindromic_complexity, whose rows start at n = 0."""
+    name, index = (("factor_complexity", n - 1) if table == "C"
+                   else ("palindromic_complexity", n))
     real = getattr(cli_module, name)
 
     def corrupted(subject, n_max, mode):
-        table = real(subject, n_max, mode)
-        table.rows[index][column] += 1
-        return table
+        closed = real(subject, n_max, mode)
+        closed.rows[index][table] += 1
+        return closed
 
     monkeypatch.setattr(cli_module, name, corrupted)
 
 
-def test_verify_failure_names_first_disagreement(monkeypatch, capsys):
-    _corrupt(monkeypatch, "palindromic_complexity", "P", 9)
+# at (3, 1) to n = 12: the closed forms made one too high at each (table, n),
+# and the disagreement named, (table, n, oracle, closed form).  The least n
+# is named, and C before P at one n
+FIRST_DISAGREEMENTS = {
+    "C": ([("C", 7)], ("C", 7, 9, 10)),
+    "P": ([("P", 9)], ("P", 9, 4, 5)),
+    "C-and-P-at-one-n": ([("C", 5), ("P", 5)], ("C", 5, 7, 8)),
+    "C-first": ([("C", 7), ("P", 9)], ("C", 7, 9, 10)),
+    "P-first": ([("C", 10), ("P", 4)], ("P", 4, 0, 1)),
+}
+FIRST_DISAGREEMENT_CASES = pytest.mark.parametrize(
+    "corrupted, named", FIRST_DISAGREEMENTS.values(), ids=FIRST_DISAGREEMENTS)
+
+
+def _context(table, n, oracle, closed_form):
+    return {"table": table, "n": n, "oracle": oracle, "closed_form": closed_form}
+
+
+@FIRST_DISAGREEMENT_CASES
+def test_verify_failure_names_first_disagreement(monkeypatch, capsys,
+                                                  corrupted, named):
+    for table, n in corrupted:
+        _corrupt(monkeypatch, table, n)
     code, out = _run_in_process(monkeypatch, capsys, "verify", "--a-max", "3",
-                                "--n-max", "20", "--format", "json")
+                                "--n-max", "12", "--format", "json")
     assert code == 1
     point = json.loads(out.out)["points"][0]
-    assert point["checks"] == {"factor_complexity": True,
-                               "palindromic_complexity": False,
+    tables = {table for table, _ in corrupted}
+    assert point["checks"] == {"factor_complexity": "C" not in tables,
+                               "palindromic_complexity": "P" not in tables,
                                "identities": True}
-    assert point["error"]["context"] == {"table": "P", "n": 9, "oracle": 4,
-                                         "closed_form": 5}
-    assert "P(9)" in point["error"]["message"]
+    assert point["error"]["context"] == _context(*named)
+    assert point["error"]["message"].startswith(f"{named[0]}({named[1]}): ")
     assert json.loads(out.err)["failures"] == [point]
 
 
-def test_analyze_failure_names_first_disagreement(monkeypatch, capsys):
-    _corrupt(monkeypatch, "factor_complexity", "C", 6)
-    _corrupt(monkeypatch, "palindromic_complexity", "P", 9)
-    code, out = _run_in_process(monkeypatch, capsys, "analyze", "--a", "3",
-                                "--b", "1", "--n-max", "12")
+@FIRST_DISAGREEMENT_CASES
+def test_analyze_failure_names_first_disagreement(monkeypatch, capsys,
+                                                   corrupted, named):
+    argv = ("analyze", "--a", "3", "--b", "1", "--n-max", "12")
+    clean = _outcome(monkeypatch, capsys, *argv)[1].splitlines()
+    for table, n in corrupted:
+        _corrupt(monkeypatch, table, n)
+    code, out = _run_in_process(monkeypatch, capsys, *argv)
     assert code == 4
-    assert out.out.splitlines()[7] == "7,9,1,3,NO"
-    dump = json.loads(out.err)
-    assert dump["context"] == {"table": "C", "n": 7, "oracle": 9,
-                               "closed_form": 10}
+    # the oracle's rows as before, with NO exactly at the corrupted n
+    wrong = {n for _, n in corrupted}
+    assert out.out.splitlines() == [clean[0], *(
+        row.replace(",yes", ",NO") if n in wrong else row
+        for n, row in enumerate(clean[1:], 1))]
+    assert json.loads(out.err)["context"] == _context(*named)
 
 
 # at (3, 1), C(9) = 12 and P(9) = 4

@@ -21,7 +21,8 @@ purpose and is left out.  Parsed with `ast`, so the check needs no linter.
 To print the defs no golden command enters, with their line counts, the
 names in the benchmark's tracer that name nothing left in the package
 (their metrics read 0), and the line count of each package module and of
-all of them, run
+all of them, with the lines that are code (not blank, not a comment alone
+and not in a docstring), run
 
     PYTHONPATH=src python tests/test_hygiene.py
 """
@@ -472,6 +473,30 @@ def test_check_names_each_tracer_name_gone_from_the_package():
         "complexity.gone", "substitution.Substitution.gone"]
 
 
+def code_lines(source: str) -> int:
+    """The lines of a source that are not blank, not a comment alone and not
+    in a docstring, of the module, a class or a function."""
+    tree = ast.parse(source)
+    docs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, *FUNCTIONS)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#")
+               and number not in docs)
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    source = ('"""A module\n\nof two docstring lines and more."""\n\n'
+              'import os  # a comment after code\n'
+              '# a comment alone\n'
+              'class A:\n    """One line."""\n'
+              '    def f(self):\n        """Two\n        lines."""\n'
+              '        return """not a\ndocstring"""\n')
+    assert code_lines(source) == 5
+
+
 if __name__ == "__main__":
     found = [(name, *entry) for name, unentered in unentered_package_defs().items()
              for entry in unentered]
@@ -484,8 +509,11 @@ if __name__ == "__main__":
     for name in gone:
         print(f"{TRACER.name}: {name}")
     print(f"{len(gone)} names in {TRACER.name} that name nothing in the package")
-    sizes = {path.name: len(path.read_text().splitlines())
-             for path in sorted(PACKAGE.glob("*.py"))}
-    for name, lines in sizes.items():
-        print(f"{name}: {lines} lines")
-    print(f"{sum(sizes.values())} lines in {PACKAGE.relative_to(PACKAGE.parents[1])}")
+    sizes = {path.name: (len(text.splitlines()), code_lines(text))
+             for path in sorted(PACKAGE.glob("*.py"))
+             for text in [path.read_text()]}
+    for name, (lines, code) in sizes.items():
+        print(f"{name}: {lines} lines, {code} code lines")
+    print(f"{sum(lines for lines, _ in sizes.values())} lines, "
+          f"{sum(code for _, code in sizes.values())} code lines "
+          f"in {PACKAGE.relative_to(PACKAGE.parents[1])}")

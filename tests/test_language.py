@@ -214,6 +214,39 @@ def test_cut_blocks_read_as_whole_blocks(subject):
                 assert contains(cut, v) == contains(whole, v), (n, v)
 
 
+def _every_window(windows):
+    """The text of the windows with every repeat joined too."""
+    return language._SEPARATOR + language._SEPARATOR.join(windows)
+
+
+@pytest.mark.parametrize("subject", CUT_SUBJECTS)
+def test_distinct_windows_read_as_every_window(monkeypatch, subject):
+    # a repeated window adds no automaton state and no eertree node, so
+    # every reader answers as it does with each repeat walked again
+    lang = FactorLanguage(substitution_of(subject))
+    readers = [lang.complexities, lang.palindrome_counts,
+               lang.palindrome_extensions, lang.left_special_factors,
+               lang.reversal_closure_probe]
+
+    def read():
+        return [reader(n) for n in CUT_LENGTHS.get(subject, CUT_DEFAULT_LENGTHS)
+                for reader in readers]
+
+    distinct = read()
+    monkeypatch.setattr(language, "_text", _every_window)
+    assert read() == distinct
+
+
+def test_the_text_holds_each_window_once():
+    # at (15, 7) for n = 43 the blocks of 0 and 1 are one word, and the
+    # junction windows of 00, 01 and 10 another: 2 of the 5 windows
+    lang = FactorLanguage(quadratic_substitution(QuadraticParams(15, 7)))
+    windows = lang._windows(43)
+    assert len(windows) == 5
+    text = lang._automaton(43)[0]
+    assert text.split(language._SEPARATOR)[1:] == [windows[0], windows[2]]
+
+
 # the count checked against the bound is the joined windows' letters: at that
 # many letters the oracle answers, and at one less it refuses.  The wide
 # subject comes last, so that every other case keeps its place and its id
